@@ -161,8 +161,8 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
         built_slope_budget = slope_budget;
         // Pre-solve gate: statically reject degenerate problems (NaN
         // coefficients, box-infeasible constraints, unbounded variables)
-        // instead of letting the solver burn restarts discovering the
-        // same thing numerically. The structured reason feeds the same
+        // instead of letting the solver spend Newton iterations discovering
+        // the same thing numerically. The structured reason feeds the same
         // degradation ladder a failed solve would.
         const auto wf =
             gp::verify_problem(*gen.problem, {}, nl.name());

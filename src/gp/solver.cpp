@@ -11,8 +11,6 @@
 #include "util/check.h"
 #include "util/deadline.h"
 #include "util/fault.h"
-#include "util/logging.h"
-#include "util/rng.h"
 #include "util/strfmt.h"
 #include "util/vecmath.h"
 
@@ -205,8 +203,7 @@ Status validate_problem(const GpProblem& problem) {
 }
 
 /// Barrier-method state shared by both phases. Non-owning: the compiled
-/// functions and bounds live in the caller so multi-start restarts don't
-/// re-copy them per attempt.
+/// functions and bounds live in the caller.
 struct BarrierProblem {
   const std::vector<Func>* constraints = nullptr;  ///< F_j(y) <= 0
   const Func* objective = nullptr;  ///< minimized (times barrier weight t)
@@ -222,25 +219,8 @@ struct BarrierScratch {
   std::vector<double> g_lse;
 };
 
-/// Wall-clock budget for one solve() call (shared across restarts).
+/// Wall-clock budget for one solve() call (shared by both phases).
 using Deadline = util::Deadline;
-
-/// Hessian assembly target: a dense matrix or a skyline profile. At most
-/// one pointer is set; both unset means "no second derivatives wanted".
-/// The skyline sink drops strict upper-triangle adds (the scatter loops
-/// write both halves of the symmetric matrix; the factorization only ever
-/// reads the lower one, for dense and skyline alike).
-struct HessSink {
-  util::Matrix* dense = nullptr;
-  util::SkylineMatrix* sky = nullptr;
-  explicit operator bool() const { return dense != nullptr || sky != nullptr; }
-  void add(size_t i, size_t j, double v) const {
-    if (dense)
-      (*dense)(i, j) += v;
-    else
-      sky->add(i, j, v);
-  }
-};
 
 /// Evaluates the barrier objective
 ///   phi(y) = t * f0(y) - sum_j log(-F_j(y)) - sum_i log box slacks
@@ -248,7 +228,7 @@ struct HessSink {
 /// derivatives are scattered per function, so cost scales with the total
 /// constraint support, not with constraints x n^2.
 double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
-                    Vec* grad, HessSink hess, BarrierScratch& scratch) {
+                    Vec* grad, Matrix* hess, BarrierScratch& scratch) {
   const size_t n = y.size();
   if (grad) std::fill(grad->begin(), grad->end(), 0.0);
   double phi = 0.0;
@@ -268,22 +248,22 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
       for (size_t i = 0; i < sz; ++i) {
         const auto gi = static_cast<size_t>(f.support[i]);
         for (size_t j = 0; j < sz; ++j)
-          hess.add(gi, static_cast<size_t>(f.support[j]),
-                   h_scale * scratch.h_local[i * sz + j]);
+          (*hess)(gi, static_cast<size_t>(f.support[j])) +=
+              h_scale * scratch.h_local[i * sz + j];
       }
       if (outer_scale != 0.0) {
         for (size_t i = 0; i < fs.size(); ++i) {
           const double gi = scratch.g_local[i];
           if (gi == 0.0) continue;
           for (size_t j = 0; j < fs.size(); ++j)
-            hess.add(static_cast<size_t>(fs[i]), static_cast<size_t>(fs[j]),
-                     outer_scale * gi * scratch.g_local[j]);
+            (*hess)(static_cast<size_t>(fs[i]), static_cast<size_t>(fs[j])) +=
+                outer_scale * gi * scratch.g_local[j];
         }
       }
     }
   };
 
-  const bool derivs = grad != nullptr || static_cast<bool>(hess);
+  const bool derivs = grad != nullptr || hess != nullptr;
   {
     const double f0 =
         derivs ? bp.objective->eval_local(y, scratch.g_local,
@@ -313,7 +293,7 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
     if (a <= 0.0 || b <= 0.0) return std::numeric_limits<double>::infinity();
     phi += -std::log(a) - std::log(b);
     if (grad) (*grad)[i] += -1.0 / a + 1.0 / b;
-    if (hess) hess.add(i, i, 1.0 / (a * a) + 1.0 / (b * b));
+    if (hess) (*hess)(i, i) += 1.0 / (a * a) + 1.0 / (b * b);
   }
   return phi;
 }
@@ -347,55 +327,16 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
   Vec grad(n, 0.0);
   BarrierScratch scratch;
 
-  // KKT backend selection, once per minimization: the Hessian's sparsity
-  // profile is the union of per-function support cliques (each function
-  // couples only its own variables) plus the box diagonal, so row i of the
-  // lower triangle can start no earlier than the smallest variable that
-  // shares a function with i. When that envelope is sparse enough, assemble
-  // and factorize in skyline form; otherwise fall back to the dense path.
-  std::vector<size_t> first(n);
-  for (size_t i = 0; i < n; ++i) first[i] = i;
-  auto widen = [&](const Func& f) {
-    if (f.full_support.empty()) return;
-    int mn = f.full_support[0];
-    for (const int v : f.full_support) mn = std::min(mn, v);
-    for (const int v : f.full_support)
-      first[static_cast<size_t>(v)] =
-          std::min(first[static_cast<size_t>(v)], static_cast<size_t>(mn));
-  };
-  widen(*bp.objective);
-  for (const auto& f : *bp.constraints) widen(f);
-  size_t profile = 0;
-  for (size_t i = 0; i < n; ++i) profile += i - first[i] + 1;
-  const size_t dense_lower = n * (n + 1) / 2;
-  const bool use_skyline =
-      !opt.force_dense_kkt &&
-      n >= static_cast<size_t>(opt.sparse_min_vars) &&
-      static_cast<double>(profile) <=
-          opt.sparse_max_fill * static_cast<double>(dense_lower);
-
-  // Assembly buffers live across iterations; only the values are cleared.
-  util::SkylineMatrix sky;
-  Matrix hess;
-  if (use_skyline)
-    sky = util::SkylineMatrix(std::move(first));
-  else
-    hess = Matrix(n, n, 0.0);
+  // Assembly buffer lives across iterations; only the values are cleared.
+  Matrix hess(n, n, 0.0);
 
   for (int it = 0; it < opt.max_newton_iters; ++it) {
     if (deadline.expired()) {
       out.failure = NewtonFailure::kTimeout;
       return out;
     }
-    HessSink sink;
-    if (use_skyline) {
-      sky.clear_values();
-      sink.sky = &sky;
-    } else {
-      hess.fill(0.0);
-      sink.dense = &hess;
-    }
-    double phi = barrier_eval(bp, t, y, &grad, sink, scratch);
+    hess.fill(0.0);
+    double phi = barrier_eval(bp, t, y, &grad, &hess, scratch);
     phi = util::fault_corrupt(util::FaultClass::kSolverNonFinite,
                               "gp.newton.phi", phi);
     if (!std::isfinite(phi)) {
@@ -404,12 +345,10 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
     }
     // Levenberg-style floor keeps the system solvable when the Hessian is
     // nearly singular (e.g. slack variables far from activity).
-    for (size_t i = 0; i < n; ++i) sink.add(i, i, 1e-12);
+    for (size_t i = 0; i < n; ++i) hess(i, i) += 1e-12;
     Vec step;
     try {
-      step = use_skyline
-                 ? util::skyline_cholesky_solve(sky, util::scaled(grad, -1.0))
-                 : util::cholesky_solve(hess, util::scaled(grad, -1.0));
+      step = util::cholesky_solve(hess, util::scaled(grad, -1.0));
     } catch (const util::Error&) {
       out.failure = NewtonFailure::kNonFinite;
       return out;
@@ -431,7 +370,7 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
       Vec trial = y;
       util::axpy(alpha, step, trial);
       const double phi_trial =
-          barrier_eval(bp, t, trial, nullptr, HessSink{}, scratch);
+          barrier_eval(bp, t, trial, nullptr, nullptr, scratch);
       if (std::isfinite(phi_trial) &&
           phi_trial <= phi - 1e-4 * alpha * decrement2) {
         y = std::move(trial);
@@ -511,9 +450,9 @@ GpResult failed_result(const GpProblem& problem, SolveStatus status,
   return result;
 }
 
-/// Per-solve telemetry: status/iteration counters, restart count, barrier
-/// stage count and the final duality-gap estimate (< 0 = never reached
-/// phase II). One relaxed atomic load when telemetry is disabled.
+/// Per-solve telemetry: status/iteration counters, barrier stage count and
+/// the final duality-gap estimate (< 0 = never reached phase II). One
+/// relaxed atomic load when telemetry is disabled.
 void record_solve(obs::Span& span, const GpResult& result, int barrier_stages,
                   double duality_gap) {
   auto& tel = obs::Telemetry::instance();
@@ -521,11 +460,9 @@ void record_solve(obs::Span& span, const GpResult& result, int barrier_stages,
   tel.counter_add("gp.solve.calls");
   tel.counter_add(std::string("gp.solve.status.") + to_string(result.status));
   tel.hist_record("gp.solve.newton_iters", result.newton_iterations);
-  tel.hist_record("gp.solve.restarts", result.attempts - 1);
   tel.hist_record("gp.solve.barrier_stages", barrier_stages);
   if (duality_gap >= 0.0) tel.hist_record("gp.solve.duality_gap", duality_gap);
   span.arg("newton_iters", result.newton_iterations);
-  span.arg("attempts", result.attempts);
   span.arg("barrier_stages", barrier_stages);
   if (duality_gap >= 0.0) span.arg("duality_gap", duality_gap);
 }
@@ -606,16 +543,16 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
     return m;
   };
 
-  // Telemetry accumulators across attempts: barrier stages consumed and
-  // the most recent duality-gap estimate (m_total / t; < 0 until phase II).
+  // Telemetry accumulators: barrier stages consumed and the most recent
+  // duality-gap estimate (m_total / t; < 0 until phase II).
   int total_stages = 0;
   double last_gap = -1.0;
 
-  // One barrier solve from a given starting point. Writes into `out`.
-  auto attempt = [&](const Vec& y_init, GpResult& out, int* newton_used) {
+  // The barrier solve from a given starting point. Writes into `out`.
+  auto attempt = [&](const Vec& y_init, GpResult& out) {
     Vec y = y_init;
     int total_newton = 0;
-    // Introspection state accumulated as the attempt runs: the barrier-stage
+    // Introspection state accumulated as the solve runs: the barrier-stage
     // trace and the final phase-II barrier weight (0 until phase II runs).
     // All of it is derived from values the solve computes anyway, so the
     // iterate trajectory is untouched.
@@ -666,7 +603,6 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
       out.diagnostics = status == SolveStatus::kOptimal
                             ? Status::Ok()
                             : Status::Fail(reason_of(status), msg);
-      *newton_used = total_newton;
     };
 
     // ---- Phase I: find a strictly feasible point ----
@@ -776,10 +712,6 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
       }
       stage_exhausted = !outcome.converged &&
                         outcome.iterations >= options_.max_newton_iters;
-      if (options_.verbose) {
-        util::log_debug(util::strfmt("gp: stage %d t=%.3g newton=%d", stage,
-                                     t, outcome.iterations));
-      }
       last_gap = m_total / t;
       if (m_total / t < options_.tolerance) {
         hit_limit = false;
@@ -809,43 +741,10 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
     if (yhi[i] - ylo[i] < 1e-12) y0[i] = ylo[i];  // effectively fixed var
   }
 
-  // Multi-start: retry failed solves from deterministically perturbed
-  // initial points. Genuine infeasibility is not retried unless marginal
-  // (small violation) — restarts cannot manufacture feasibility, but they
-  // do rescue phase I runs wedged by a bad starting corner.
-  int cumulative_newton = 0;
-  for (int a = 0; a <= std::max(0, options_.restarts); ++a) {
-    Vec y_start = y0;
-    if (a > 0) {
-      util::Rng rng(options_.restart_seed + static_cast<uint64_t>(a));
-      for (size_t i = 0; i < n; ++i) {
-        if (yhi[i] - ylo[i] < 1e-12) continue;
-        const double span = yhi[i] - ylo[i];
-        const double jitter = rng.uniform(-0.2, 0.2) * std::min(span, 4.0);
-        y_start[i] =
-            std::clamp(y0[i] + jitter, ylo[i] + 1e-3 * span,
-                       yhi[i] - 1e-3 * span);
-      }
-    }
-    GpResult r;
-    int used = 0;
-    attempt(y_start, r, &used);
-    cumulative_newton += used;
-    const bool better =
-        a == 0 || (r.status == SolveStatus::kOptimal && !result.ok()) ||
-        (!result.ok() && r.max_violation < result.max_violation);
-    if (better) result = std::move(r);
-    result.newton_iterations = cumulative_newton;
-    result.attempts = a + 1;
-    if (result.ok()) break;
-    if (deadline.expired()) break;
-    const bool retryable =
-        result.status == SolveStatus::kMaxIter ||
-        result.status == SolveStatus::kNumericalError ||
-        (result.status == SolveStatus::kInfeasible &&
-         result.max_violation < 0.25);
-    if (!retryable) break;
-  }
+  // One attempt: the log-domain program is convex, so a second attempt
+  // from a perturbed point could only reach the same optimum. Transient
+  // faults are handled a level up, by the sizer's degradation ladder.
+  attempt(y0, result);
   record_solve(solve_span, result, total_stages, last_gap);
   return result;
 }

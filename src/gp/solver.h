@@ -11,9 +11,11 @@
 /// Guardrails: the solver never throws and never returns non-finite
 /// variable values. Malformed problems, NaN/Inf surfacing mid-solve,
 /// iteration exhaustion and wall-clock overrun all come back as a
-/// SolveStatus plus a structured util::Status diagnostic, and failed
-/// attempts are retried from deterministically perturbed starting points
-/// (multi-start) before giving up.
+/// SolveStatus plus a structured util::Status diagnostic. Each solve is one
+/// attempt: the log-domain program is convex, so it has one optimum that a
+/// second attempt could only find again; recovery from a failed solve
+/// belongs to the caller (core::Sizer's relaxed-GP / baseline degradation
+/// ladder).
 
 #include <cstddef>
 #include <string>
@@ -35,26 +37,10 @@ struct SolverOptions {
   int max_newton_iters = 400;    ///< per barrier stage
   int max_barrier_stages = 60;
   double feas_margin = 1e-7;     ///< required slack to call a point feasible
-  bool verbose = false;
 
-  /// Wall-clock budget for one solve() call including restarts (ms);
-  /// < 0 disables the deadline. Checked once per Newton iteration.
+  /// Wall-clock budget for one solve() call (ms); < 0 disables the
+  /// deadline. Checked once per Newton iteration.
   double deadline_ms = -1.0;
-  /// Extra solve attempts from perturbed initial points after a failed
-  /// first attempt (kMaxIter, kNumericalError, or marginal kInfeasible).
-  int restarts = 1;
-  /// Seed of the deterministic restart perturbations.
-  uint64_t restart_seed = 0x5eed5eedULL;
-
-  /// Newton KKT backend. The Hessian of the barrier is a union of
-  /// per-function support cliques plus the box diagonal; when its skyline
-  /// profile is at most `sparse_max_fill` of the dense lower triangle and
-  /// the problem has at least `sparse_min_vars` variables, the Newton
-  /// systems assemble and factorize in skyline form (util::SkylineMatrix).
-  /// `force_dense_kkt` pins the dense path regardless.
-  int sparse_min_vars = 48;
-  double sparse_max_fill = 0.5;
-  bool force_dense_kkt = false;
 };
 
 enum class SolveStatus {
@@ -118,7 +104,10 @@ struct GpResult {
   double objective = 0.0;    ///< objective value at x
   double max_violation = 0;  ///< max over constraints of (lhs(x) - 1)
   int newton_iterations = 0;
-  int attempts = 1;          ///< solve attempts including restarts
+  /// Always 1: the solver makes one attempt per solve. Kept so consumers
+  /// that aggregate per-solve effort (the perfbench `gp.attempts` layer
+  /// metric) keep reading a stable field.
+  int attempts = 1;
   std::string message;
   /// Structured failure reason mirroring `status` (ok() iff kOptimal).
   util::Status diagnostics;

@@ -2,8 +2,8 @@
 
 /// \file verify.h
 /// GP well-formedness verifier: static analysis of a geometric program
-/// before any numerics run. Catches what would otherwise burn solver
-/// restarts or time out in phase I:
+/// before any numerics run. Catches what would otherwise fail a solve
+/// numerically or time out in phase I:
 ///
 ///   * GPV100 — malformed shell (no variables, objective not set)
 ///   * GPV101 — degenerate monomials (non-finite / non-positive

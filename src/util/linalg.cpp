@@ -131,88 +131,6 @@ Vec cholesky_solve(Matrix a, Vec b) {
              "heavy regularization");
 }
 
-SkylineMatrix::SkylineMatrix(std::vector<size_t> first)
-    : first_(std::move(first)) {
-  start_.resize(first_.size());
-  size_t off = 0;
-  for (size_t i = 0; i < first_.size(); ++i) {
-    SMART_CHECK(first_[i] <= i, "skyline row starts past the diagonal");
-    start_[i] = off;
-    off += i - first_[i] + 1;
-  }
-  vals_.assign(off, 0.0);
-}
-
-void SkylineMatrix::clear_values() {
-  std::fill(vals_.begin(), vals_.end(), 0.0);
-}
-
-namespace {
-
-/// In-place envelope Cholesky A = L L^T; L overwrites the stored profile.
-/// Row-oriented: both the active row i and the pivot rows j are contiguous
-/// in skyline storage. Returns false on a non-positive pivot.
-bool skyline_factor(SkylineMatrix& a) {
-  const size_t n = a.rows();
-  for (size_t i = 0; i < n; ++i) {
-    const size_t fi = a.first(i);
-    for (size_t j = fi; j < i; ++j) {
-      const size_t kmin = std::max(fi, a.first(j));
-      double s = a.at(i, j);
-      for (size_t k = kmin; k < j; ++k) s -= a.at(i, k) * a.at(j, k);
-      a.at(i, j) = s / a.at(j, j);
-    }
-    double d = a.at(i, i);
-    for (size_t k = fi; k < i; ++k) d -= a.at(i, k) * a.at(i, k);
-    if (d <= 0.0 || !std::isfinite(d)) return false;
-    a.at(i, i) = std::sqrt(d);
-  }
-  return true;
-}
-
-Vec skyline_back_substitute(const SkylineMatrix& l, const Vec& b) {
-  const size_t n = l.rows();
-  // Forward solve L y = b (row sweep).
-  Vec y(b);
-  for (size_t i = 0; i < n; ++i) {
-    double s = y[i];
-    for (size_t k = l.first(i); k < i; ++k) s -= l.at(i, k) * y[k];
-    y[i] = s / l.at(i, i);
-  }
-  // Backward solve L^T x = y (column sweep over row storage).
-  for (size_t k = n; k-- > 0;) {
-    const double xk = y[k] / l.at(k, k);
-    y[k] = xk;
-    for (size_t j = l.first(k); j < k; ++j) y[j] -= l.at(k, j) * xk;
-  }
-  return y;
-}
-
-}  // namespace
-
-Vec skyline_cholesky_solve(SkylineMatrix a, Vec b) {
-  SMART_CHECK(a.rows() == b.size(),
-              "skyline_cholesky_solve dimension mismatch");
-  const size_t n = a.rows();
-  double max_diag = 0.0;
-  for (size_t i = 0; i < n; ++i) max_diag = std::max(max_diag, a.at(i, i));
-  if (max_diag <= 0.0) max_diag = 1.0;
-
-  double lambda = 0.0;
-  for (int attempt = 0; attempt < 12; ++attempt) {
-    SkylineMatrix work = a;
-    if (lambda > 0.0) {
-      for (size_t i = 0; i < n; ++i) work.at(i, i) += lambda;
-    }
-    if (skyline_factor(work)) {
-      return skyline_back_substitute(work, b);
-    }
-    lambda = (lambda == 0.0) ? 1e-10 * max_diag : lambda * 100.0;
-  }
-  SMART_FAIL("skyline_cholesky_solve: matrix not positive definite even "
-             "after heavy regularization");
-}
-
 Vec nnls(const Matrix& a, const Vec& b, int max_iter) {
   const size_t n = a.cols();
   SMART_CHECK(a.rows() == b.size(), "nnls dimension mismatch");

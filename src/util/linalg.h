@@ -60,50 +60,6 @@ Vec scaled(const Vec& x, double alpha);
 /// the system cannot be solved even with heavy regularization.
 Vec cholesky_solve(Matrix a, Vec b);
 
-/// Symmetric matrix in skyline (envelope/profile) storage: row i stores the
-/// lower-triangle columns [first(i), i] contiguously. Cholesky factors of
-/// such matrices fill in only inside the envelope, so for Newton KKT
-/// systems whose Hessian is a union of small support cliques (as in the GP
-/// solver) both memory and factorization flops drop from O(n^2)/O(n^3) to
-/// O(profile)/O(sum of row-length^2).
-class SkylineMatrix {
- public:
-  SkylineMatrix() = default;
-  /// `first[i]` = first potentially nonzero column of row i (<= i). The
-  /// profile is fixed at construction; values start at zero.
-  explicit SkylineMatrix(std::vector<size_t> first);
-
-  size_t rows() const { return first_.size(); }
-  size_t first(size_t i) const { return first_[i]; }
-  /// Stored entry count, sum over rows of (i - first(i) + 1).
-  size_t profile() const { return vals_.size(); }
-
-  /// Zeroes all stored values, keeping the profile.
-  void clear_values();
-
-  /// Lower-triangle access; requires first(i) <= j <= i.
-  double& at(size_t i, size_t j) { return vals_[start_[i] + j - first_[i]]; }
-  double at(size_t i, size_t j) const {
-    return vals_[start_[i] + j - first_[i]];
-  }
-  /// Adds v at (i, j) when (i, j) lies in the stored lower triangle and
-  /// silently drops strict upper-triangle coordinates, so symmetric
-  /// scatter loops can feed dense and skyline sinks identically.
-  void add(size_t i, size_t j, double v) {
-    if (j <= i) at(i, j) += v;
-  }
-
- private:
-  std::vector<size_t> first_;
-  std::vector<size_t> start_;  ///< offset of row i's first stored column
-  std::vector<double> vals_;
-};
-
-/// Solves A x = b for a skyline-stored SPD matrix with the same adaptive
-/// diagonal-regularization retry policy as cholesky_solve. Throws
-/// util::Error when the system stays indefinite under heavy regularization.
-Vec skyline_cholesky_solve(SkylineMatrix a, Vec b);
-
 /// Non-negative least squares: minimizes |A x - b|^2 subject to x >= 0,
 /// via Lawson-Hanson active-set iteration. Suitable for the small systems
 /// (< 16 unknowns) of the model fitter.

@@ -1,28 +1,23 @@
-// Determinism suite for the parallel pipeline and the sparse Newton KKT
-// backend. The par contract is bit-exactness: extraction, constraint
-// generation, advisor sweeps, and sizing must produce identical results at
-// any thread count (static chunking + index-ordered merge, see par.h). The
-// sparse contract is agreement: skyline and dense Cholesky solve the same
-// systems to well under solver tolerance.
+// Determinism suite for the parallel pipeline. The par contract is
+// bit-exactness: extraction, constraint generation, advisor sweeps, and
+// sizing must produce identical results at any thread count (static
+// chunking + index-ordered merge, see par.h).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 #include <vector>
 
 #include "core/advisor.h"
 #include "core/constraints.h"
 #include "core/database.h"
-#include "gp/solver.h"
+#include "gp/problem.h"
 #include "helpers.h"
 #include "macros/registry.h"
 #include "models/fitter.h"
 #include "par/par.h"
 #include "tech/tech.h"
 #include "timing/paths.h"
-#include "util/linalg.h"
-#include "util/rng.h"
 #include "util/strfmt.h"
 
 namespace smart {
@@ -142,114 +137,6 @@ TEST_F(DeterminismTest, AdvisorSweepBitExactAcrossThreadCounts) {
             << "label " << w << " threads=" << threads;
     }
   }
-}
-
-TEST(SkylineCholesky, MatchesDenseOnRandomBandedSpd) {
-  util::Rng rng(20260809);
-  for (int trial = 0; trial < 20; ++trial) {
-    const size_t n = 60;
-    const size_t band = 1 + static_cast<size_t>(trial % 7);
-    std::vector<size_t> first(n);
-    for (size_t i = 0; i < n; ++i) first[i] = i > band ? i - band : 0;
-    // SPD by diagonal dominance, nonzeros confined to the envelope.
-    util::Matrix dense(n, n, 0.0);
-    util::SkylineMatrix sky(first);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = first[i]; j < i; ++j) {
-        const double v = rng.gaussian(0, 1);
-        dense(i, j) = dense(j, i) = v;
-        sky.add(i, j, v);
-      }
-      const double d = 2.0 * static_cast<double>(band) + 1.0 +
-                       std::fabs(rng.gaussian(0, 1));
-      dense(i, i) = d;
-      sky.add(i, i, d);
-    }
-    util::Vec rhs(n);
-    for (double& v : rhs) v = rng.gaussian(0, 2);
-    const util::Vec xd = util::cholesky_solve(dense, rhs);
-    const util::Vec xs = util::skyline_cholesky_solve(sky, rhs);
-    for (size_t i = 0; i < n; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-9) << trial;
-  }
-}
-
-TEST(SkylineCholesky, UpperTriangleAddsAreDroppedNotStored) {
-  // Symmetric scatter loops feed (i, j) and (j, i); the skyline sink must
-  // keep exactly one copy.
-  util::SkylineMatrix sky(std::vector<size_t>{0, 0});
-  sky.add(1, 0, 3.0);
-  sky.add(0, 1, 3.0);  // dropped: strict upper triangle
-  sky.add(0, 0, 5.0);
-  sky.add(1, 1, 5.0);
-  EXPECT_EQ(sky.at(1, 0), 3.0);
-  EXPECT_EQ(sky.profile(), 3u);
-  const util::Vec x = util::skyline_cholesky_solve(sky, {8.0, 8.0});
-  EXPECT_NEAR(5.0 * x[0] + 3.0 * x[1], 8.0, 1e-12);
-  EXPECT_NEAR(3.0 * x[0] + 5.0 * x[1], 8.0, 1e-12);
-}
-
-TEST(SparseNewton, SkylineAndDenseKktAgreeOnAnalyticGp) {
-  // The 2-var fixture from gp_test: min x + 2y s.t. xy >= 1, optimum at
-  // x = sqrt(2), y = 1/sqrt(2). Thresholds force the skyline backend on
-  // despite the tiny size so both KKT paths run the same problem.
-  posy::VarTable vars;
-  const posy::VarId x = vars.add("x", 1e-3, 1e3);
-  const posy::VarId y = vars.add("y", 1e-3, 1e3);
-  gp::GpProblem p(vars);
-  p.set_objective(posy::Posynomial::variable(x) +
-                  2.0 * posy::Posynomial::variable(y));
-  p.add_constraint(posy::Posynomial(posy::Monomial::variable(x, -1) *
-                                    posy::Monomial::variable(y, -1)),
-                   "xy>=1");
-
-  gp::SolverOptions sparse;
-  sparse.sparse_min_vars = 1;
-  sparse.sparse_max_fill = 1.0;
-  gp::SolverOptions dense;
-  dense.force_dense_kkt = true;
-
-  const gp::GpResult rs = gp::GpSolver(sparse).solve(p);
-  const gp::GpResult rd = gp::GpSolver(dense).solve(p);
-  ASSERT_TRUE(rs.ok()) << rs.message;
-  ASSERT_TRUE(rd.ok()) << rd.message;
-  EXPECT_NEAR(rs.x[0], std::sqrt(2.0), 1e-2);
-  EXPECT_NEAR(rs.x[1], 1.0 / std::sqrt(2.0), 1e-2);
-  // Same Newton trajectory up to factorization round-off: the two backends
-  // must land within 1e-9 of each other, far inside solver tolerance.
-  EXPECT_NEAR(rs.x[0], rd.x[0], 1e-9);
-  EXPECT_NEAR(rs.x[1], rd.x[1], 1e-9);
-  EXPECT_NEAR(rs.objective, rd.objective, 1e-9);
-}
-
-TEST(SparseNewton, BackendsAgreeOnSizedMacro) {
-  // End-to-end: size a mux both ways and compare the GP solutions. The
-  // mux GP is below the sparse_min_vars threshold by default, so force the
-  // skyline backend on one side.
-  core::MacroSpec spec;
-  spec.type = "mux";
-  spec.n = 8;
-  spec.params["bits"] = 8;
-  const auto nl = macros::builtin_database()
-                      .find("mux", "domino_unsplit")
-                      ->generate(spec);
-  core::ConstraintOptions opt;
-  opt.delay_spec_ps = 250.0;
-  const auto gen = core::generate_problem(nl, opt, models::default_library(),
-                                          tech::default_tech());
-  ASSERT_NE(gen.problem, nullptr);
-
-  gp::SolverOptions sparse;
-  sparse.sparse_min_vars = 1;
-  sparse.sparse_max_fill = 1.0;
-  gp::SolverOptions dense;
-  dense.force_dense_kkt = true;
-  const gp::GpResult rs = gp::GpSolver(sparse).solve(*gen.problem);
-  const gp::GpResult rd = gp::GpSolver(dense).solve(*gen.problem);
-  ASSERT_TRUE(rs.ok()) << rs.message;
-  ASSERT_TRUE(rd.ok()) << rd.message;
-  ASSERT_EQ(rs.x.size(), rd.x.size());
-  for (size_t i = 0; i < rs.x.size(); ++i)
-    EXPECT_NEAR(rs.x[i], rd.x[i], 1e-9 * std::max(1.0, std::fabs(rd.x[i])));
 }
 
 }  // namespace
