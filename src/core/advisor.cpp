@@ -174,9 +174,9 @@ Advice DesignAdvisor::advise(const AdvisorRequest& request) const {
 
   // Candidate fan-out on the shared worker pool. Results land index-ordered
   // (slot i belongs to topos[i]), so the sweep ranks identically at any
-  // thread count; a candidate whose sizer itself calls parallel_for nests
-  // safely because the pool is caller-helps. Solution has no default
-  // constructor (Netlist carries a mandatory name), hence the optional hop.
+  // thread count; each candidate's sizing runs on one thread. Solution has
+  // no default constructor (Netlist carries a mandatory name), hence the
+  // optional hop.
   std::vector<Solution> sized;
   sized.reserve(topos.size());
   if (request.parallel && topos.size() > 1) {

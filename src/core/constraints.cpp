@@ -1,11 +1,9 @@
 #include "core/constraints.h"
 
 #include <cstring>
-#include <optional>
 #include <unordered_map>
 
 #include "obs/obs.h"
-#include "par/par.h"
 #include "util/check.h"
 #include "util/strfmt.h"
 
@@ -86,9 +84,8 @@ GeneratedProblem generate_problem(const Netlist& nl,
   gen.objective = cost_posy(nl, opt.cost, gen.labels, opt.activity, tech);
 
   // Net capacitances are shared across many arc models; precompute them all
-  // (one scatter pass + parallel build) instead of the former lazy per-net
-  // cache, which was both O(nets * comps) and unsafe to share across the
-  // parallel stages below.
+  // in one scatter pass instead of a lazy per-net cache, which was
+  // O(nets * comps).
   const std::vector<Posynomial> caps = [&] {
     obs::Span caps_span("core.congen.net_caps");
     return models::net_cap_posy_all(nl, gen.labels, tech);
@@ -107,9 +104,9 @@ GeneratedProblem generate_problem(const Netlist& nl,
 
   // The same arc transition at the same input slope appears on many paths;
   // model it once. Keys collect in path order, each distinct model builds
-  // in parallel (each its own slot), and the emission stage below only
-  // reads the finished memo — so the produced posynomials are the ones the
-  // sequential per-step calls would produce, at a fraction of the calls.
+  // into its own slot, and the emission stage below only reads the
+  // finished memo — so the produced posynomials are the ones per-step
+  // calls would produce, at a fraction of the calls.
   struct StepKey {
     int32_t comp;
     int32_t from;
@@ -170,77 +167,67 @@ GeneratedProblem generate_problem(const Netlist& nl,
   std::vector<models::ArcPosy> models_memo(model_keys.size());
   {
     obs::Span models_span("core.congen.arc_models");
-    par::parallel_for(
-        model_keys.size(),
-        [&](size_t begin, size_t end) {
-          // Deadline poll at chunk granularity: chunk boundaries are
-          // deterministic, so the check never perturbs the output.
-          if (util::deadline_expired(opt.deadline))
-            throw util::TimeoutError(
-                "constraint generation deadline exceeded (arc models)");
-          for (size_t i = begin; i < end; ++i) {
-            const auto& [k, slope] = model_keys[i];
-            netlist::Arc arc;
-            arc.from = static_cast<netlist::NetId>(k.from);
-            arc.to = static_cast<netlist::NetId>(k.to);
-            arc.comp = static_cast<netlist::CompId>(k.comp);
-            arc.kind = static_cast<netlist::ArcKind>(k.kind);
-            models_memo[i] = models::arc_model_posy(
-                nl, arc, k.out_rise != 0, Posynomial(slope),
-                net_cap(arc.to), gen.labels, lib, tech,
-                static_cast<netlist::Phase>(k.phase));
-          }
-        },
-        "core.congen.arc_models", 8);
+    for (size_t i = 0; i < model_keys.size(); ++i) {
+      if (util::deadline_expired(opt.deadline))
+        throw util::TimeoutError(
+            "constraint generation deadline exceeded (arc models)");
+      const auto& [k, slope] = model_keys[i];
+      netlist::Arc arc;
+      arc.from = static_cast<netlist::NetId>(k.from);
+      arc.to = static_cast<netlist::NetId>(k.to);
+      arc.comp = static_cast<netlist::CompId>(k.comp);
+      arc.kind = static_cast<netlist::ArcKind>(k.kind);
+      models_memo[i] = models::arc_model_posy(
+          nl, arc, k.out_rise != 0, Posynomial(slope), net_cap(arc.to),
+          gen.labels, lib, tech, static_cast<netlist::Phase>(k.phase));
+    }
   }
 
-  std::optional<obs::Span> templates_span{std::in_place,
-                                          "core.congen.templates"};
-  gen.path_templates = par::parallel_map<PathConstraintTemplate>(
-      gen.paths.size(),
-      [&](size_t pi) {
-        if (util::deadline_expired(opt.deadline))
-          throw util::TimeoutError(
-              "constraint generation deadline exceeded (templates)");
-        const auto& path = gen.paths[pi];
-        const double in_slope = path.start_slope >= 0.0
-                                    ? path.start_slope
-                                    : tech.default_input_slope;
-        PathConstraintTemplate tmpl;
-        tmpl.phase = path.phase;
-        tmpl.end = path.end();
-        tmpl.stages_total = path.domino_stages();
-        PosyAccum total;
-        total.add(path.start_arrival);
-        int stages_seen = 0;
-        for (size_t si = 0; si < path.steps.size(); ++si) {
-          const auto& step = path.steps[si];
-          const double slope = si == 0 ? in_slope : opt.slope_budget_ps;
-          const auto& arc_posy = models_memo[model_index.find(
-              step_key(step, path.phase, slope))->second];
+  {
+    obs::Span templates_span("core.congen.templates");
+    gen.path_templates.reserve(gen.paths.size());
+    for (size_t pi = 0; pi < gen.paths.size(); ++pi) {
+      if (util::deadline_expired(opt.deadline))
+        throw util::TimeoutError(
+            "constraint generation deadline exceeded (templates)");
+      const auto& path = gen.paths[pi];
+      const double in_slope = path.start_slope >= 0.0
+                                  ? path.start_slope
+                                  : tech.default_input_slope;
+      PathConstraintTemplate tmpl;
+      tmpl.phase = path.phase;
+      tmpl.end = path.end();
+      tmpl.stages_total = path.domino_stages();
+      PosyAccum total;
+      total.add(path.start_arrival);
+      int stages_seen = 0;
+      for (size_t si = 0; si < path.steps.size(); ++si) {
+        const auto& step = path.steps[si];
+        const double slope = si == 0 ? in_slope : opt.slope_budget_ps;
+        const auto& arc_posy = models_memo[model_index.find(
+            step_key(step, path.phase, slope))->second];
 
-          const bool enters_domino =
-              step.arc.kind == netlist::ArcKind::kDominoEval ||
-              step.arc.kind == netlist::ArcKind::kDominoClkEval;
-          if (enters_domino) {
-            ++stages_seen;
-            // Without opportunistic time borrowing, a stage that evaluates
-            // in phase k cannot start before its inputs are final at the
-            // phase edge: everything upstream of domino stage k must settle
-            // within the first (k-1)/S of the spec. With OTB ([12])
-            // evaluation simply begins when the data arrives and only the
-            // end-to-end constraint remains. Recorded as a prefix template
-            // here; normalized by the current spec in assemble_problem.
-            if (stages_seen >= 2 && path.phase == netlist::Phase::kEvaluate)
-              tmpl.stage_prefixes.emplace_back(stages_seen, total.snapshot());
-          }
-          total.add(arc_posy.delay);
+        const bool enters_domino =
+            step.arc.kind == netlist::ArcKind::kDominoEval ||
+            step.arc.kind == netlist::ArcKind::kDominoClkEval;
+        if (enters_domino) {
+          ++stages_seen;
+          // Without opportunistic time borrowing, a stage that evaluates
+          // in phase k cannot start before its inputs are final at the
+          // phase edge: everything upstream of domino stage k must settle
+          // within the first (k-1)/S of the spec. With OTB ([12])
+          // evaluation simply begins when the data arrives and only the
+          // end-to-end constraint remains. Recorded as a prefix template
+          // here; normalized by the current spec in assemble_problem.
+          if (stages_seen >= 2 && path.phase == netlist::Phase::kEvaluate)
+            tmpl.stage_prefixes.emplace_back(stages_seen, total.snapshot());
         }
-        tmpl.total = total.take();
-        return tmpl;
-      },
-      "core.congen.templates");
-  templates_span.reset();
+        total.add(arc_posy.delay);
+      }
+      tmpl.total = total.take();
+      gen.path_templates.push_back(std::move(tmpl));
+    }
+  }
 
   // ---- input pin capacitance (load) constraints ----
   const auto& per_port = opt.input_cap_limits_ff;
@@ -259,58 +246,43 @@ GeneratedProblem generate_problem(const Netlist& nl,
   // ---- per-arc slope (reliability) constraints ----
   if (opt.enforce_slopes) {
     obs::Span slopes_span("core.congen.slopes");
-    // Arcs are independent: each arc's constraints build into its own slot
-    // (reusing the memoized model when a timing path already evaluated the
-    // same transition at the slope budget), then merge in arc order.
-    const auto& arcs = nl.arcs();
-    auto per_arc = par::parallel_map<std::vector<gp::Constraint>>(
-        arcs.size(),
-        [&](size_t ai) {
-          if (util::deadline_expired(opt.deadline))
-            throw util::TimeoutError(
-                "constraint generation deadline exceeded (slopes)");
-          const auto& arc = arcs[ai];
-          std::vector<gp::Constraint> out;
-          static thread_local std::vector<netlist::EdgeMap> maps;
-          bool footed = true;
-          if (const auto* dg = nl.comp(arc.comp).as_domino())
-            footed = dg->evaluate_label >= 0;
-          netlist::arc_edge_maps(arc.kind, netlist::Phase::kEvaluate, footed,
-                                 maps);
-          // Each distinct output transition gets one slope bound.
-          bool done_rise = false, done_fall = false;
-          for (const auto& em : maps) {
-            if (em.out_rise ? done_rise : done_fall) continue;
-            (em.out_rise ? done_rise : done_fall) = true;
-            timing::PathStep step;
-            step.arc = arc;
-            step.out_rise = em.out_rise;
-            const auto it = model_index.find(step_key(
-                step, netlist::Phase::kEvaluate, opt.slope_budget_ps));
-            // Each (arc, transition) maps to a distinct memo index and the
-            // path templates above only read .delay, so the memoized slope
-            // posynomial can be stolen instead of copied (no race: arcs own
-            // disjoint indices).
-            Posynomial out_slope =
-                it != model_index.end()
-                    ? std::move(models_memo[it->second].out_slope)
-                    : models::arc_out_slope_posy(nl, arc, em.out_rise,
-                                                 slope_budget,
-                                                 net_cap(arc.to), gen.labels,
-                                                 lib, tech);
-            out_slope *= 1.0 / opt.slope_budget_ps;
-            std::string tag = "slope_";
-            tag += nl.net(arc.to).name;
-            tag += em.out_rise ? "_r" : "_f";
-            out.push_back(
-                gp::Constraint{std::move(out_slope), std::move(tag)});
-          }
-          return out;
-        },
-        "core.congen.slopes");
-    for (auto& arc_cons : per_arc) {
-      for (auto& c : arc_cons) {
-        gen.static_constraints.push_back(std::move(c));
+    // Reuses the memoized model when a timing path already evaluated the
+    // same transition at the slope budget.
+    std::vector<netlist::EdgeMap> maps;
+    for (const auto& arc : nl.arcs()) {
+      if (util::deadline_expired(opt.deadline))
+        throw util::TimeoutError(
+            "constraint generation deadline exceeded (slopes)");
+      bool footed = true;
+      if (const auto* dg = nl.comp(arc.comp).as_domino())
+        footed = dg->evaluate_label >= 0;
+      netlist::arc_edge_maps(arc.kind, netlist::Phase::kEvaluate, footed,
+                             maps);
+      // Each distinct output transition gets one slope bound.
+      bool done_rise = false, done_fall = false;
+      for (const auto& em : maps) {
+        if (em.out_rise ? done_rise : done_fall) continue;
+        (em.out_rise ? done_rise : done_fall) = true;
+        timing::PathStep step;
+        step.arc = arc;
+        step.out_rise = em.out_rise;
+        const auto it = model_index.find(step_key(
+            step, netlist::Phase::kEvaluate, opt.slope_budget_ps));
+        // Each (arc, transition) maps to a distinct memo index and the path
+        // templates above only read .delay, so the memoized slope
+        // posynomial can be stolen instead of copied.
+        Posynomial out_slope =
+            it != model_index.end()
+                ? std::move(models_memo[it->second].out_slope)
+                : models::arc_out_slope_posy(nl, arc, em.out_rise,
+                                             slope_budget, net_cap(arc.to),
+                                             gen.labels, lib, tech);
+        out_slope *= 1.0 / opt.slope_budget_ps;
+        std::string tag = "slope_";
+        tag += nl.net(arc.to).name;
+        tag += em.out_rise ? "_r" : "_f";
+        gen.static_constraints.push_back(
+            gp::Constraint{std::move(out_slope), std::move(tag)});
         ++gen.slope_constraints;
       }
     }

@@ -59,11 +59,11 @@ struct ConstraintOptions {
   /// percent of slack keeps the constraint strictly satisfiable.
   double input_cap_slack = 1.05;
 
-  /// Optional wall-clock budget for generate_problem, polled between
-  /// chunks of the parallel model-evaluation / template-emission waves and
-  /// forwarded to path extraction (prune.deadline is overridden when this
-  /// is set). Expiry throws util::TimeoutError; the sizer maps it to
-  /// FailureReason::kTimeout. Non-owning; may be nullptr.
+  /// Optional wall-clock budget for generate_problem, polled per arc model,
+  /// path template and slope arc, and forwarded to path extraction
+  /// (prune.deadline is overridden when this is set). Expiry throws
+  /// util::TimeoutError; the sizer maps it to FailureReason::kTimeout.
+  /// Non-owning; may be nullptr.
   const util::Deadline* deadline = nullptr;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "par/par.h"
 #include "util/check.h"
 #include "util/fault.h"
 #include "util/strfmt.h"
@@ -141,27 +140,22 @@ std::vector<Posynomial> net_cap_posy_all(const Netlist& nl,
         refs[static_cast<size_t>(n)].push_back(CapRef{r, tech.c_diff});
   }
   std::vector<Posynomial> caps(n_nets);
-  par::parallel_for(
-      n_nets,
-      [&](size_t begin, size_t end) {
-        for (size_t n = begin; n < end; ++n) {
-          Posynomial cap;
-          for (const auto& [r, per_um] : refs[n]) {
-            Monomial m = labels.at(static_cast<size_t>(r.label));
-            m *= r.scale * per_um;
-            cap += m;
-          }
-          const auto net = static_cast<NetId>(n);
-          double fixed = tech.c_wire + nl.net(net).extra_wire_ff +
-                         tech.c_wire_per_fanout *
-                             static_cast<double>(nl.arcs_from(net).size());
-          for (const auto& port : nl.outputs())
-            if (port.net == net) fixed += port.load_ff;
-          cap += Monomial(fixed);
-          caps[n] = std::move(cap);
-        }
-      },
-      "models.net_caps", 32);
+  for (size_t n = 0; n < n_nets; ++n) {
+    Posynomial cap;
+    for (const auto& [r, per_um] : refs[n]) {
+      Monomial m = labels.at(static_cast<size_t>(r.label));
+      m *= r.scale * per_um;
+      cap += m;
+    }
+    const auto net = static_cast<NetId>(n);
+    double fixed = tech.c_wire + nl.net(net).extra_wire_ff +
+                   tech.c_wire_per_fanout *
+                       static_cast<double>(nl.arcs_from(net).size());
+    for (const auto& port : nl.outputs())
+      if (port.net == net) fixed += port.load_ff;
+    cap += Monomial(fixed);
+    caps[n] = std::move(cap);
+  }
   return caps;
 }
 

@@ -90,7 +90,7 @@ posy::Posynomial net_cap_posy(const netlist::Netlist& nl, netlist::NetId n,
 /// Capacitance posynomials of every net at once, bit-identical to calling
 /// net_cap_posy per net. One scatter pass over the components collects each
 /// net's width refs (instead of every net scanning every component), then
-/// the per-net posynomials build in parallel — O(total pins) rather than
+/// the per-net posynomials build — O(total pins) rather than
 /// O(nets * components).
 std::vector<posy::Posynomial> net_cap_posy_all(const netlist::Netlist& nl,
                                                const LabelVarMap& labels,

@@ -219,12 +219,11 @@ void set_thread_count(int n) {
 }
 
 void parallel_for(size_t n, const std::function<void(size_t, size_t)>& body,
-                  const char* tag, size_t min_grain) {
+                  const char* tag) {
   if (n == 0) return;
   Pool& pool = Pool::instance();
   const size_t executors = static_cast<size_t>(pool.threads());
-  if (min_grain == 0) min_grain = 1;
-  if (g_chunk_depth > 0 || executors <= 1 || n <= min_grain) {
+  if (g_chunk_depth > 0 || executors <= 1 || n <= 1) {
     body(0, n);
     return;
   }
@@ -232,13 +231,8 @@ void parallel_for(size_t n, const std::function<void(size_t, size_t)>& body,
   // scheduling. A few chunks per executor smooths uneven chunk costs while
   // keeping per-chunk span overhead negligible.
   size_t chunk_count = std::min(n, executors * 4);
-  size_t chunk_size = (n + chunk_count - 1) / chunk_count;
-  chunk_size = std::max(chunk_size, min_grain);
+  const size_t chunk_size = (n + chunk_count - 1) / chunk_count;
   chunk_count = (n + chunk_size - 1) / chunk_size;
-  if (chunk_count <= 1) {
-    body(0, n);
-    return;
-  }
 
   Batch batch;
   batch.body = &body;

@@ -1,7 +1,11 @@
 #pragma once
 
 /// \file par.h
-/// Deterministic data parallelism for the sizing pipeline.
+/// Deterministic data parallelism across independent sizings.
+///
+/// One sizing request runs on one thread; the pool fans out only work made
+/// of whole sizings (the advisor's candidate sweep), and its size is the
+/// default smartd worker count.
 ///
 /// A process-wide pool of persistent workers executes index ranges with
 /// *static* chunk boundaries and index-ordered result placement, so output
@@ -49,24 +53,22 @@ void set_thread_count(int n);
 /// Runs `body(begin, end)` over static chunks of [0, n). Blocks until every
 /// chunk has finished. The first exception (by lowest chunk index) thrown
 /// by any chunk is rethrown on the calling thread after the batch drains.
-/// `tag` names the per-chunk obs spans; `min_grain` is the smallest chunk
-/// size worth dispatching (ranges below it run inline).
+/// `tag` names the per-chunk obs spans.
 void parallel_for(size_t n, const std::function<void(size_t, size_t)>& body,
-                  const char* tag = "par.for", size_t min_grain = 1);
+                  const char* tag = "par.for");
 
 /// Maps `fn(i)` over [0, n) into an index-ordered vector. T must be default
 /// constructible; slot i is written only by the chunk owning index i, so
 /// the result is identical to the sequential loop at any thread count.
 template <typename T, typename Fn>
-std::vector<T> parallel_map(size_t n, Fn&& fn, const char* tag = "par.map",
-                            size_t min_grain = 1) {
+std::vector<T> parallel_map(size_t n, Fn&& fn, const char* tag = "par.map") {
   std::vector<T> out(n);
   parallel_for(
       n,
       [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) out[i] = fn(i);
       },
-      tag, min_grain);
+      tag);
   return out;
 }
 

@@ -1,14 +1,11 @@
 #include "timing/paths.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <optional>
-#include <unordered_map>
 
 #include "obs/obs.h"
-#include "par/par.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/strfmt.h"
@@ -185,7 +182,7 @@ struct Suffix {
 };
 
 /// Open-addressing digest set with generation-stamped clearing, so one
-/// scratch table serves every node of a wavefront chunk without per-node
+/// scratch table serves every node of a build without per-node
 /// allocation. Sized ahead of time from the exact attempt bound.
 class DedupTable {
  public:
@@ -251,6 +248,61 @@ class DedupTable {
   size_t mask_ = 0;
 };
 
+/// Scratch of pareto_prune, reused across calls.
+struct PruneScratch {
+  DedupTable buckets;
+  std::vector<int32_t> prev;  ///< previous item of the same bucket
+  std::vector<int32_t> last;  ///< last item per bucket
+  std::vector<uint8_t> dead;
+};
+
+/// Prunes `items` to the Pareto front of each bucket of equal `sig(item)`,
+/// keeping survivors in order. Items are visited in order: one dominated by
+/// an earlier live member of its bucket dies, otherwise it kills the
+/// earlier live members it dominates. `dominates(a, b)` is true when a may
+/// replace b. Buckets never interact.
+template <typename T, typename SigFn, typename DominatesFn>
+void pareto_prune(std::vector<T>& items, SigFn sig, DominatesFn dominates,
+                  PruneScratch& sc) {
+  const size_t n = items.size();
+  sc.buckets.begin(n);
+  sc.buckets.with_ids();
+  sc.prev.assign(n, -1);
+  sc.dead.assign(n, 0);
+  sc.last.clear();
+  for (size_t i = 0; i < n; ++i) {
+    bool inserted = false;
+    const uint32_t b = sc.buckets.id_of(
+        sig(items[i]), static_cast<uint32_t>(sc.last.size()), &inserted);
+    if (inserted) sc.last.push_back(-1);
+    sc.prev[i] = sc.last[b];
+    sc.last[b] = static_cast<int32_t>(i);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    bool drop = false;
+    for (int32_t j = sc.prev[i]; j >= 0; j = sc.prev[j]) {
+      if (!sc.dead[j] && dominates(items[j], items[i])) {
+        drop = true;
+        break;
+      }
+    }
+    if (drop) {
+      sc.dead[i] = 1;
+      continue;
+    }
+    for (int32_t j = sc.prev[i]; j >= 0; j = sc.prev[j])
+      if (!sc.dead[j] && dominates(items[i], items[j])) sc.dead[j] = 1;
+  }
+  size_t w = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (!sc.dead[i]) {
+      if (w != i) items[w] = std::move(items[i]);
+      ++w;
+    }
+  }
+  items.resize(w);
+}
+
 }  // namespace
 
 int Path::domino_stages() const {
@@ -290,6 +342,9 @@ std::vector<Source> phase_sources(const Netlist& nl, Phase phase) {
 
 constexpr uint64_t kTerminalSeed = 0x7e34a1ULL;
 
+/// Nodes built between two deadline polls of Extractor::build.
+constexpr size_t kDeadlinePollNodes = 64;
+
 class Extractor {
  public:
   /// `count_universe` additionally tracks, per node, the regularity
@@ -305,33 +360,22 @@ class Extractor {
     comp_sigs_.resize(n_comps);
     comp_label_sigs_.resize(n_comps);
     comp_depth_.resize(n_comps);
-    par::parallel_for(
-        n_comps,
-        [&](size_t begin, size_t end) {
-          for (size_t c = begin; c < end; ++c) {
-            const Component& comp = nl_.comp(static_cast<int>(c));
-            comp_sigs_[c] = component_signature(comp);
-            comp_label_sigs_[c] = component_label_signature(comp);
-            comp_depth_[c] = component_depth(comp);
-          }
-        },
-        "timing.extract.comp_sigs", 64);
-    // Pin depths per (net, arc) slot, so the wavefront never re-walks a
-    // component stack. Each net owns its slot: race-free and order-free.
+    for (size_t c = 0; c < n_comps; ++c) {
+      const Component& comp = nl_.comp(static_cast<int>(c));
+      comp_sigs_[c] = component_signature(comp);
+      comp_label_sigs_[c] = component_label_signature(comp);
+      comp_depth_[c] = component_depth(comp);
+    }
+    // Pin depths per (net, arc) slot, so the build never re-walks a
+    // component stack.
     pin_depth_.resize(nl.net_count());
-    par::parallel_for(
-        nl.net_count(),
-        [&](size_t begin, size_t end) {
-          for (size_t n = begin; n < end; ++n) {
-            const auto& arcs = nl_.arcs_from(static_cast<NetId>(n));
-            auto& depths = pin_depth_[n];
-            depths.resize(arcs.size());
-            for (size_t ai = 0; ai < arcs.size(); ++ai)
-              depths[ai] =
-                  pin_depth_of(nl_.comp(arcs[ai].comp), arcs[ai].from);
-          }
-        },
-        "timing.extract.pin_depths", 64);
+    for (size_t n = 0; n < nl.net_count(); ++n) {
+      const auto& arcs = nl_.arcs_from(static_cast<NetId>(n));
+      auto& depths = pin_depth_[n];
+      depths.resize(arcs.size());
+      for (size_t ai = 0; ai < arcs.size(); ++ai)
+        depths[ai] = pin_depth_of(nl_.comp(arcs[ai].comp), arcs[ai].from);
+    }
     output_load_.assign(nl.net_count(), -1.0);
     for (const auto& p : nl.outputs())
       output_load_[static_cast<size_t>(p.net)] = p.load_ff;
@@ -341,11 +385,9 @@ class Extractor {
     return static_cast<uint32_t>(net) * 2 + (rise ? 1u : 0u);
   }
 
-  /// Builds the suffix-class memo of a phase bottom-up: topological levels
-  /// over the subgraph reachable from the phase's sources, each level's
-  /// nodes computed in parallel (a node only reads its children's finished
-  /// slots and writes its own, so the memo content is independent of
-  /// scheduling and thread count).
+  /// Builds the suffix-class memo of a phase bottom-up over the subgraph
+  /// reachable from the phase's sources: a node only reads its children's
+  /// finished slots and writes its own.
   void build(Phase phase) {
     auto& memo = memo_of(phase);
     if (!memo.empty()) return;
@@ -396,42 +438,18 @@ class Extractor {
       }
     }
 
-    // Level = longest edge distance to a sink; nodes of one level never
-    // depend on each other, so each level is a parallel wavefront.
-    std::vector<int32_t> level(n_nodes, 0);
-    int32_t max_level = 0;
-    for (const uint32_t n : order) {
-      children(n, kids);
-      int32_t lvl = 0;
-      for (uint32_t k : kids) lvl = std::max(lvl, level[k] + 1);
-      level[n] = lvl;
-      max_level = std::max(max_level, lvl);
-    }
-    std::vector<std::vector<uint32_t>> buckets(
-        static_cast<size_t>(max_level) + 1);
-    for (const uint32_t n : order)
-      buckets[static_cast<size_t>(level[n])].push_back(n);
-
-    for (auto& bucket : buckets) {
-      // Deadline poll between wavefront levels: a served request with an
-      // exhausted budget must stop extracting, not finish the build. The
-      // poll sits between parallel_for calls, so chunk boundaries (and
-      // therefore the deterministic output) are untouched.
-      if (util::deadline_expired(opt_.deadline))
-        throw util::TimeoutError(
-            "path extraction deadline exceeded (wavefront)");
-      par::parallel_for(
-          bucket.size(),
-          [&](size_t begin, size_t end) {
-            // Reused across wavefront levels and extractions: the dedup
-            // tables and buffers are generation-cleared / assigned at each
-            // use, so retained capacity cannot affect results — it only
-            // avoids reallocating multi-hundred-KB tables per level.
-            static thread_local BuildScratch sc;
-            for (size_t i = begin; i < end; ++i)
-              build_node(phase, bucket[i], sc);
-          },
-          "timing.extract.wave");
+    // Reused across extractions: the dedup tables and buffers are
+    // generation-cleared / assigned at each use, so retained capacity
+    // cannot affect results — it only avoids reallocating multi-hundred-KB
+    // tables per build.
+    static thread_local BuildScratch sc;
+    for (size_t i = 0; i < order.size(); ++i) {
+      // A served request with an exhausted budget must stop extracting,
+      // not finish the build.
+      if (i % kDeadlinePollNodes == 0 &&
+          util::deadline_expired(opt_.deadline))
+        throw util::TimeoutError("path extraction deadline exceeded (build)");
+      build_node(phase, order[i], sc);
     }
   }
 
@@ -486,15 +504,9 @@ class Extractor {
     return sig;
   }
 
-  bool overflowed() const {
-    return overflowed_.load(std::memory_order_relaxed);
-  }
-  long class_attempts() const {
-    return attempts_.load(std::memory_order_relaxed);
-  }
-  long classes_stored() const {
-    return stored_.load(std::memory_order_relaxed);
-  }
+  bool overflowed() const { return overflowed_; }
+  long class_attempts() const { return attempts_; }
+  long classes_stored() const { return stored_; }
 
   StepSigs step_sigs(const PathStep& step) const {
     // Full-structure base: exact stack shape + labels (regularity level).
@@ -531,14 +543,12 @@ class Extractor {
   }
 
  private:
-  /// Per-worker scratch reused across the nodes of a wavefront chunk.
+  /// Per-thread scratch reused across the nodes of a build.
   struct BuildScratch {
     std::vector<EdgeMap> maps;
     DedupTable dedup;        ///< reg-sig dedup of the stored classes
     DedupTable count_dedup;  ///< reg-sig dedup of the unpruned universe
-    std::vector<int32_t> prev;  ///< node-prune: previous class in bucket
-    std::vector<int32_t> last;  ///< node-prune: last class per bucket
-    std::vector<uint8_t> dead;
+    PruneScratch prune;      ///< node-level precedence prune
   };
 
   /// Stepwise domination of two suffix classes of the same node (see the
@@ -571,52 +581,16 @@ class Extractor {
   /// regularity universe.
   void prune_node(Phase phase, std::vector<Suffix>& classes,
                   BuildScratch& sc) {
-    const size_t n = classes.size();
-    sc.dedup.begin(n);
-    sc.dedup.with_ids();
-    sc.prev.assign(n, -1);
-    sc.dead.assign(n, 0);
-    sc.last.clear();
-    uint32_t n_buckets = 0;
-    for (size_t i = 0; i < n; ++i) {
-      bool inserted = false;
-      const uint32_t b =
-          sc.dedup.id_of(classes[i].sigs.no_depth, n_buckets, &inserted);
-      if (inserted) {
-        ++n_buckets;
-        sc.last.push_back(-1);
-      }
-      sc.prev[i] = sc.last[b];
-      sc.last[b] = static_cast<int32_t>(i);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      bool drop = false;
-      for (int32_t j = sc.prev[i]; j >= 0; j = sc.prev[j]) {
-        if (!sc.dead[j] && suffix_dominates(phase, classes[j], classes[i])) {
-          drop = true;
-          break;
-        }
-      }
-      if (drop) {
-        sc.dead[i] = 1;
-        continue;
-      }
-      for (int32_t j = sc.prev[i]; j >= 0; j = sc.prev[j])
-        if (!sc.dead[j] && suffix_dominates(phase, classes[i], classes[j]))
-          sc.dead[j] = 1;
-    }
-    size_t w = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (!sc.dead[i]) {
-        if (w != i) classes[w] = std::move(classes[i]);
-        ++w;
-      }
-    }
-    classes.resize(w);
+    pareto_prune(
+        classes, [](const Suffix& c) { return c.sigs.no_depth; },
+        [&](const Suffix& a, const Suffix& b) {
+          return suffix_dominates(phase, a, b);
+        },
+        sc.prune);
   }
 
   /// Computes the suffix classes of one (net, edge) node. Children are
-  /// finished (lower wavefront level); only this node's slot is written.
+  /// finished (earlier in the post-order); only this node's slot is written.
   void build_node(Phase phase, uint32_t node, BuildScratch& sc) {
     auto& memo = memo_of(phase);
     auto& classes = memo[node];
@@ -654,12 +628,11 @@ class Extractor {
       all_sigs->reserve(std::min(count_bound, opt_.max_classes_per_node));
     }
 
-    long attempts = 0;
     auto add_class = [&](Suffix&& s) {
-      ++attempts;
+      ++attempts_;
       if (sc.dedup.insert(s.sigs.reg)) {
         if (classes.size() >= opt_.max_classes_per_node) {
-          overflowed_.store(true, std::memory_order_relaxed);
+          overflowed_ = true;
           return;
         }
         classes.push_back(std::move(s));
@@ -668,7 +641,7 @@ class Extractor {
     auto add_count_sig = [&](uint64_t sig) {
       if (sc.count_dedup.insert(sig)) {
         if (all_sigs->size() >= opt_.max_classes_per_node) {
-          overflowed_.store(true, std::memory_order_relaxed);
+          overflowed_ = true;
           return;
         }
         all_sigs->push_back(sig);
@@ -720,9 +693,7 @@ class Extractor {
             add_count_sig(mix2(ssig.reg, csig));
       }
     }
-    attempts_.fetch_add(attempts, std::memory_order_relaxed);
-    stored_.fetch_add(static_cast<long>(classes.size()),
-                      std::memory_order_relaxed);
+    stored_ += static_cast<long>(classes.size());
     if (opt_.precedence && classes.size() > 1)
       prune_node(phase, classes, sc);
   }
@@ -753,9 +724,9 @@ class Extractor {
   std::vector<std::vector<Suffix>> memo_pre_;
   std::vector<std::vector<uint64_t>> sig_memo_eval_;
   std::vector<std::vector<uint64_t>> sig_memo_pre_;
-  std::atomic<bool> overflowed_{false};
-  std::atomic<long> attempts_{0};
-  std::atomic<long> stored_{0};
+  bool overflowed_ = false;
+  long attempts_ = 0;
+  long stored_ = 0;
 };
 
 }  // namespace
@@ -795,16 +766,6 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
     uint32_t source;  ///< index into the phase's source list
     Phase phase;
   };
-  /// A candidate before regularity dedup, as produced per source.
-  struct Stub {
-    uint64_t reg_sig;
-    uint64_t no_depth_sig;
-    uint64_t coarse_sig;
-    long sum_depth;
-    long sum_fanout;
-    uint32_t index;
-    int32_t len;
-  };
   std::vector<Candidate> candidates;
   std::vector<Source> sources_by_phase[2];
   auto src_hash = [&](const Source& src, Phase phase) {
@@ -816,8 +777,9 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
     return src_h.h;
   };
   // Reused across extract() calls on this thread; begin() generation-clears
-  // it, so retained capacity only saves the repeated large allocation.
+  // the tables, so retained capacity only saves repeated large allocations.
   static thread_local DedupTable seen;
+  static thread_local PruneScratch prune_scratch;
   bool has_domino = false;
   for (const auto& comp : nl_->comps())
     if (comp.as_domino() != nullptr) has_domino = true;
@@ -834,35 +796,9 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
     const size_t phase_idx = phase == Phase::kEvaluate ? 0 : 1;
     sources_by_phase[phase_idx] = phase_sources(*nl_, phase);
     const auto& sources = sources_by_phase[phase_idx];
-    // Per-source fan-out over the finished (read-only) memo. Each source's
-    // stub list lands in its own slot; the merge below walks slots in
-    // source order, so candidate order and dedup winners are identical to
-    // the sequential nested loop at any thread count.
-    const auto stubs = par::parallel_map<std::vector<Stub>>(
-        sources.size(),
-        [&](size_t si) {
-          const Source& src = sources[si];
-          // Source attributes (edge, phase, arrival, slope) distinguish
-          // classes at every granularity.
-          const uint64_t sh = src_hash(src, phase);
-          const uint32_t node = Extractor::node_key(src.net, src.rise);
-          const auto& classes = ex.classes(phase, node);
-          std::vector<Stub> out;
-          out.reserve(classes.size());
-          for (size_t ci = 0; ci < classes.size(); ++ci) {
-            const Suffix& s = classes[ci];
-            if (s.len == 0) continue;  // input wired straight to output
-            out.push_back(Stub{mix2(s.sigs.reg, sh),
-                               mix2(s.sigs.no_depth, sh),
-                               mix2(s.sigs.coarse, sh), s.sum_depth,
-                               s.sum_fanout, static_cast<uint32_t>(ci),
-                               s.len});
-          }
-          return out;
-        },
-        "timing.extract.sources");
     size_t total = 0;
-    for (const auto& src_stubs : stubs) total += src_stubs.size();
+    for (const Source& src : sources)
+      total += ex.classes(phase, Extractor::node_key(src.net, src.rise)).size();
     candidates.reserve(candidates.size() + total);
     seen.begin(candidates.size() + total);
     // Re-seed the dedup set with earlier phases' winners (begin() clears).
@@ -873,12 +809,20 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
                        src_hash(src, c.phase)));
     }
     for (size_t si = 0; si < sources.size(); ++si) {
-      for (const Stub& st : stubs[si]) {
-        if (!seen.insert(st.reg_sig)) continue;
+      const Source& src = sources[si];
+      // Source attributes (edge, phase, arrival, slope) distinguish
+      // classes at every granularity.
+      const uint64_t sh = src_hash(src, phase);
+      const uint32_t node = Extractor::node_key(src.net, src.rise);
+      const auto& classes = ex.classes(phase, node);
+      for (size_t ci = 0; ci < classes.size(); ++ci) {
+        const Suffix& s = classes[ci];
+        if (s.len == 0) continue;  // input wired straight to output
+        if (!seen.insert(mix2(s.sigs.reg, sh))) continue;
         candidates.push_back(Candidate{
-            st.no_depth_sig, st.coarse_sig, st.sum_depth, st.sum_fanout,
-            Extractor::node_key(sources[si].net, sources[si].rise), st.index,
-            st.len, static_cast<uint32_t>(si), phase});
+            mix2(s.sigs.no_depth, sh), mix2(s.sigs.coarse, sh), s.sum_depth,
+            s.sum_fanout, node, static_cast<uint32_t>(ci), s.len,
+            static_cast<uint32_t>(si), phase});
       }
     }
   }
@@ -894,10 +838,10 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
         (has_domino ? count_edge_paths(Phase::kPrecharge) : 0.0);
     if (count_universe) {
       // Distinct (source, regularity class) pairs of the unpruned universe:
-      // the same dedup the candidate merge applies, replayed over the
+      // the same dedup candidate collection applies, replayed over the
       // side-tracked signature memo. A set's size is insertion-order
       // independent, so one pass over both phases matches the per-phase
-      // interleaved merge above.
+      // collection above.
       size_t total = 0;
       for (Phase phase : {Phase::kEvaluate, Phase::kPrecharge}) {
         const auto& sources =
@@ -915,7 +859,7 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
           const uint64_t sh = src_hash(src, phase);
           const uint32_t node = Extractor::node_key(src.net, src.rise);
           const auto& sigs = ex.universe_sigs(phase, node);
-          // Skip the terminal (length-0) class, as the stub collection does.
+          // Skip the terminal (length-0) class, as candidate collection does.
           const size_t k0 = ex.node_has_terminal(node) ? 1 : 0;
           for (size_t k = k0; k < sigs.size(); ++k)
             if (seen.insert(mix2(sigs[k], sh))) ++reg_count;
@@ -950,74 +894,14 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
     }
     return true;
   };
-  // One prune stage: group candidates by signature, prune each bucket to
-  // its Pareto front independently (buckets never interact), and compact
-  // survivors in arrival order. Bucket processing order inside the
-  // parallel_for cannot change the outcome: the per-bucket front scan is
-  // sequential in arrival order, exactly like the original single loop.
+  // One prune stage: the Pareto front of each bucket of candidates with
+  // equal signature, survivors in arrival order.
   auto pareto_stage = [&](uint64_t Candidate::*key) {
     if (util::deadline_expired(opt.deadline))
       throw util::TimeoutError("path pruning deadline exceeded");
-    // CSR bucket grouping: one open-addressing pass assigns dense bucket
-    // ids in first-sight order, a counting pass lays buckets out in a flat
-    // member array — no per-bucket vectors, no rehashing node allocations.
-    const size_t n = candidates.size();
-    std::vector<uint32_t> bucket_id(n);
-    std::vector<uint32_t> counts;
-    seen.begin(n);
-    seen.with_ids();
-    uint32_t n_buckets = 0;
-    for (size_t i = 0; i < n; ++i) {
-      bool inserted = false;
-      bucket_id[i] = seen.id_of(candidates[i].*key, n_buckets, &inserted);
-      if (inserted) {
-        ++n_buckets;
-        counts.push_back(1);
-      } else {
-        ++counts[bucket_id[i]];
-      }
-    }
-    std::vector<uint32_t> offsets(n_buckets + 1, 0);
-    for (uint32_t b = 0; b < n_buckets; ++b)
-      offsets[b + 1] = offsets[b] + counts[b];
-    std::vector<uint32_t> members(n);
-    {
-      std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-      for (size_t i = 0; i < n; ++i)
-        members[cursor[bucket_id[i]]++] = static_cast<uint32_t>(i);
-    }
-    std::vector<uint8_t> dead(n, 0);
-    par::parallel_for(
-        n_buckets,
-        [&](size_t begin, size_t end) {
-          std::vector<uint32_t> front;
-          for (size_t bi = begin; bi < end; ++bi) {
-            front.clear();
-            for (uint32_t m = offsets[bi]; m < offsets[bi + 1]; ++m) {
-              const uint32_t ci = members[m];
-              const Candidate& c = candidates[ci];
-              bool drop = false;
-              for (const uint32_t k : front) {
-                if (!dead[k] && dominates(candidates[k], c)) {
-                  drop = true;
-                  break;
-                }
-              }
-              if (drop) {
-                dead[ci] = 1;
-                continue;
-              }
-              for (const uint32_t k : front)
-                if (!dead[k] && dominates(c, candidates[k])) dead[k] = 1;
-              front.push_back(ci);
-            }
-          }
-        },
-        "timing.extract.prune");
-    size_t w = 0;
-    for (size_t i = 0; i < n; ++i)
-      if (!dead[i]) candidates[w++] = candidates[i];
-    candidates.resize(w);
+    pareto_prune(
+        candidates, [key](const Candidate& c) { return c.*key; }, dominates,
+        prune_scratch);
   };
 
   // Stage 2: precedence — collapse pin classes within label-equivalent
@@ -1035,47 +919,34 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
   if (opt.dominance) {
     obs::Span prune_span("timing.extract.prune_dominance");
     if (!opt.precedence) {
-      par::parallel_for(
-          candidates.size(),
-          [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-              Candidate& c = candidates[i];
-              const auto& src =
-                  sources_by_phase[c.phase == Phase::kEvaluate ? 0 : 1]
-                                  [c.source];
-              // Reuse the coarse slot: precedence is off, so the stored
-              // coarse signature has no further consumer.
-              c.coarse_sig =
-                  mix2(ex.chain_no_fan_sig(c.phase, c.node, c.cls),
-                       src_hash(src, c.phase));
-            }
-          },
-          "timing.extract.no_fan_sigs");
+      for (Candidate& c : candidates) {
+        const auto& src =
+            sources_by_phase[c.phase == Phase::kEvaluate ? 0 : 1][c.source];
+        // Reuse the coarse slot: precedence is off, so the stored coarse
+        // signature has no further consumer.
+        c.coarse_sig = mix2(ex.chain_no_fan_sig(c.phase, c.node, c.cls),
+                            src_hash(src, c.phase));
+      }
     }
     pareto_stage(&Candidate::coarse_sig);
   }
   if (stats) stats->after_dominance = candidates.size();
 
   // Materialize Path objects (with exact-length step vectors) for the
-  // survivors only, each written into its own slot.
+  // survivors only.
   std::vector<Path> paths(candidates.size());
-  par::parallel_for(
-      candidates.size(),
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const Candidate& c = candidates[i];
-          const auto& src =
-              sources_by_phase[c.phase == Phase::kEvaluate ? 0 : 1][c.source];
-          Path& p = paths[i];
-          p.start = src.net;
-          p.start_rise = src.rise;
-          p.start_arrival = src.arrival;
-          p.start_slope = src.slope;
-          p.phase = c.phase;
-          ex.materialize(c.phase, c.node, c.cls, &p.steps);
-        }
-      },
-      "timing.extract.materialize");
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const Candidate& c = candidates[i];
+    const auto& src =
+        sources_by_phase[c.phase == Phase::kEvaluate ? 0 : 1][c.source];
+    Path& p = paths[i];
+    p.start = src.net;
+    p.start_rise = src.rise;
+    p.start_arrival = src.arrival;
+    p.start_slope = src.slope;
+    p.phase = c.phase;
+    ex.materialize(c.phase, c.node, c.cls, &p.steps);
+  }
   if (stats) stats->final_paths = paths.size();
 
   if (stats != nullptr && tel.enabled()) {

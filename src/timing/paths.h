@@ -56,10 +56,10 @@ struct PruneOptions {
   bool dominance = true;
   /// Safety bound on equivalence classes kept per (net, edge) node.
   size_t max_classes_per_node = 65536;
-  /// Optional wall-clock budget, polled between parallel wavefront levels
-  /// and pruning stages (not inside a chunk, so the check itself cannot
-  /// perturb determinism). Expiry throws util::TimeoutError, which the
-  /// sizer maps to FailureReason::kTimeout. Non-owning; may be nullptr.
+  /// Optional wall-clock budget, polled before each phase, every few dozen
+  /// nodes of the suffix-class build and before each pruning stage. Expiry
+  /// throws util::TimeoutError, which the sizer maps to
+  /// FailureReason::kTimeout. Non-owning; may be nullptr.
   const util::Deadline* deadline = nullptr;
 };
 

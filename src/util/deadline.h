@@ -4,7 +4,7 @@
 /// Wall-clock deadline shared across pipeline stages. One Deadline is
 /// created at the top of a request (a solver call, a sizing, a served
 /// request) and passed down by pointer; every expensive stage — the
-/// parallel extraction wavefronts, constraint emission chunks, each Newton
+/// path extraction build, constraint generation loops, each Newton
 /// iteration — polls `expired()` and aborts with a structured kTimeout
 /// instead of running to completion. `remaining_ms()` lets a stage hand the
 /// rest of the budget to a child stage (the serving layer's "client

@@ -200,5 +200,16 @@ TEST_F(ConstraintsTest, PathStatsPopulated) {
   EXPECT_EQ(gen.timing_constraints, gen.path_stats.final_paths);
 }
 
+TEST_F(ConstraintsTest, ExpiredDeadlineThrowsTimeout) {
+  core::MacroSpec spec;
+  spec.type = "incrementor";
+  spec.n = 8;
+  const auto nl = test::generate("incrementor", "ks_prefix", spec);
+  const util::Deadline expired = util::Deadline::from_ms(0);
+  ConstraintOptions opt = options(400.0);
+  opt.deadline = &expired;
+  EXPECT_THROW(generate_problem(nl, opt, lib_, tech_), util::TimeoutError);
+}
+
 }  // namespace
 }  // namespace smart::core

@@ -223,5 +223,17 @@ TEST(PathExtractorTest, RepresentativesEndAtOutputs) {
   }
 }
 
+TEST(PathExtractorTest, ExpiredDeadlineThrowsTimeout) {
+  core::MacroSpec spec;
+  spec.type = "adder";
+  spec.n = 16;
+  const auto nl = test::generate("adder", "domino_cla", spec);
+  const util::Deadline expired = util::Deadline::from_ms(0);
+  PruneOptions opt;
+  opt.deadline = &expired;
+  PathExtractor ex(nl);
+  EXPECT_THROW(ex.extract(opt), util::TimeoutError);
+}
+
 }  // namespace
 }  // namespace smart::timing

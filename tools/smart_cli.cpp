@@ -41,10 +41,10 @@
 //   --metrics-out FILE  write the flat metrics JSON (counters/gauges/
 //                       histograms: gp.solve.*, timing.prune.*, sizer.*)
 //   --log-level LVL     debug|info|warn|error|off (default warn)
-//   --threads N         worker threads for the parallel pipeline stages
-//                       (positive integer; default SMART_THREADS env or
-//                       hardware concurrency; results are identical at any
-//                       thread count)
+//   --threads N         worker threads for the advisor's candidate sweep;
+//                       each sizing runs on one thread (positive integer;
+//                       default SMART_THREADS env or hardware concurrency;
+//                       results are identical at any thread count)
 
 #include <chrono>
 #include <cstdio>

@@ -14,6 +14,11 @@
 //          [--profile-dir DIR] [--profile-hz HZ]
 //          [--log-level LVL] [--threads N]
 //
+// --threads N sets the worker pool that fans out an advise request's
+// candidate sweep, and is the worker count when --workers is not given
+// (default SMART_THREADS env or hardware concurrency). Each sizing runs on
+// one thread; results are identical at any thread count.
+//
 // Prints "smartd listening on <endpoint>" to stdout once ready (smoke
 // scripts and supervisors scrape it, so it is flushed immediately);
 // --port 0 (the default) binds an ephemeral port, reported in that line.
