@@ -1,8 +1,11 @@
 #include "core/constraints.h"
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <unordered_map>
 
+#include "gp/verify.h"
 #include "obs/obs.h"
 #include "util/check.h"
 #include "util/strfmt.h"
@@ -13,6 +16,131 @@ using netlist::Netlist;
 using posy::Monomial;
 using posy::PosyAccum;
 using posy::Posynomial;
+
+namespace {
+
+/// One step of the 64-bit hash every key below is built with.
+uint64_t mix(uint64_t h, uint64_t v) {
+  v *= 0xff51afd7ed558ccdULL;
+  v ^= v >> 33;
+  h = (h ^ v) * 0x2545f4914f6cdd1dULL;
+  return h ^ (h >> 29);
+}
+
+uint64_t bits_of(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+/// Canonical form of a posynomial: its terms in sorted order and a hash of
+/// them. Posynomials keep terms in first-appearance order, so the same sum
+/// accumulated along two differently ordered paths only compares equal
+/// term-sorted. Terms sort by their (var, exp) factors, which are unique
+/// within a posynomial; the coefficient only breaks ties.
+struct CanonPosy {
+  uint64_t hash = 0;
+  std::vector<uint32_t> order;  ///< term indices in canonical order
+};
+
+CanonPosy canonical(const Posynomial& p) {
+  const auto& terms = p.terms();
+  CanonPosy c;
+  c.order.resize(terms.size());
+  std::iota(c.order.begin(), c.order.end(), 0u);
+  std::sort(c.order.begin(), c.order.end(), [&](uint32_t a, uint32_t b) {
+    const auto& fa = terms[a].factors();
+    const auto& fb = terms[b].factors();
+    if (fa == fb) return terms[a].coeff() < terms[b].coeff();
+    return std::lexicographical_compare(
+        fa.begin(), fa.end(), fb.begin(), fb.end(),
+        [](const posy::ExpFactor& x, const posy::ExpFactor& y) {
+          return x.var != y.var ? x.var < y.var : x.exp < y.exp;
+        });
+  });
+  uint64_t h = mix(0x9e3779b97f4a7c15ULL, terms.size());
+  for (const uint32_t i : c.order) {
+    h = mix(h, bits_of(terms[i].coeff()));
+    h = mix(h, terms[i].factors().size());
+    for (const auto& f : terms[i].factors()) {
+      h = mix(h, static_cast<uint32_t>(f.var));
+      h = mix(h, bits_of(f.exp));
+    }
+  }
+  c.hash = h;
+  return c;
+}
+
+/// Exact equality of two canonicalized posynomials (the hash only picks
+/// the candidates).
+bool same_posy(const Posynomial& a, const CanonPosy& ca, const Posynomial& b,
+               const CanonPosy& cb) {
+  if (ca.hash != cb.hash || ca.order.size() != cb.order.size()) return false;
+  for (size_t k = 0; k < ca.order.size(); ++k) {
+    const Monomial& ma = a.terms()[ca.order[k]];
+    const Monomial& mb = b.terms()[cb.order[k]];
+    if (bits_of(ma.coeff()) != bits_of(mb.coeff()) ||
+        !(ma.factors() == mb.factors()))
+      return false;
+  }
+  return true;
+}
+
+/// Canonical key of a path template: phase, stages_total, total and the
+/// stage prefixes. stages_total only enters the constraints through the
+/// stage deadlines, so it is part of the key only when there are prefixes.
+struct CanonTemplate {
+  uint64_t hash = 0;
+  CanonPosy total;
+  std::vector<CanonPosy> prefixes;  ///< aligned with stage_prefixes
+};
+
+CanonTemplate canonical(const PathConstraintTemplate& t) {
+  CanonTemplate c;
+  c.total = canonical(t.total);
+  const int stages = t.stage_prefixes.empty() ? 0 : t.stages_total;
+  uint64_t h =
+      mix(static_cast<uint64_t>(t.phase), static_cast<uint64_t>(stages));
+  h = mix(h, c.total.hash);
+  c.prefixes.reserve(t.stage_prefixes.size());
+  for (const auto& [stage, prefix] : t.stage_prefixes) {
+    c.prefixes.push_back(canonical(prefix));
+    h = mix(h, static_cast<uint64_t>(stage));
+    h = mix(h, c.prefixes.back().hash);
+  }
+  c.hash = h;
+  return c;
+}
+
+bool same_template(const PathConstraintTemplate& a, const CanonTemplate& ca,
+                   const PathConstraintTemplate& b, const CanonTemplate& cb) {
+  if (ca.hash != cb.hash || a.phase != b.phase ||
+      a.stage_prefixes.size() != b.stage_prefixes.size() ||
+      (!a.stage_prefixes.empty() && a.stages_total != b.stages_total) ||
+      !same_posy(a.total, ca.total, b.total, cb.total))
+    return false;
+  for (size_t k = 0; k < a.stage_prefixes.size(); ++k) {
+    if (a.stage_prefixes[k].first != b.stage_prefixes[k].first ||
+        !same_posy(a.stage_prefixes[k].second, ca.prefixes[k],
+                   b.stage_prefixes[k].second, cb.prefixes[k]))
+      return false;
+  }
+  return true;
+}
+
+/// Hashed class index: returns the class whose key matches (`same(c)`),
+/// or registers `fresh` under `hash` and returns it.
+template <class Same>
+uint32_t find_or_add(std::unordered_multimap<uint64_t, uint32_t>& index,
+                     uint64_t hash, uint32_t fresh, Same same) {
+  const auto [lo, hi] = index.equal_range(hash);
+  for (auto it = lo; it != hi; ++it)
+    if (same(it->second)) return it->second;
+  index.emplace(hash, fresh);
+  return fresh;
+}
+
+}  // namespace
 
 posy::Posynomial cost_posy(const Netlist& nl, CostMetric cost,
                            const models::LabelVarMap& labels,
@@ -119,21 +247,15 @@ GeneratedProblem generate_problem(const Netlist& nl,
   };
   struct StepKeyHash {
     size_t operator()(const StepKey& k) const {
-      uint64_t h = 0x9e3779b97f4a7c15ULL;
-      auto mix = [&h](uint64_t v) {
-        v *= 0xff51afd7ed558ccdULL;
-        v ^= v >> 33;
-        h = (h ^ v) * 0x2545f4914f6cdd1dULL;
-        h ^= h >> 29;
-      };
-      mix(static_cast<uint64_t>(static_cast<uint32_t>(k.comp)));
-      mix((static_cast<uint64_t>(static_cast<uint32_t>(k.from)) << 32) |
-          static_cast<uint64_t>(static_cast<uint32_t>(k.to)));
-      mix((static_cast<uint64_t>(static_cast<uint8_t>(k.kind)) << 16) |
-          (static_cast<uint64_t>(static_cast<uint8_t>(k.out_rise)) << 8) |
-          static_cast<uint64_t>(static_cast<uint8_t>(k.phase)));
-      mix(k.slope_bits);
-      return static_cast<size_t>(h);
+      uint64_t h = mix(0x9e3779b97f4a7c15ULL,
+                       static_cast<uint32_t>(k.comp));
+      h = mix(h, (static_cast<uint64_t>(static_cast<uint32_t>(k.from)) << 32) |
+                     static_cast<uint64_t>(static_cast<uint32_t>(k.to)));
+      h = mix(h, (static_cast<uint64_t>(static_cast<uint8_t>(k.kind)) << 16) |
+                     (static_cast<uint64_t>(static_cast<uint8_t>(k.out_rise))
+                      << 8) |
+                     static_cast<uint64_t>(static_cast<uint8_t>(k.phase)));
+      return static_cast<size_t>(mix(h, k.slope_bits));
     }
   };
   auto step_key = [&](const timing::PathStep& step, netlist::Phase phase,
@@ -186,6 +308,8 @@ GeneratedProblem generate_problem(const Netlist& nl,
   {
     obs::Span templates_span("core.congen.templates");
     gen.path_templates.reserve(gen.paths.size());
+    std::vector<CanonTemplate> class_keys;
+    std::unordered_multimap<uint64_t, uint32_t> class_index;
     for (size_t pi = 0; pi < gen.paths.size(); ++pi) {
       if (util::deadline_expired(opt.deadline))
         throw util::TimeoutError(
@@ -226,8 +350,45 @@ GeneratedProblem generate_problem(const Netlist& nl,
       }
       tmpl.total = total.take();
       gen.path_templates.push_back(std::move(tmpl));
+
+      // Group the template into its canonical class.
+      CanonTemplate key = canonical(gen.path_templates.back());
+      const auto fresh = static_cast<uint32_t>(gen.path_classes.size());
+      const uint32_t cls =
+          find_or_add(class_index, key.hash, fresh, [&](uint32_t c) {
+            return same_template(
+                gen.path_templates[gen.path_classes[c].paths.front()],
+                class_keys[c], gen.path_templates.back(), key);
+          });
+      if (cls == fresh) {
+        gen.path_classes.emplace_back();
+        class_keys.push_back(std::move(key));
+      }
+      gen.path_classes[cls].paths.push_back(pi);
     }
   }
+
+  // Slope and input-cap constraints are grouped the same way, by their
+  // normalized posynomial.
+  std::vector<CanonPosy> static_keys;
+  std::unordered_multimap<uint64_t, uint32_t> static_index;
+  // Returns true when the constraint opened a new class.
+  auto add_static = [&](Posynomial lhs, std::string tag, std::string member) {
+    CanonPosy key = canonical(lhs);
+    const auto fresh = static_cast<uint32_t>(gen.static_classes.size());
+    const uint32_t cls =
+        find_or_add(static_index, key.hash, fresh, [&](uint32_t c) {
+          return same_posy(gen.static_classes[c].constraint.lhs,
+                           static_keys[c], lhs, key);
+        });
+    if (cls == fresh) {
+      gen.static_classes.push_back(
+          {gp::Constraint{std::move(lhs), std::move(tag)}, {}});
+      static_keys.push_back(std::move(key));
+    }
+    gen.static_classes[cls].members.push_back(std::move(member));
+    return cls == fresh;
+  };
 
   // ---- input pin capacitance (load) constraints ----
   const auto& per_port = opt.input_cap_limits_ff;
@@ -238,9 +399,10 @@ GeneratedProblem generate_problem(const Netlist& nl,
                                           : per_port[ii];
     if (limit <= 0.0) continue;
     const netlist::NetId in = nl.inputs()[ii].net;
-    gen.static_constraints.push_back(gp::Constraint{
-        net_cap(in) * (1.0 / (limit * opt.input_cap_slack)),
-        util::strfmt("incap_%s", nl.net(in).name.c_str())});
+    std::string tag = util::strfmt("incap_%s", nl.net(in).name.c_str());
+    std::string member = tag;
+    add_static(net_cap(in) * (1.0 / (limit * opt.input_cap_slack)),
+               std::move(tag), std::move(member));
   }
 
   // ---- per-arc slope (reliability) constraints ----
@@ -281,9 +443,12 @@ GeneratedProblem generate_problem(const Netlist& nl,
         std::string tag = "slope_";
         tag += nl.net(arc.to).name;
         tag += em.out_rise ? "_r" : "_f";
-        gen.static_constraints.push_back(
-            gp::Constraint{std::move(out_slope), std::move(tag)});
-        ++gen.slope_constraints;
+        std::string member = util::strfmt(
+            "%s from %s (%s)", tag.c_str(), nl.net(arc.from).name.c_str(),
+            nl.comp(arc.comp).name.c_str());
+        if (add_static(std::move(out_slope), std::move(tag),
+                       std::move(member)))
+          ++gen.slope_constraints;
       }
     }
   }
@@ -311,10 +476,6 @@ void assemble_problem(GeneratedProblem& gen, double delay_spec_ps,
           output_required_ps[oi];
   }
 
-  gen.problem = std::make_unique<gp::GpProblem>(*gen.vars);
-  gen.problem->set_objective(gen.objective);
-  gen.timing_constraints = 0;
-  gen.stage_constraints = 0;
   gen.path_specs.assign(gen.path_templates.size(), 0.0);
   for (size_t pi = 0; pi < gen.path_templates.size(); ++pi) {
     const auto& tmpl = gen.path_templates[pi];
@@ -325,25 +486,87 @@ void assemble_problem(GeneratedProblem& gen, double delay_spec_ps,
       spec = required[static_cast<size_t>(tmpl.end)];
     }
     gen.path_specs[pi] = spec;
+  }
+
+  gen.problem = std::make_unique<gp::GpProblem>(*gen.vars);
+  gen.problem->set_objective(gen.objective);
+  gen.timing_constraints = 0;
+  gen.stage_constraints = 0;
+  gen.origins.clear();
+  gen.path_constraint.assign(gen.path_templates.size(), 0);
+  using Kind = ConstraintOrigin::Kind;
+  for (size_t c = 0; c < gen.path_classes.size(); ++c) {
+    const auto& members = gen.path_classes[c].paths;
+    const size_t rep = members.front();
+    const auto& tmpl = gen.path_templates[rep];
+    // Every member's T/s_i <= 1 holds exactly when T/min(s_i) <= 1.
+    double spec = gen.path_specs[rep];
+    for (const size_t pi : members) spec = std::min(spec, gen.path_specs[pi]);
+    const auto cls = static_cast<uint32_t>(c);
     if (!otb) {
       for (const auto& [stage, prefix] : tmpl.stage_prefixes) {
         const double deadline = spec * static_cast<double>(stage - 1) /
                                 static_cast<double>(tmpl.stages_total);
         gen.problem->add_constraint(
             prefix * (1.0 / deadline),
-            util::strfmt("stage%d_of_path%zu", stage, pi));
+            util::strfmt("stage%d_of_path%zu", stage, rep));
+        gen.origins.push_back({Kind::kStage, cls, stage});
         ++gen.stage_constraints;
       }
     }
+    const size_t index = gen.problem->constraints().size();
     gen.problem->add_constraint(
         tmpl.total * (1.0 / spec),
         util::strfmt("%s_path%zu",
                      tmpl.phase == netlist::Phase::kEvaluate ? "eval" : "pre",
-                     pi));
+                     rep));
+    gen.origins.push_back({Kind::kPath, cls, 0});
+    for (const size_t pi : members) gen.path_constraint[pi] = index;
     ++gen.timing_constraints;
   }
-  for (const auto& c : gen.static_constraints)
-    gen.problem->add_constraint(c.lhs, c.tag);
+  for (size_t c = 0; c < gen.static_classes.size(); ++c) {
+    const auto& con = gen.static_classes[c].constraint;
+    gen.problem->add_constraint(con.lhs, con.tag);
+    gen.origins.push_back({Kind::kStatic, static_cast<uint32_t>(c), 0});
+  }
+}
+
+std::vector<std::string> constraint_members(const GeneratedProblem& gen,
+                                            size_t index) {
+  const ConstraintOrigin& origin = gen.origins.at(index);
+  if (origin.kind == ConstraintOrigin::Kind::kStatic)
+    return gen.static_classes[origin.cls].members;
+  std::vector<std::string> out;
+  for (const size_t pi : gen.path_classes[origin.cls].paths) {
+    if (origin.kind == ConstraintOrigin::Kind::kStage) {
+      out.push_back(util::strfmt("stage%d_of_path%zu", origin.stage, pi));
+    } else {
+      const bool eval =
+          gen.path_templates[pi].phase == netlist::Phase::kEvaluate;
+      out.push_back(util::strfmt("%s_path%zu", eval ? "eval" : "pre", pi));
+    }
+  }
+  return out;
+}
+
+lint::Report verify_generated(const GeneratedProblem& gen,
+                              const lint::Options& options,
+                              const std::string& name) {
+  return gp::verify_problem(
+      *gen.problem, options, name, [&gen](size_t index) {
+        const auto members = constraint_members(gen, index);
+        if (members.size() < 2) return std::string();
+        constexpr size_t kShown = 8;
+        std::string list;
+        for (size_t k = 0; k < members.size() && k < kShown; ++k) {
+          if (k > 0) list += ", ";
+          list += members[k];
+        }
+        if (members.size() > kShown)
+          list += util::strfmt(", +%zu more", members.size() - kShown);
+        return util::strfmt(" (stands for %zu merged constraints: %s)",
+                            members.size(), list.c_str());
+      });
 }
 
 netlist::Sizing sizing_from_solution(const Netlist& nl,

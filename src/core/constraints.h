@@ -18,10 +18,18 @@
 ///   * slope       — per-arc output slope <= slope budget (reliability).
 ///   * device size — variable box bounds (min/max width), designer-fixed
 ///                   labels become constants.
+///
+/// Regular macros repeat the same arc sequence on many paths, so most of
+/// those per-path and per-arc constraints are exact copies of each other.
+/// Each family is grouped into canonical classes at generation time and
+/// the GP gets one constraint per class (§5.2's regularity argument applied
+/// one level below paths); GeneratedProblem records which paths and arcs
+/// every emitted constraint stands for.
 
 #include <memory>
 
 #include "gp/problem.h"
+#include "lint/diagnostics.h"
 #include "models/arc_model.h"
 #include "power/power.h"
 #include "timing/paths.h"
@@ -79,6 +87,30 @@ struct PathConstraintTemplate {
   std::vector<std::pair<int, posy::Posynomial>> stage_prefixes;
 };
 
+/// A canonical timing class: path templates with the same phase,
+/// stages_total, total and stage_prefixes. Members differ at most in their
+/// spec, and T/s_i <= 1 for every member i is the same constraint as
+/// T/min(s_i) <= 1, so the class is emitted once, at its smallest spec.
+struct PathClass {
+  std::vector<size_t> paths;  ///< member templates, ascending; [0] emits
+};
+
+/// A canonical static class: slope or input-cap constraints whose
+/// posynomials are identical (e.g. two inputs of one gate driving the same
+/// output transition through the same devices).
+struct StaticClass {
+  gp::Constraint constraint;          ///< emitted as is; first member's tag
+  std::vector<std::string> members;   ///< one name per arc / input port
+};
+
+/// Which class an emitted constraint stands for.
+struct ConstraintOrigin {
+  enum class Kind : uint8_t { kPath, kStage, kStatic };
+  Kind kind = Kind::kPath;
+  uint32_t cls = 0;  ///< index into path_classes or static_classes
+  int stage = 0;     ///< domino stage k of a kStage constraint
+};
+
 /// A generated geometric program, owning its variable table. Movable; the
 /// GpProblem keeps a pointer to the VarTable held by unique_ptr.
 /// The spec-independent parts (objective, path templates, slope and
@@ -89,6 +121,7 @@ struct GeneratedProblem {
   models::LabelVarMap labels;  ///< label -> monomial over *vars
   std::unique_ptr<gp::GpProblem> problem;
   timing::PathStats path_stats;
+  /// Emitted constraints per family (one per canonical class).
   size_t timing_constraints = 0;
   size_t stage_constraints = 0;
   size_t slope_constraints = 0;
@@ -96,19 +129,42 @@ struct GeneratedProblem {
   // Spec-independent templates (see assemble_problem).
   posy::Posynomial objective;
   std::vector<PathConstraintTemplate> path_templates;
-  std::vector<gp::Constraint> static_constraints;
+  std::vector<PathClass> path_classes;      ///< in first-member order
+  std::vector<StaticClass> static_classes;  ///< input caps, then slopes
   ConstraintOptions built_options;  ///< options the templates were built at
 
   /// The representative paths the templates were generated from, aligned
-  /// with path_templates (path i produced template i, and constraint tags
-  /// "eval_path<i>"/"pre_path<i>"/"stage<k>_of_path<i>"). Kept so report
+  /// with path_templates (path i produced template i). Kept so report
   /// layers can map a binding constraint back to concrete netlist arcs.
   std::vector<timing::Path> paths;
-  /// Per-template spec (ps) the last assemble_problem() normalized by —
-  /// the denominator that turns a template's delay posynomial into its
-  /// <= 1 constraint. Aligned with path_templates.
+  /// Per-template spec (ps) the last assemble_problem() computed — the
+  /// denominator that turns a template's delay posynomial into its own
+  /// <= 1 constraint. Aligned with path_templates; a class is emitted at
+  /// the smallest spec of its members.
   std::vector<double> path_specs;
+
+  /// Aligned with problem->constraints(): the class each emitted
+  /// constraint stands for (see constraint_members()).
+  std::vector<ConstraintOrigin> origins;
+  /// Path i's end-to-end timing constraint is problem->constraints()
+  /// [path_constraint[i]]. Its tag is "eval_path<j>"/"pre_path<j>" where j
+  /// is the first member of i's class; stage constraints are
+  /// "stage<k>_of_path<j>".
+  std::vector<size_t> path_constraint;
 };
+
+/// The logical constraints emitted constraint `index` stands for: the
+/// per-path tags ("eval_path<i>", "stage<k>_of_path<i>") of every member
+/// path, or the per-arc / per-port names of a static class. One entry for
+/// a constraint that merged nothing.
+std::vector<std::string> constraint_members(const GeneratedProblem& gen,
+                                            size_t index);
+
+/// gp::verify_problem over gen.problem, with every finding on a merged
+/// constraint saying which members it stands for.
+lint::Report verify_generated(const GeneratedProblem& gen,
+                              const lint::Options& options,
+                              const std::string& name);
 
 /// Rebuilds gen.problem for new delay/precharge specs (and OTB setting)
 /// from the stored templates. Much cheaper than generate_problem: no path

@@ -164,8 +164,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
         // instead of letting the solver spend Newton iterations discovering
         // the same thing numerically. The structured reason feeds the same
         // degradation ladder a failed solve would.
-        const auto wf =
-            gp::verify_problem(*gen.problem, {}, nl.name());
+        const auto wf = verify_generated(gen, {}, nl.name());
         if (wf.errors() > 0) {
           last_fail = gp::verify_status(wf);
           if (!best.ok) {

@@ -217,6 +217,11 @@ struct BarrierScratch {
   std::vector<double> h_local;
   std::vector<double> z;
   std::vector<double> g_lse;
+  /// Constraint slacks at the last evaluation with derivatives (the
+  /// current Newton iterate), and the smallest ratio of a later value-only
+  /// evaluation's slacks to them (the line search's trial point).
+  std::vector<double> slack;
+  double min_slack_ratio = 1.0;
 };
 
 /// Wall-clock budget for one solve() call (shared by both phases).
@@ -226,7 +231,9 @@ using Deadline = util::Deadline;
 ///   phi(y) = t * f0(y) - sum_j log(-F_j(y)) - sum_i log box slacks
 /// Returns +inf when outside the domain. grad/hess optional; local
 /// derivatives are scattered per function, so cost scales with the total
-/// constraint support, not with constraints x n^2.
+/// constraint support, not with constraints x n^2. An evaluation with
+/// derivatives records the constraint slacks; a value-only one records in
+/// scratch.min_slack_ratio how far its slacks shrank relative to them.
 double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
                     Vec* grad, Matrix* hess, BarrierScratch& scratch) {
   const size_t n = y.size();
@@ -274,7 +281,12 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
     if (derivs) scatter(*bp.objective, t, t, 0.0);
   }
 
-  for (const auto& fj : *bp.constraints) {
+  const size_t m = bp.constraints->size();
+  if (derivs) scratch.slack.resize(m);
+  const bool ratio = !derivs && scratch.slack.size() == m;
+  scratch.min_slack_ratio = 1.0;
+  for (size_t j = 0; j < m; ++j) {
+    const Func& fj = (*bp.constraints)[j];
     const double v =
         derivs ? fj.eval_local(y, scratch.g_local, scratch.h_local,
                                scratch.z, scratch.g_lse)
@@ -282,6 +294,11 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
     const double u = -v;  // slack, must stay positive
     if (u <= 0.0 || !std::isfinite(u))
       return std::numeric_limits<double>::infinity();
+    if (derivs)
+      scratch.slack[j] = u;
+    else if (ratio)
+      scratch.min_slack_ratio =
+          std::min(scratch.min_slack_ratio, u / scratch.slack[j]);
     phi += -std::log(u);
     // d(-log(-F)) = F'/u ; d2 = F''/u + F' F'^T / u^2.
     if (derivs) scatter(fj, 1.0 / u, 1.0 / u, 1.0 / (u * u));
@@ -363,7 +380,13 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
       out.converged = true;
       return out;
     }
-    // Backtracking line search (Armijo on phi, domain-respecting).
+    // Backtracking line search: Armijo on phi, domain-respecting, and a
+    // fraction-to-boundary rule — no step may halve a constraint's slack.
+    // Far from the central path (just after t grows) an Armijo step can
+    // otherwise dive to within 1e-7 of one curved constraint surface,
+    // where Newton only creeps along it at the scale of that slack. A
+    // constraint repeated k times used to hide this behind a k-fold
+    // barrier weight; canonical constraint classes emit it once.
     double alpha = 1.0;
     bool accepted = false;
     for (int ls = 0; ls < 70; ++ls) {
@@ -371,7 +394,7 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
       util::axpy(alpha, step, trial);
       const double phi_trial =
           barrier_eval(bp, t, trial, nullptr, nullptr, scratch);
-      if (std::isfinite(phi_trial) &&
+      if (std::isfinite(phi_trial) && scratch.min_slack_ratio >= 0.5 &&
           phi_trial <= phi - 1e-4 * alpha * decrement2) {
         y = std::move(trial);
         accepted = true;

@@ -26,22 +26,23 @@ struct VarUse {
 /// false when the posynomial contains non-finite data (so interval
 /// analysis on it would be garbage).
 bool check_terms(const posy::Posynomial& p, const std::string& where,
-                 bool is_objective, const std::string& name,
-                 std::vector<VarUse>& use, Report& rep) {
+                 const std::function<std::string()>& note, bool is_objective,
+                 const std::string& name, std::vector<VarUse>& use,
+                 Report& rep) {
   bool finite = true;
   for (const auto& t : p.terms()) {
     if (!std::isfinite(t.coeff())) {
       rep.add("GPV101", Severity::kError, name, where,
-              strfmt("non-finite coefficient %g", t.coeff()));
+              strfmt("non-finite coefficient %g", t.coeff()) + note());
       finite = false;
     } else if (!(t.coeff() > 0.0)) {
       rep.add("GPV101", Severity::kError, name, where,
-              strfmt("non-positive coefficient %g", t.coeff()));
+              strfmt("non-positive coefficient %g", t.coeff()) + note());
     }
     for (const auto& fac : t.factors()) {
       if (!std::isfinite(fac.exp)) {
         rep.add("GPV101", Severity::kError, name, where,
-                "non-finite exponent");
+                "non-finite exponent" + note());
         finite = false;
         continue;
       }
@@ -82,8 +83,12 @@ double interval_min(const posy::Posynomial& p, const posy::VarTable& vars) {
 
 lint::Report verify_problem(const GpProblem& problem,
                             const lint::Options& options,
-                            const std::string& name) {
+                            const std::string& name,
+                            const std::function<std::string(size_t)>& note) {
   Report rep(options);
+  const auto note_of = [&](size_t c) {
+    return note ? note(c) : std::string();
+  };
   const posy::VarTable& vars = problem.vars();
 
   if (vars.size() == 0)
@@ -108,14 +113,16 @@ lint::Report verify_problem(const GpProblem& problem,
   }
 
   std::vector<VarUse> use(vars.size());
-  bool obj_finite = check_terms(problem.objective(), "objective", true, name,
-                                use, rep);
+  bool obj_finite = check_terms(
+      problem.objective(), "objective", [] { return std::string(); }, true,
+      name, use, rep);
   (void)obj_finite;
   std::vector<char> con_finite(problem.constraints().size(), 1);
   for (size_t c = 0; c < problem.constraints().size(); ++c) {
     const auto& con = problem.constraints()[c];
-    con_finite[c] = check_terms(con.lhs, "constraint " + con.tag, false,
-                                name, use, rep)
+    con_finite[c] = check_terms(
+                        con.lhs, "constraint " + con.tag,
+                        [&] { return note_of(c); }, false, name, use, rep)
                         ? 1
                         : 0;
   }
@@ -150,7 +157,8 @@ lint::Report verify_problem(const GpProblem& problem,
       const double lo = interval_min(con.lhs, vars);
       if (lo > 1.0 + 1e-9) {
         rep.add("GPV104", Severity::kError, name, "constraint " + con.tag,
-                strfmt("lhs >= %.4g everywhere in the variable box", lo));
+                strfmt("lhs >= %.4g everywhere in the variable box", lo) +
+                    note_of(c));
       }
     }
   }

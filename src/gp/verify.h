@@ -21,6 +21,9 @@
 /// Used by the sizer as a cheap pre-solve gate; also reachable through
 /// `smart_cli lint`.
 
+#include <functional>
+#include <string>
+
 #include "gp/problem.h"
 #include "lint/diagnostics.h"
 #include "util/status.h"
@@ -30,9 +33,13 @@ namespace smart::gp {
 /// Runs every GPV rule; findings are counted into the `lint.findings.*`
 /// telemetry counters when telemetry is enabled. Never throws. `name` is
 /// the report's macro field (e.g. the netlist the problem was built from).
-lint::Report verify_problem(const GpProblem& problem,
-                            const lint::Options& options = {},
-                            const std::string& name = "gp");
+/// `note`, when set, is called with a constraint's index for every finding
+/// on that constraint, and its text is appended to the finding's message
+/// (e.g. which merged paths or arcs the constraint stands for).
+lint::Report verify_problem(
+    const GpProblem& problem, const lint::Options& options = {},
+    const std::string& name = "gp",
+    const std::function<std::string(size_t)>& note = {});
 
 /// Collapses a verification report into the pipeline failure taxonomy:
 /// Ok when the report has no errors; otherwise kNumericalError for

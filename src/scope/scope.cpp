@@ -217,11 +217,6 @@ ScopeReport build_report(const netlist::Netlist& nl,
     report.duality_gap = diag.duality_gap;
     report.trace = diag.trace;
 
-    std::unordered_map<std::string, size_t> diag_by_tag;
-    diag_by_tag.reserve(diag.constraints.size());
-    for (size_t j = 0; j < diag.constraints.size(); ++j)
-      diag_by_tag.emplace(diag.constraints[j].tag, j);
-
     // ---- per-path reports: model view + reference-STA replay ----
     std::vector<PathReport> all;
     all.reserve(gen.paths.size());
@@ -243,8 +238,10 @@ ScopeReport build_report(const netlist::Netlist& nl,
           eval ? snap.target_delay_ps : snap.target_precharge_ps;
       pr.model_delay_ps = tmpl.total.eval(snap.gp.x);
       pr.model_slack_ps = pr.spec_ps - pr.model_delay_ps;
-      if (auto it = diag_by_tag.find(pr.tag); it != diag_by_tag.end()) {
-        const auto& cd = diag.constraints[it->second];
+      if (pi < gen.path_constraint.size() &&
+          gen.path_constraint[pi] < diag.constraints.size()) {
+        const auto& cd = diag.constraints[gen.path_constraint[pi]];
+        pr.constraint = cd.tag;
         pr.gp_slack = cd.slack;
         pr.gp_dual = cd.dual;
         pr.binding = std::fabs(cd.slack) <= opt.binding_slack_tol;
@@ -275,9 +272,11 @@ ScopeReport build_report(const netlist::Netlist& nl,
     report.paths = std::move(all);
 
     // ---- tight binding set over every constraint family ----
-    for (const auto& cd : diag.constraints) {
+    for (size_t j = 0; j < diag.constraints.size(); ++j) {
+      const auto& cd = diag.constraints[j];
       if (!(std::fabs(cd.slack) <= opt.binding_slack_tol)) continue;
-      report.binding.push_back({cd.tag, cd.lhs, cd.slack, cd.dual});
+      report.binding.push_back({cd.tag, core::constraint_members(gen, j),
+                                cd.lhs, cd.slack, cd.dual});
     }
     std::stable_sort(report.binding.begin(), report.binding.end(),
                      [](const BindingReport& a, const BindingReport& b) {
@@ -318,7 +317,10 @@ std::string render_text(const ScopeReport& r) {
   for (const auto& p : r.paths) {
     ++rank;
     out << util::strfmt(
-        "\nPath #%zu  %s  (%s)%s\n", rank, p.tag.c_str(), p.phase.c_str(),
+        "\nPath #%zu  %s  (%s)%s%s\n", rank, p.tag.c_str(), p.phase.c_str(),
+        p.constraint != p.tag
+            ? util::strfmt("  [constraint %s]", p.constraint.c_str()).c_str()
+            : "",
         p.binding ? util::strfmt("  [binding, dual %.3g]", p.gp_dual)
                       .c_str()
                   : "");
@@ -358,12 +360,20 @@ std::string render_text(const ScopeReport& r) {
 
   if (!r.binding.empty()) {
     out << "\nBinding constraints (|slack| <= 1e-6):\n";
-    util::Table table({"tag", "lhs", "slack", "dual"});
+    util::Table table({"tag", "members", "lhs", "slack", "dual"});
     for (const auto& b : r.binding)
-      table.add_row({b.tag, util::strfmt("%.9f", b.lhs),
+      table.add_row({b.tag, util::strfmt("%zu", b.members.size()),
+                     util::strfmt("%.9f", b.lhs),
                      util::strfmt("%.3g", b.slack),
                      util::strfmt("%.3g", b.dual)});
     out << table.render();
+    for (const auto& b : r.binding) {
+      if (b.members.size() < 2) continue;
+      out << "  " << b.tag << " stands for ";
+      for (size_t m = 0; m < b.members.size(); ++m)
+        out << (m ? ", " : "") << b.members[m];
+      out << "\n";
+    }
   }
 
   if (!r.sensitivities.empty()) {
@@ -433,7 +443,8 @@ std::string render_json(const ScopeReport& r) {
     out += i ? ",\n    " : "\n    ";
     out += "{\"rank\": " + jnum(static_cast<double>(i + 1)) +
            ", \"index\": " + jnum(static_cast<double>(p.path_index)) +
-           ", \"tag\": \"" + jesc(p.tag) + "\", \"phase\": \"" +
+           ", \"tag\": \"" + jesc(p.tag) + "\", \"constraint\": \"" +
+           jesc(p.constraint) + "\", \"phase\": \"" +
            jesc(p.phase) + "\", \"startpoint\": \"" + jesc(p.startpoint) +
            "\", \"endpoint\": \"" + jesc(p.endpoint) +
            "\", \"spec_ps\": " + jnum(p.spec_ps) +
@@ -482,8 +493,10 @@ std::string render_json(const ScopeReport& r) {
   for (size_t i = 0; i < r.binding.size(); ++i) {
     const auto& b = r.binding[i];
     out += i ? ",\n    " : "\n    ";
-    out += "{\"tag\": \"" + jesc(b.tag) + "\", \"lhs\": " + jnum(b.lhs) +
-           ", \"slack\": " + jnum(b.slack) +
+    out += "{\"tag\": \"" + jesc(b.tag) + "\", \"members\": [";
+    for (size_t m = 0; m < b.members.size(); ++m)
+      out += (m ? ", \"" : "\"") + jesc(b.members[m]) + "\"";
+    out += "], \"lhs\": " + jnum(b.lhs) + ", \"slack\": " + jnum(b.slack) +
            ", \"dual\": " + jnum(b.dual) + "}";
   }
   out += r.binding.empty() ? "],\n" : "\n  ],\n";

@@ -12,8 +12,10 @@
 /// and the sizer's model-vs-STA retargeting trace — in text and JSON.
 ///
 /// The mapping relies on the constraint-generation invariant that path i of
-/// GeneratedProblem::paths produced template i and constraint tags
-/// "eval_path<i>" / "pre_path<i>" / "stage<k>_of_path<i>".
+/// GeneratedProblem::paths produced template i, whose end-to-end timing
+/// constraint is GeneratedProblem::path_constraint[i]. One constraint can
+/// stand for several paths or arcs (canonical classes); the binding set
+/// names every member.
 
 #include <string>
 #include <vector>
@@ -58,6 +60,7 @@ struct StageReport {
 struct PathReport {
   size_t path_index = 0;      ///< index into GeneratedProblem::paths
   std::string tag;            ///< "eval_path<i>" or "pre_path<i>"
+  std::string constraint;     ///< tag of the GP constraint standing for it
   std::string phase;          ///< "evaluate" | "precharge"
   std::string startpoint;     ///< "<net> (R|F)"
   std::string endpoint;
@@ -65,8 +68,8 @@ struct PathReport {
   double target_ps = 0.0;     ///< designer-facing spec for the phase
   double model_delay_ps = 0.0;///< template posynomial at the solved point
   double model_slack_ps = 0.0;///< spec_ps - model_delay_ps
-  double gp_slack = 0.0;      ///< 1 - lhs(x), normalized
-  double gp_dual = 0.0;       ///< log-barrier dual estimate
+  double gp_slack = 0.0;      ///< 1 - lhs(x) of its constraint
+  double gp_dual = 0.0;       ///< log-barrier dual of its constraint
   bool binding = false;       ///< |gp_slack| <= binding_slack_tol
   double sta_arrival_ps = 0.0;///< reference-STA replay of the path
   double sta_slack_ps = 0.0;  ///< target_ps - sta_arrival_ps
@@ -76,6 +79,9 @@ struct PathReport {
 /// One binding constraint of the solved GP (report-level tight cut).
 struct BindingReport {
   std::string tag;
+  /// Every path / arc / port constraint it stands for (one entry when it
+  /// merged nothing). The dual is the members' summed dual.
+  std::vector<std::string> members;
   double lhs = 0.0;
   double slack = 0.0;  ///< 1 - lhs(x); |slack| <= binding_slack_tol
   double dual = 0.0;

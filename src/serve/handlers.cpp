@@ -6,7 +6,6 @@
 #include "core/advisor.h"
 #include "core/baseline.h"
 #include "core/sizer.h"
-#include "gp/verify.h"
 #include "lint/erc.h"
 #include "obs/obs.h"
 #include "refsim/rc_timer.h"
@@ -246,7 +245,7 @@ HandlerOutcome handle_lint(const ServeContext& ctx, const Request& req) {
   copt.delay_spec_ps = req.delay_ps > 0.0 ? req.delay_ps : 1000.0;
   try {
     const auto gen = core::generate_problem(nl, copt, *ctx.lib, *ctx.tech);
-    report.merge(gp::verify_problem(*gen.problem, opt, nl.name()));
+    report.merge(core::verify_generated(gen, opt, nl.name()));
   } catch (const std::exception& e) {
     return fail(FailureReason::kInternal,
                 util::strfmt("constraint generation failed: %s", e.what()));

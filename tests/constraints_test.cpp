@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <random>
+#include <set>
+
 #include "core/constraints.h"
 #include "gp/solver.h"
 #include "helpers.h"
 #include "models/fitter.h"
+#include "util/strfmt.h"
 
 namespace smart::core {
 namespace {
@@ -209,6 +215,131 @@ TEST_F(ConstraintsTest, ExpiredDeadlineThrowsTimeout) {
   ConstraintOptions opt = options(400.0);
   opt.deadline = &expired;
   EXPECT_THROW(generate_problem(nl, opt, lib_, tech_), util::TimeoutError);
+}
+
+// ---- canonical constraint classes ----
+
+/// An order-independent value key of a posynomial, built independently of
+/// the generator's hashed key: its (factors, coefficient) terms, sorted.
+using TermKey = std::pair<std::vector<std::pair<int, double>>, double>;
+std::vector<TermKey> term_key(const posy::Posynomial& p) {
+  std::vector<TermKey> key;
+  for (const auto& t : p.terms()) {
+    TermKey k;
+    for (const auto& f : t.factors()) k.first.emplace_back(f.var, f.exp);
+    k.second = t.coeff();
+    key.push_back(std::move(k));
+  }
+  std::sort(key.begin(), key.end());
+  return key;
+}
+
+netlist::Netlist adder64() {
+  core::MacroSpec spec;
+  spec.type = "adder";
+  spec.n = 64;
+  return test::generate("adder", "domino_cla", spec);
+}
+
+netlist::Netlist incrementor16() {
+  core::MacroSpec spec;
+  spec.type = "incrementor";
+  spec.n = 16;
+  return test::generate("incrementor", "ks_prefix", spec);
+}
+
+TEST_F(ConstraintsTest, NoTwoEmittedConstraintsShareACanonicalKey) {
+  for (const auto& nl : {adder64(), incrementor16()}) {
+    ConstraintOptions opt = options(600.0);
+    opt.precharge_spec_ps = 400.0;
+    const auto gen = generate_problem(nl, opt, lib_, tech_);
+    const auto& cons = gen.problem->constraints();
+    std::set<std::vector<TermKey>> seen;
+    for (const auto& c : cons)
+      EXPECT_TRUE(seen.insert(term_key(c.lhs)).second)
+          << nl.name() << ": " << c.tag << " duplicates an earlier constraint";
+    // Fewer constraints than the paths and arcs they stand for: the
+    // regularity the classes exploit.
+    ASSERT_EQ(gen.origins.size(), cons.size());
+    size_t logical = 0;
+    for (size_t j = 0; j < cons.size(); ++j)
+      logical += constraint_members(gen, j).size();
+    EXPECT_LT(cons.size(), logical) << nl.name();
+    ASSERT_EQ(gen.path_constraint.size(), gen.paths.size());
+    // Every path maps to a timing constraint that names it as a member.
+    for (size_t pi = 0; pi < gen.paths.size(); ++pi) {
+      const size_t j = gen.path_constraint[pi];
+      ASSERT_LT(j, cons.size());
+      const auto members = constraint_members(gen, j);
+      const bool eval =
+          gen.path_templates[pi].phase == netlist::Phase::kEvaluate;
+      const std::string tag =
+          util::strfmt("%s_path%zu", eval ? "eval" : "pre", pi);
+      EXPECT_NE(std::find(members.begin(), members.end(), tag),
+                members.end())
+          << cons[j].tag << " does not name " << tag;
+    }
+  }
+}
+
+TEST_F(ConstraintsTest, CanonicalTimingConstraintsMatchPerPathConstraints) {
+  for (const auto& nl : {adder64(), incrementor16()}) {
+    ConstraintOptions opt = options(600.0);
+    opt.precharge_spec_ps = 400.0;
+    const auto gen = generate_problem(nl, opt, lib_, tech_);
+    const auto& cons = gen.problem->constraints();
+    std::mt19937 rng(2024);
+    for (int trial = 0; trial < 50; ++trial) {
+      util::Vec x(gen.vars->size());
+      for (size_t v = 0; v < x.size(); ++v) {
+        const auto& info = gen.vars->info(static_cast<posy::VarId>(v));
+        // Log-uniform in the box.
+        std::uniform_real_distribution<double> u(std::log(info.lower),
+                                                 std::log(info.upper));
+        x[v] = std::exp(u(rng));
+      }
+      // Each template at its own spec, as per-path emission would have it.
+      double per_path = 0.0;
+      for (size_t pi = 0; pi < gen.path_templates.size(); ++pi)
+        per_path = std::max(per_path, gen.path_templates[pi].total.eval(x) /
+                                          gen.path_specs[pi]);
+      double canonical = 0.0;
+      for (size_t j = 0; j < cons.size(); ++j)
+        if (gen.origins[j].kind == ConstraintOrigin::Kind::kPath)
+          canonical = std::max(canonical, cons[j].lhs.eval(x));
+      EXPECT_NEAR(canonical, per_path, 1e-12 * per_path)
+          << nl.name() << " trial " << trial;
+    }
+  }
+}
+
+TEST_F(ConstraintsTest, MergedClassesKeepTheSmallestMemberSpec) {
+  // Two identical inverters into two outputs, with path pruning off so
+  // both paths survive: one timing class per transition, emitted at the
+  // tighter output's required time.
+  netlist::Netlist nl("twins");
+  const auto a = nl.add_net("a");
+  const auto x = nl.add_net("x"), y = nl.add_net("y");
+  const auto n = nl.add_label("N"), p = nl.add_label("P");
+  nl.add_inverter("i0", a, x, n, p);
+  nl.add_inverter("i1", a, y, n, p);
+  nl.add_input(a);
+  nl.add_output(x, 20.0);
+  nl.add_output(y, 20.0);
+  nl.finalize();
+  ConstraintOptions opt = options(300.0);
+  opt.output_required_ps = {250.0, 200.0};
+  opt.prune.regularity = false;
+  opt.prune.dominance = false;
+  const auto gen = generate_problem(nl, opt, lib_, tech_);
+  ASSERT_EQ(gen.paths.size(), 4u);  // rise + fall into each output
+  EXPECT_EQ(gen.timing_constraints, 2u);
+  util::Vec at(gen.vars->size(), 2.0);
+  for (size_t pi = 0; pi < gen.paths.size(); ++pi) {
+    const auto& lhs = gen.problem->constraints()[gen.path_constraint[pi]].lhs;
+    EXPECT_NEAR(lhs.eval(at), gen.path_templates[pi].total.eval(at) / 200.0,
+                1e-12);
+  }
 }
 
 }  // namespace

@@ -76,6 +76,46 @@ TEST_F(IntegrationTest, Fig6StyleTradeoffOnSmallAdder) {
   EXPECT_GT(curve[0].total_width_um, curve[2].total_width_um);
 }
 
+TEST_F(IntegrationTest, Fig6AdderTradeoffShape) {
+  // The full Fig 6 sweep of bench/fig6_adder_tradeoff: the 64-bit adder,
+  // normalized delay 0.9-1.3 around 1.25x the baseline delay.
+  core::MacroSpec spec;
+  spec.type = "adder";
+  spec.n = 64;
+  spec.load_ff = 12.0;
+  const auto nl = test::generate("adder", "domino_cla", spec);
+  const auto anchor = core::run_iso_delay(nl, tech_, lib_);
+  ASSERT_TRUE(anchor.ok) << anchor.smart.message;
+  const double d1 = anchor.baseline.measured_delay_ps * 1.25;
+  core::SizerOptions opt;
+  opt.precharge_spec_ps =
+      std::max(anchor.baseline.measured_precharge_ps, d1) * 1.2;
+  opt.slope_budget_ps = 240.0;
+  // DesignAdvisor::tradeoff_curve's per-point options.
+  opt.allow_relaxed_retry = false;
+  opt.allow_baseline_fallback = false;
+  const core::Sizer sizer(tech_, lib_);
+  std::vector<double> area;
+  for (const double rel : {0.90, 0.95, 1.00, 1.10, 1.20, 1.30}) {
+    opt.delay_spec_ps = rel * d1;
+    const auto r = sizer.size(nl, opt);
+    ASSERT_TRUE(r.ok) << rel << ": " << r.message;
+    EXPECT_EQ(r.message, "converged") << rel;
+    // Every GP solve of every point reaches its tolerance.
+    for (const auto& it : r.respec_trace)
+      EXPECT_EQ(it.gp_status, gp::SolveStatus::kOptimal)
+          << rel << " iteration " << it.iter;
+    area.push_back(r.total_width_um);
+  }
+  // Monotone: relaxing the delay never costs area.
+  for (size_t i = 1; i < area.size(); ++i)
+    EXPECT_LE(area[i], area[i - 1] * (1.0 + 1e-9)) << i;
+  // Fast-end premium over the most relaxed point; the paper reads ~1.27.
+  const double premium = area.front() / area.back();
+  EXPECT_GE(premium, 1.15);
+  EXPECT_LE(premium, 1.40);
+}
+
 TEST_F(IntegrationTest, SizedMacroRemainsFunctionallyCorrect) {
   // Sizing only changes widths, never connectivity — verify the invariant
   // end to end by re-simulating after SMART sizing.

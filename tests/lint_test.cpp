@@ -422,6 +422,29 @@ TEST(GpVerifyTest, Gpv105InvalidBox) {
   EXPECT_EQ(of_rule(rep, "GPV105").front()->location, "open");
 }
 
+TEST(GpVerifyTest, MergedConstraintFindingNamesEveryMember) {
+  // The 64-bit adder's slope_cout_t_dyn_f is box-infeasible at the default
+  // slope budget, and two arcs into cout_t_dyn give the same constraint:
+  // one GP constraint, one finding, both arcs named.
+  core::MacroSpec spec;
+  spec.type = "adder";
+  spec.n = 64;
+  const auto nl = test::generate("adder", "domino_cla", spec);
+  core::ConstraintOptions opt;
+  opt.delay_spec_ps = 1000.0;  // the `smart_cli lint` default
+  const auto gen = core::generate_problem(nl, opt, models::default_library(),
+                                          tech::default_tech());
+  const auto rep = core::verify_generated(gen, {}, nl.name());
+  const auto found = of_rule(rep, "GPV104");
+  ASSERT_EQ(found.size(), 1u) << rep.to_text();
+  EXPECT_EQ(found.front()->location, "constraint slope_cout_t_dyn_f");
+  const std::string& msg = found.front()->message;
+  EXPECT_NE(msg.find("stands for 2 merged constraints"), std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("from cin_t"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("from s3P0_t"), std::string::npos) << msg;
+}
+
 TEST(GpVerifyTest, GeneratedMacroProblemIsClean) {
   const auto nl = test::inverter_chain(3);
   core::ConstraintOptions opt;

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/baseline.h"
 #include "core/constraints.h"
 #include "core/sizer.h"
 #include "gp/solver.h"
@@ -23,6 +24,7 @@
 #include "obs/obs.h"
 #include "prof/prof.h"
 #include "prof/resource.h"
+#include "refsim/rc_timer.h"
 #include "tech/tech.h"
 #include "util/json.h"
 
@@ -68,6 +70,29 @@ SMART_PROF_TEST_SPIN uint64_t prof_test_other_spin(uint64_t iters) {
 namespace {
 
 using namespace smart;
+
+/// The headline workload: the 64-bit domino adder, sized at its hand
+/// baseline's own timing, with the slope budget the experiments derive
+/// from the baseline (core/experiment.cpp).
+netlist::Netlist adder64() {
+  core::MacroSpec spec;
+  spec.type = "adder";
+  spec.n = 64;
+  return macros::builtin_database().find("adder", "domino_cla")->generate(
+      spec);
+}
+
+core::SizerOptions adder64_options(const netlist::Netlist& nl) {
+  const auto& tech = tech::default_tech();
+  const auto rep =
+      refsim::RcTimer(tech).analyze(nl, core::BaselineSizer(tech).size(nl));
+  core::SizerOptions opt;
+  opt.delay_spec_ps = rep.worst_delay;
+  opt.precharge_spec_ps = rep.worst_precharge;
+  opt.slope_budget_ps =
+      std::max(opt.slope_budget_ps, rep.max_internal_slope * 1.02);
+  return opt;
+}
 
 volatile uint64_t g_sink;
 
@@ -426,17 +451,13 @@ TEST_F(ProfTest, GpSolveProfileShowsSolverFrames) {
   opt.hz = 997.0;
   ASSERT_TRUE(profiler.start(opt).ok());
 
-  core::MacroSpec spec;
-  spec.type = "mux";
-  spec.n = 8;
-  const auto* entry = macros::builtin_database().find("mux", "strong_pass");
-  ASSERT_NE(entry, nullptr);
-  const auto nl = entry->generate(spec);
-  core::SizerOptions sopt;
-  sopt.delay_spec_ps = 200.0;
+  // The 64-bit adder: the GP is most of its sizing, where a small mux
+  // sizing is mostly constraint generation and verification.
+  const auto nl = adder64();
+  const core::SizerOptions sopt = adder64_options(nl);
   core::Sizer sizer(tech::default_tech(), models::default_library());
   // Repeat the sizing until we have burned enough CPU for a statistically
-  // useful sample count (a warm solve can converge in a few ms).
+  // useful sample count.
   const prof::ResourceUsage before = prof::snapshot_usage();
   for (int rep = 0; rep < 400; ++rep) {
     const auto result = sizer.size(nl, sopt);
@@ -486,17 +507,14 @@ TEST(ProfOverheadTest, SamplingAt99HzStaysUnder5Percent) {
 #if defined(SMART_PROF_TEST_SANITIZED)
   GTEST_SKIP() << "overhead measurement is meaningless under sanitizers";
 #else
-  const auto* entry =
-      macros::builtin_database().find("mux", "domino_unsplit");
-  ASSERT_NE(entry, nullptr);
-  core::MacroSpec spec;
-  spec.type = "mux";
-  spec.n = 8;
-  spec.params["bits"] = 8;
-  const auto nl = entry->generate(spec);
+  // The adder's GP: one solve takes over 100 ms, so a 99 Hz sampler fires
+  // during it and the comparison measures the sampler, not timer jitter.
+  const auto nl = adder64();
+  const core::SizerOptions sopt = adder64_options(nl);
   core::ConstraintOptions copt;
-  copt.delay_spec_ps = 150.0;
-  copt.precharge_spec_ps = 200.0;
+  copt.delay_spec_ps = sopt.delay_spec_ps;
+  copt.precharge_spec_ps = sopt.precharge_spec_ps;
+  copt.slope_budget_ps = sopt.slope_budget_ps;
   const auto gen = core::generate_problem(nl, copt,
                                           models::default_library(),
                                           tech::default_tech());
@@ -505,19 +523,17 @@ TEST(ProfOverheadTest, SamplingAt99HzStaysUnder5Percent) {
   auto& profiler = prof::Profiler::instance();
   profiler.stop();
 
-  // Min-of-3 of a BM_GpSolveMux/8-equivalent solve loop at each rate.
+  // Min-of-3 solves at each rate.
   // Min (not mean) because scheduler noise only ever adds time, and a
   // shared CI runner adds a lot of it.
   const auto measure = [&] {
     double best_ms = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
       obs::StopWatch watch;
-      for (int i = 0; i < 3; ++i) {
-        gp::GpSolver solver;
-        const auto result = solver.solve(*gen.problem);
-        EXPECT_NE(result.status, gp::SolveStatus::kNumericalError);
-        g_sink = static_cast<uint64_t>(result.newton_iterations);
-      }
+      gp::GpSolver solver;
+      const auto result = solver.solve(*gen.problem);
+      EXPECT_NE(result.status, gp::SolveStatus::kNumericalError);
+      g_sink = static_cast<uint64_t>(result.newton_iterations);
       best_ms = std::min(best_ms, watch.elapsed_ms());
     }
     return best_ms;

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <set>
 
+#include "core/baseline.h"
 #include "core/sizer.h"
 #include "gp/solver.h"
 #include "helpers.h"
@@ -277,6 +278,70 @@ TEST_F(ScopeReportTest, TextRenderingCarriesTheHeadlines) {
   EXPECT_NE(text.find("Startpoint:"), std::string::npos);
   EXPECT_NE(text.find("Binding constraints"), std::string::npos);
   EXPECT_NE(text.find("Respec trace"), std::string::npos);
+}
+
+TEST_F(ScopeReportTest, AdderReportIsTruthfulAboutMergedConstraints) {
+  // The 64-bit adder emits one constraint per canonical class, so most of
+  // its constraints stand for several paths or arcs. Sized at its hand
+  // baseline's own timing, as `smart_cli report` does.
+  const auto nl = make("adder", "domino_cla", 64, 0);
+  const auto base = core::Sizer(tech_, lib_).measure(
+      nl, core::BaselineSizer(tech_).size(nl));
+  const auto result = size_with_snapshot(nl, base.measured_delay_ps,
+                                         base.measured_precharge_ps);
+  ASSERT_TRUE(result.ok) << result.message;
+  ASSERT_NE(result.snapshot, nullptr);
+  const auto& gen = result.snapshot->gen;
+  const auto& diag = result.snapshot->gp.diag;
+
+  ScopeOptions opt;
+  opt.top_k = 1000;  // every path
+  const auto report = build_report(nl, result, tech_, opt);
+  ASSERT_EQ(report.message, "ok");
+  ASSERT_EQ(report.paths.size(), gen.paths.size());
+  // Every path carries the slack and dual of the constraint standing for
+  // it, merged or not.
+  size_t merged_paths = 0;
+  for (const auto& pr : report.paths) {
+    const size_t j = gen.path_constraint.at(pr.path_index);
+    ASSERT_LT(j, diag.constraints.size());
+    EXPECT_EQ(pr.constraint, diag.constraints[j].tag) << pr.tag;
+    EXPECT_EQ(pr.gp_slack, diag.constraints[j].slack) << pr.tag;
+    EXPECT_EQ(pr.gp_dual, diag.constraints[j].dual) << pr.tag;
+    if (pr.constraint != pr.tag) ++merged_paths;
+  }
+  EXPECT_GT(merged_paths, 0u) << "no path of the adder was merged";
+
+  // The binding set names every member of each binding constraint.
+  ASSERT_FALSE(report.binding.empty());
+  std::set<std::string> named;
+  bool saw_merged = false;
+  for (const auto& b : report.binding) {
+    ASSERT_FALSE(b.members.empty()) << b.tag;
+    if (b.members.size() > 1) saw_merged = true;
+    named.insert(b.members.begin(), b.members.end());
+  }
+  EXPECT_TRUE(saw_merged);
+  for (size_t j = 0; j < diag.constraints.size(); ++j) {
+    if (!(std::fabs(diag.constraints[j].slack) <= opt.binding_slack_tol))
+      continue;
+    for (const auto& m : core::constraint_members(gen, j))
+      EXPECT_EQ(named.count(m), 1u) << diag.constraints[j].tag << " " << m;
+  }
+  // Binding paths are exactly the members of binding timing constraints.
+  for (const auto& pr : report.paths)
+    if (pr.binding) {
+      EXPECT_EQ(named.count(pr.tag), 1u) << pr.tag;
+    }
+
+  // The JSON carries the members too.
+  util::JsonValue root;
+  ASSERT_TRUE(util::json_parse(render_json(report), &root));
+  const auto& jb = root.find("binding")->array;
+  ASSERT_EQ(jb.size(), report.binding.size());
+  for (size_t i = 0; i < jb.size(); ++i)
+    EXPECT_EQ(jb[i].find("members")->array.size(),
+              report.binding[i].members.size());
 }
 
 TEST_F(ScopeReportTest, StubReportWithoutSnapshot) {

@@ -226,9 +226,12 @@ TEST_F(ServeResilienceTest, MidSolveDisconnectReclaimsSlot) {
   ServerOptions opt;
   opt.workers = 1;
   start(opt);
+  // Hold the worker (the stall site sleeps 200ms per request) for longer
+  // than the 100ms read budget: the client gives up and closes while the
+  // server is still working on its request.
+  util::FaultInjector::instance().arm(util::FaultClass::kServeWorkerStall,
+                                      "serve.worker", 10.0, 0, 1);
   {
-    // A tight-spec solve takes far longer than the 100ms read budget:
-    // the client gives up and closes while the server is still solving.
     ClientOptions copt = client_options(0);
     copt.io_timeout_ms = 100.0;
     Client client(copt);
@@ -379,8 +382,9 @@ TEST_F(ServeResilienceTest, DrainingServerRejectsNewSolvesTyped) {
   ServerOptions opt;
   opt.workers = 1;
   start(opt);
-  // Occupy the worker with a long solve, then request shutdown: the
-  // in-flight solve finishes, but a new request gets kShuttingDown.
+  // Occupy the worker with a stalled solve (the stall site sleeps 200ms),
+  // then request shutdown: the in-flight solve finishes, but a new request
+  // gets kShuttingDown.
   // The late client's connection is opened *before* the drain begins —
   // draining closes the listener, but established connections get the
   // typed kShuttingDown rejection.
@@ -388,6 +392,8 @@ TEST_F(ServeResilienceTest, DrainingServerRejectsNewSolvesTyped) {
   Frame late_reply;
   ASSERT_TRUE(late.call(FrameType::kPing, "", -1.0, &late_reply).ok());
 
+  util::FaultInjector::instance().arm(util::FaultClass::kServeWorkerStall,
+                                      "serve.worker", 10.0, 0, 1);
   Client busy(client_options(0));
   Frame busy_reply;
   std::thread solver([&] {

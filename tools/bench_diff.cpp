@@ -27,8 +27,10 @@
 // mode (exit 0 unless the files cannot be read or written).
 //
 // `--record` appends one perf-trajectory ledger row — {"sha", "timestamp",
-// "metrics": {<prefix-matching gauges>}} — to a history JSONL file
-// (bench/BENCH_history.jsonl in this repo), creating it if absent.
+// "metrics": {<prefix-matching gauges, counters and histogram sums>}} — to
+// a history JSONL file (bench/BENCH_history.jsonl in this repo), creating
+// it if absent. Counters and histogram sums carry a paper bench's work
+// counts (solves by status, respec iterations, `gp.solve.newton_iters.sum`).
 // `--trend` renders that ledger: per-metric first/last/min/max and total
 // drift across the recorded runs. Both stamp provenance the same way as
 // --update: the sha comes from `git rev-parse HEAD`, and when git is
@@ -185,6 +187,26 @@ int record_history(const std::string& history_path,
                    const std::string& prefix, const std::string& sha_flag) {
   std::map<std::string, double> current;
   if (!load_gauges(current_path, "current", prefix, &current)) return 2;
+  {
+    // load_gauges validated the file; add its work counts.
+    std::string text;
+    JsonValue root;
+    if (read_file(current_path, &text) &&
+        smart::util::json_parse(text, &root)) {
+      const auto take = [&](const std::string& name, const JsonValue* v) {
+        if (v != nullptr && v->kind == JsonValue::Kind::kNumber &&
+            name.rfind(prefix, 0) == 0)
+          current[name] = v->number;
+      };
+      if (const JsonValue* counters = root.find("counters");
+          counters != nullptr && counters->kind == JsonValue::Kind::kObject)
+        for (const auto& [name, value] : counters->object) take(name, &value);
+      if (const JsonValue* hists = root.find("histograms");
+          hists != nullptr && hists->kind == JsonValue::Kind::kObject)
+        for (const auto& [name, value] : hists->object)
+          take(name + ".sum", value.find("sum"));
+    }
+  }
   if (current.empty()) {
     std::fprintf(stderr,
                  "bench_diff: no gauges with prefix '%s' in %s — nothing "

@@ -60,7 +60,6 @@
 #include "core/constraints.h"
 #include "core/corners.h"
 #include "core/report.h"
-#include "gp/verify.h"
 #include "lint/erc.h"
 #include "macros/registry.h"
 #include "models/fitter.h"
@@ -407,7 +406,7 @@ void lint_macro(const netlist::Netlist& nl, const lint::Options& opt,
   try {
     const auto gen = core::generate_problem(nl, copt, models::default_library(),
                                             tech::default_tech());
-    report.merge(gp::verify_problem(*gen.problem, opt, nl.name()));
+    report.merge(core::verify_generated(gen, opt, nl.name()));
   } catch (const std::exception& e) {
     report.add("GPV100", lint::Severity::kError, nl.name(), "generate",
                util::strfmt("constraint generation failed: %s", e.what()));
