@@ -87,8 +87,9 @@ struct PathConstraintTemplate {
   std::vector<std::pair<int, posy::Posynomial>> stage_prefixes;
 };
 
-/// A canonical timing class: path templates with the same phase,
-/// stages_total, total and stage_prefixes. Members differ at most in their
+/// A canonical timing class: path templates with the same phase, total and
+/// stage_prefixes (and stages_total when there are prefixes, since it only
+/// enters through their deadlines). Members differ at most in their
 /// spec, and T/s_i <= 1 for every member i is the same constraint as
 /// T/min(s_i) <= 1, so the class is emitted once, at its smallest spec.
 struct PathClass {

@@ -67,13 +67,16 @@ bool read_file(const std::string& path, std::string* out) {
   return ok;
 }
 
-/// Loads the "gauges" object of one metrics export as name -> value.
-/// `role` ("baseline" or "current") scopes the diagnostics; a missing or
-/// malformed baseline additionally prints how to mint a fresh one, since
-/// that is the common first-run failure.
+/// Loads the "gauges" object of one metrics export as name -> value, and
+/// with `work_counts` also its counters and each histogram's sum as
+/// "<name>.sum" (a paper bench's solves by status, respec iterations,
+/// `gp.solve.newton_iters.sum`). `role` ("baseline" or "current") scopes
+/// the diagnostics; a missing or malformed baseline additionally prints how
+/// to mint a fresh one, since that is the common first-run failure.
 bool load_gauges(const std::string& path, const char* role,
                  const std::string& prefix,
-                 std::map<std::string, double>* out) {
+                 std::map<std::string, double>* out,
+                 bool work_counts = false) {
   const bool is_baseline = std::strcmp(role, "baseline") == 0;
   std::string text;
   if (!read_file(path, &text)) {
@@ -116,11 +119,20 @@ bool load_gauges(const std::string& path, const char* role,
                  role, path.c_str());
     return false;
   }
-  for (const auto& [name, value] : gauges->object) {
-    if (value.kind != JsonValue::Kind::kNumber) continue;
-    if (name.rfind(prefix, 0) != 0) continue;
-    (*out)[name] = value.number;
-  }
+  const auto take = [&](const std::string& name, const JsonValue* value) {
+    if (value != nullptr && value->kind == JsonValue::Kind::kNumber &&
+        name.rfind(prefix, 0) == 0)
+      (*out)[name] = value->number;
+  };
+  for (const auto& [name, value] : gauges->object) take(name, &value);
+  if (!work_counts) return true;
+  if (const JsonValue* counters = root.find("counters");
+      counters != nullptr && counters->kind == JsonValue::Kind::kObject)
+    for (const auto& [name, value] : counters->object) take(name, &value);
+  if (const JsonValue* hists = root.find("histograms");
+      hists != nullptr && hists->kind == JsonValue::Kind::kObject)
+    for (const auto& [name, value] : hists->object)
+      take(name + ".sum", value.find("sum"));
   return true;
 }
 
@@ -186,27 +198,9 @@ int record_history(const std::string& history_path,
                    const std::string& current_path,
                    const std::string& prefix, const std::string& sha_flag) {
   std::map<std::string, double> current;
-  if (!load_gauges(current_path, "current", prefix, &current)) return 2;
-  {
-    // load_gauges validated the file; add its work counts.
-    std::string text;
-    JsonValue root;
-    if (read_file(current_path, &text) &&
-        smart::util::json_parse(text, &root)) {
-      const auto take = [&](const std::string& name, const JsonValue* v) {
-        if (v != nullptr && v->kind == JsonValue::Kind::kNumber &&
-            name.rfind(prefix, 0) == 0)
-          current[name] = v->number;
-      };
-      if (const JsonValue* counters = root.find("counters");
-          counters != nullptr && counters->kind == JsonValue::Kind::kObject)
-        for (const auto& [name, value] : counters->object) take(name, &value);
-      if (const JsonValue* hists = root.find("histograms");
-          hists != nullptr && hists->kind == JsonValue::Kind::kObject)
-        for (const auto& [name, value] : hists->object)
-          take(name + ".sum", value.find("sum"));
-    }
-  }
+  if (!load_gauges(current_path, "current", prefix, &current,
+                   /*work_counts=*/true))
+    return 2;
   if (current.empty()) {
     std::fprintf(stderr,
                  "bench_diff: no gauges with prefix '%s' in %s — nothing "
