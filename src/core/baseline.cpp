@@ -14,11 +14,15 @@ using netlist::NetId;
 using netlist::Netlist;
 using netlist::Sizing;
 
+namespace {
+/// Relaxation stops early once no width moved by more than this fraction.
+constexpr double kPassTol = 0.02;
+}  // namespace
+
 Sizing BaselineSizer::size(const Netlist& nl) const {
   SMART_CHECK(nl.finalized(), "netlist must be finalized");
   const auto& t = *tech_;
-  const double w_floor =
-      opt_.min_width_um > 0.0 ? opt_.min_width_um : t.w_min;
+  const double w_floor = t.w_min;
 
   Sizing sizing(nl.label_count());
   for (size_t li = 0; li < nl.label_count(); ++li) {
@@ -120,7 +124,7 @@ Sizing BaselineSizer::size(const Netlist& nl) const {
                                 std::max(before, 1e-9));
     }
     sizing = next;
-    if (max_change < opt_.pass_tol) break;
+    if (max_change < kPassTol) break;
   }
   return sizing;
 }

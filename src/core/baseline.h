@@ -27,15 +27,12 @@ struct BaselineOptions {
   double margin = 1.2;
   /// Extra factor on clock-gated devices (precharge / evaluate feet).
   double clock_margin = 2.2;
-  /// Minimum width floor (um); < 0 => technology minimum.
-  double min_width_um = -1.0;
   /// Load-rule relaxation passes. Each pass re-derives every width from the
   /// loads implied by the previous pass; heavily self-loaded structures
   /// (wide domino nodes) keep growing for a few passes, reproducing the
-  /// guard-banding hand designers apply to dynamic nodes.
+  /// guard-banding hand designers apply to dynamic nodes. The loop stops
+  /// early once no width moves by more than 2%.
   int passes = 5;
-  /// Stop early when no width moved by more than this fraction.
-  double pass_tol = 0.02;
 };
 
 /// Produces the "original design" sizing for a macro.

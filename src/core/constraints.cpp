@@ -19,6 +19,11 @@ using posy::Posynomial;
 
 namespace {
 
+/// Headroom applied to input cap limits. Limits are usually taken from a
+/// reference design whose drivers may already be at minimum width; a few
+/// percent of slack keeps the constraint strictly satisfiable.
+constexpr double kInputCapSlack = 1.05;
+
 /// One step of the 64-bit hash every key below is built with.
 uint64_t mix(uint64_t h, uint64_t v) {
   v *= 0xff51afd7ed558ccdULL;
@@ -401,7 +406,7 @@ GeneratedProblem generate_problem(const Netlist& nl,
     const netlist::NetId in = nl.inputs()[ii].net;
     std::string tag = util::strfmt("incap_%s", nl.net(in).name.c_str());
     std::string member = tag;
-    add_static(net_cap(in) * (1.0 / (limit * opt.input_cap_slack)),
+    add_static(net_cap(in) * (1.0 / (limit * kInputCapSlack)),
                std::move(tag), std::move(member));
   }
 

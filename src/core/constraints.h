@@ -62,10 +62,6 @@ struct ConstraintOptions {
   /// or per-input-port limits aligned with Netlist::inputs(). < 0 => off.
   double input_cap_limit_ff = -1.0;
   std::vector<double> input_cap_limits_ff;  ///< overrides the uniform limit
-  /// Headroom applied to input cap limits. Limits are usually taken from a
-  /// reference design whose drivers may already be at minimum width; a few
-  /// percent of slack keeps the constraint strictly satisfiable.
-  double input_cap_slack = 1.05;
 
   /// Optional wall-clock budget for generate_problem, polled per arc model,
   /// path template and slope arc, and forwarded to path extraction

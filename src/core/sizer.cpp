@@ -296,8 +296,8 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
     const double err = std::max(err_delay, err_pre);
 
     const bool meets =
-        report.worst_delay <= target_delay * (1 + opt.converge_tol) &&
-        report.worst_precharge <= target_pre * (1 + opt.converge_tol);
+        report.worst_delay <= target_delay * (1 + kConvergeTol) &&
+        report.worst_precharge <= target_pre * (1 + kConvergeTol);
     if (meets && best.converged_iteration < 0)
       best.converged_iteration = iter + 1;
     // Preference order: meeting spec with least width, then closest miss.
@@ -356,7 +356,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
         "width %.1f", iter, model_spec, report.worst_delay, target_delay,
         stats.total_width));
 
-    if (meets && slack_delay <= opt.converge_tol) break;
+    if (meets && slack_delay <= kConvergeTol) break;
     // Width stagnation with spec met: the solution is pinned by other
     // constraints (slopes, caps); relaxing the spec further cannot help.
     if (meets && prev_width > 0.0 &&
@@ -504,7 +504,7 @@ SizerResult Sizer::size(const netlist::Netlist& nl,
   // status preserves why the optimizer could not do better.
   if (opt.allow_baseline_fallback) {
     try {
-      const BaselineSizer baseline(*tech_, opt.fallback_baseline);
+      const BaselineSizer baseline(*tech_);
       SizerResult third = measure(nl, baseline.size(nl));
       if (std::isfinite(third.measured_delay_ps) &&
           std::isfinite(third.total_width_um)) {

@@ -21,6 +21,10 @@
 
 namespace smart::core {
 
+/// Convergence of the re-specification loop: a sizing meets its spec when
+/// the measured delay is within kConvergeTol * target of it.
+inline constexpr double kConvergeTol = 0.02;
+
 struct SizerOptions {
   /// Target delay measured by the reference timer at the macro outputs (ps).
   double delay_spec_ps = 0.0;
@@ -42,8 +46,6 @@ struct SizerOptions {
   std::vector<double> output_required_ps;
 
   int max_respec_iters = 10;
-  /// Convergence: |measured - target| <= tol * target.
-  double converge_tol = 0.02;
 
   /// Legal width grid (um). > 0 snaps every free label UP to the nearest
   /// grid point after optimization (rounding up preserves timing at a tiny
@@ -53,11 +55,10 @@ struct SizerOptions {
 
   /// Degraded-mode ladder (see SizingRung). Rung 2 retries a failed GP with
   /// slope and input-cap constraints dropped; rung 3 falls back to the
-  /// proportional baseline sizer so the caller always gets *a* sizing.
+  /// proportional baseline sizer (default BaselineOptions) so the caller
+  /// always gets *a* sizing.
   bool allow_relaxed_retry = true;
   bool allow_baseline_fallback = true;
-  /// Options of the rung-3 baseline fallback.
-  BaselineOptions fallback_baseline;
 
   /// Keep the accepted iteration's generated problem + GP solve in
   /// SizerResult::snapshot so report layers (scope) can map binding
@@ -115,7 +116,7 @@ struct RespecIteration {
   double total_width_um = 0.0;
   size_t binding_count = 0;         ///< binding constraints of the solve
   gp::SolveStatus gp_status = gp::SolveStatus::kMaxIter;
-  bool meets = false;               ///< measured within converge_tol of spec
+  bool meets = false;               ///< measured within kConvergeTol of spec
   bool accepted = false;            ///< became the returned best solution
 };
 

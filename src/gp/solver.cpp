@@ -22,6 +22,17 @@ using util::Matrix;
 using util::Status;
 using util::Vec;
 
+// Barrier schedule, tuned for SMART sizing problems (tens to a few hundred
+// variables, hundreds of constraints).
+constexpr double kBarrierMu = 18.0;    ///< barrier weight growth per stage
+constexpr double kTInitial = 1.0;      ///< phase II initial barrier weight
+constexpr int kMaxNewtonIters = 400;   ///< per barrier stage
+constexpr int kMaxBarrierStages = 60;  ///< per phase
+constexpr double kFeasMargin = 1e-7;   ///< slack required to call y feasible
+/// A constraint with lhs >= 1 - kBindingTol at an optimum is reported
+/// binding.
+constexpr double kBindingTol = 0.02;
+
 /// A compiled convex function in the log domain:
 ///   F(y) = log sum_k exp(logc_k + a_k . y)  +  linear . y + linear_const
 /// The optional linear part supports the phase-I auxiliary variable
@@ -338,7 +349,7 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
   const size_t n = y.size();
   NewtonOutcome out;
   if (util::fault_fires(util::FaultClass::kSolverExhaustIters, "gp.newton")) {
-    out.iterations = opt.max_newton_iters;
+    out.iterations = kMaxNewtonIters;
     return out;
   }
   Vec grad(n, 0.0);
@@ -347,7 +358,7 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
   // Assembly buffer lives across iterations; only the values are cleared.
   Matrix hess(n, n, 0.0);
 
-  for (int it = 0; it < opt.max_newton_iters; ++it) {
+  for (int it = 0; it < kMaxNewtonIters; ++it) {
     if (deadline.expired()) {
       out.failure = NewtonFailure::kTimeout;
       return out;
@@ -612,7 +623,7 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
             cd.log_slack > 0.0 && std::isfinite(cd.log_slack))
           cd.dual = 1.0 / (t_final * cd.log_slack);
         if (status == SolveStatus::kOptimal &&
-            v >= 1.0 - options_.binding_tol) {
+            v >= 1.0 - kBindingTol) {
           cd.binding = true;
           out.diag.binding_set.push_back(out.diag.constraints.size());
           out.binding.push_back(c.tag);
@@ -629,7 +640,7 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
     };
 
     // ---- Phase I: find a strictly feasible point ----
-    if (!constraints.empty() && max_constraint(y) >= -options_.feas_margin) {
+    if (!constraints.empty() && max_constraint(y) >= -kFeasMargin) {
       obs::Span phase1_span("gp.phase1");
       // Augment with auxiliary s: minimize s subject to F_j(y) - s <= 0.
       Vec ylo1 = ylo, yhi1 = yhi;
@@ -659,14 +670,14 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
 
       Vec ys = y;
       ys.push_back(s0);
-      const double want = -2.0 * options_.feas_margin;
+      const double want = -2.0 * kFeasMargin;
       auto feasible_now = [&](const Vec& yy) {
         Vec ycore(yy.begin(), yy.begin() + static_cast<long>(n));
         return max_constraint(ycore) < want;
       };
       double t = 1.0;
       NewtonFailure p1_failure = NewtonFailure::kNone;
-      for (int stage = 0; stage < options_.max_barrier_stages; ++stage) {
+      for (int stage = 0; stage < kMaxBarrierStages; ++stage) {
         ++total_stages;
         auto outcome =
             newton_minimize(p1, t, ys, options_, deadline, feasible_now);
@@ -679,7 +690,7 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
         }
         if (feasible_now(ys)) break;
         if (static_cast<double>(aug.size()) / t < options_.tolerance) break;
-        t *= options_.barrier_mu;
+        t *= kBarrierMu;
       }
       y.assign(ys.begin(), ys.begin() + static_cast<long>(n));
       if (p1_failure == NewtonFailure::kTimeout) {
@@ -704,7 +715,7 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
     obs::Span phase2_span("gp.phase2");
     const BarrierProblem p2{&constraints, &objective, &ylo, &yhi};
 
-    double t = options_.t_initial;
+    double t = kTInitial;
     // A warm start that is strictly feasible sits near the previous
     // optimum — close to its active constraints. Low-t centering would
     // drag the iterate back toward the analytic center only to return, so
@@ -713,11 +724,11 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
     // path at high t, Newton exhausts its per-stage budget and the solve
     // settles on an uncentered point. Phase I above restores strict
     // feasibility when the raw warm point sat on its binding set.
-    if (x0 != nullptr && max_constraint(y) < -options_.feas_margin)
-      t *= options_.barrier_mu * options_.barrier_mu;
+    if (x0 != nullptr && max_constraint(y) < -kFeasMargin)
+      t *= kBarrierMu * kBarrierMu;
     bool hit_limit = true;
     bool stage_exhausted = false;
-    for (int stage = 0; stage < options_.max_barrier_stages; ++stage) {
+    for (int stage = 0; stage < kMaxBarrierStages; ++stage) {
       ++total_stages;
       auto outcome = newton_minimize(p2, t, y, options_, deadline);
       total_newton += outcome.iterations;
@@ -734,13 +745,13 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
         return;
       }
       stage_exhausted = !outcome.converged &&
-                        outcome.iterations >= options_.max_newton_iters;
+                        outcome.iterations >= kMaxNewtonIters;
       last_gap = m_total / t;
       if (m_total / t < options_.tolerance) {
         hit_limit = false;
         break;
       }
-      t *= options_.barrier_mu;
+      t *= kBarrierMu;
     }
 
     if (hit_limit || stage_exhausted)

@@ -27,16 +27,12 @@
 
 namespace smart::gp {
 
-/// Solver knobs; defaults are tuned for SMART sizing problems (tens to a few
-/// hundred variables, hundreds of constraints).
+/// Per-call solver settings. The barrier schedule (growth factor, initial
+/// weight, stage and Newton budgets, feasibility margin) and the binding
+/// threshold are fixed constants in solver.cpp, tuned for SMART sizing
+/// problems (tens to a few hundred variables, hundreds of constraints).
 struct SolverOptions {
-  double tolerance = 3e-5;       ///< duality-gap-style stopping criterion
-  double binding_tol = 0.02;     ///< |lhs - 1| threshold to report binding
-  double barrier_mu = 18.0;      ///< barrier parameter growth factor
-  double t_initial = 1.0;        ///< initial barrier weight
-  int max_newton_iters = 400;    ///< per barrier stage
-  int max_barrier_stages = 60;
-  double feas_margin = 1e-7;     ///< required slack to call a point feasible
+  double tolerance = 3e-5;  ///< duality-gap-style stopping criterion
 
   /// Wall-clock budget for one solve() call (ms); < 0 disables the
   /// deadline. Checked once per Newton iteration.
@@ -66,7 +62,7 @@ struct ConstraintDiagnostics {
   double slack = 0.0;     ///< 1 - lhs(x)
   double log_slack = 0.0; ///< u_j = -log lhs(x)
   double dual = 0.0;      ///< barrier dual estimate (kOptimal only)
-  bool binding = false;   ///< lhs within binding_tol of 1 at an optimum
+  bool binding = false;   ///< lhs within 2% of 1 at an optimum
 };
 
 /// One barrier stage of the convergence trace. Phase I stages minimize the
@@ -111,8 +107,8 @@ struct GpResult {
   std::string message;
   /// Structured failure reason mirroring `status` (ok() iff kOptimal).
   util::Status diagnostics;
-  /// Tags of constraints active at the solution (lhs within binding_tol of
-  /// 1) — the designer's answer to "what is limiting this design".
+  /// Tags of constraints active at the solution (lhs within 2% of 1) —
+  /// the designer's answer to "what is limiting this design".
   std::vector<std::string> binding;
   /// Full introspection record (slacks, duals, convergence trace).
   SolveDiagnostics diag;

@@ -46,20 +46,12 @@ const std::vector<RuleInfo>& gp_rules();
 /// Looks a rule up by id across both registries; nullptr if unknown.
 const RuleInfo* find_rule(const std::string& id);
 
-/// Analyzer knobs: per-rule suppression plus the numeric thresholds of the
-/// family rules. Thresholds default to the values the shipped macro
-/// database is clean against.
+/// Analyzer knobs: per-rule suppression. The numeric thresholds of the
+/// family rules are constants in lint/erc.cpp, set to the values the
+/// shipped macro database is clean against.
 struct Options {
   /// Rule ids whose findings are dropped entirely (e.g. {"ERC010"}).
   std::set<std::string> suppress;
-
-  // ---- ERC thresholds ----
-  int max_static_stack = 4;     ///< ERC006: series NMOS limit, static gates
-  int max_domino_stack = 5;     ///< ERC006: series limit incl. evaluate foot
-  double weak_keeper_ratio = 0.02;    ///< ERC007: keeper below this is weak
-  double strong_keeper_ratio = 0.5;   ///< ERC007: keeper above this fights
-  int charge_share_devices = 8;       ///< ERC009: pulldown device threshold
-  double charge_share_keeper = 0.08;  ///< ERC009: keeper needed at high fanin
 
   bool suppressed(const std::string& rule) const {
     return suppress.count(rule) > 0;
@@ -71,8 +63,6 @@ struct Options {
 class Report {
  public:
   explicit Report(Options options = {}) : options_(std::move(options)) {}
-
-  const Options& options() const { return options_; }
 
   /// Records a finding unless its rule is suppressed.
   void add(const std::string& rule, Severity severity,

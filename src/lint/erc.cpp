@@ -25,6 +25,14 @@ using netlist::TransGate;
 using netlist::Tristate;
 using util::strfmt;
 
+// Family-rule thresholds; the shipped macro database is clean against them.
+constexpr int kMaxStaticStack = 4;          ///< ERC006: series NMOS, static
+constexpr int kMaxDominoStack = 5;          ///< ERC006: incl. evaluate foot
+constexpr double kWeakKeeperRatio = 0.02;   ///< ERC007: keeper below is weak
+constexpr double kStrongKeeperRatio = 0.5;  ///< ERC007: keeper above fights
+constexpr int kChargeShareDevices = 8;      ///< ERC009: pulldown device count
+constexpr double kChargeShareKeeper = 0.08; ///< ERC009: keeper at high fanin
+
 // ---------------------------------------------------------------------------
 // Flattened-netlist rules (ERC001-ERC003)
 // ---------------------------------------------------------------------------
@@ -142,7 +150,7 @@ void collect_signatures(const Netlist& nl,
   }
 }
 
-void component_rules(const Netlist& nl, const Options& opt, Report& rep) {
+void component_rules(const Netlist& nl, Report& rep) {
   const std::string& macro = nl.name();
 
   // Per-net pass-gate structure for ERC004/ERC005.
@@ -200,21 +208,21 @@ void component_rules(const Netlist& nl, const Options& opt, Report& rep) {
     // body effect and self-loading to size their way out.
     if (const auto* g = comp.as_static()) {
       const int depth = g->pulldown.max_depth();
-      if (depth > opt.max_static_stack) {
+      if (depth > kMaxStaticStack) {
         rep.add("ERC006", Severity::kWarn, macro, comp.name,
                 strfmt("static series stack of %d exceeds the limit of %d",
-                       depth, opt.max_static_stack));
+                       depth, kMaxStaticStack));
       }
     }
     const auto* d = comp.as_domino();
     if (d == nullptr) continue;
     const bool footed = d->evaluate_label >= 0;
     const int depth = d->pulldown.max_depth() + (footed ? 1 : 0);
-    if (depth > opt.max_domino_stack) {
+    if (depth > kMaxDominoStack) {
       rep.add("ERC006", Severity::kWarn, macro, comp.name,
               strfmt("domino series stack of %d (incl. foot) exceeds the "
                      "limit of %d",
-                     depth, opt.max_domino_stack));
+                     depth, kMaxDominoStack));
     }
 
     // ERC007: the keeper is what holds a dynamic node against leakage and
@@ -225,14 +233,14 @@ void component_rules(const Netlist& nl, const Options& opt, Report& rep) {
               comp.name,
               footed ? "footed domino stage has no keeper"
                      : "unfooted (D2) domino stage has no keeper");
-    } else if (d->keeper_ratio < opt.weak_keeper_ratio) {
+    } else if (d->keeper_ratio < kWeakKeeperRatio) {
       rep.add("ERC007", Severity::kWarn, macro, comp.name,
               strfmt("keeper ratio %.3f below the %.3f floor",
-                     d->keeper_ratio, opt.weak_keeper_ratio));
-    } else if (d->keeper_ratio > opt.strong_keeper_ratio) {
+                     d->keeper_ratio, kWeakKeeperRatio));
+    } else if (d->keeper_ratio > kStrongKeeperRatio) {
       rep.add("ERC007", Severity::kWarn, macro, comp.name,
               strfmt("keeper ratio %.2f fights evaluation (limit %.2f)",
-                     d->keeper_ratio, opt.strong_keeper_ratio));
+                     d->keeper_ratio, kStrongKeeperRatio));
     }
 
     // ERC008: domino inputs must rise monotonically during evaluation; a
@@ -255,14 +263,14 @@ void component_rules(const Netlist& nl, const Options& opt, Report& rep) {
 
     // ERC009: many internal diffusion nodes against one keeper: charge
     // sharing can droop the dynamic node when a deep path is mostly on.
-    if (d->pulldown.device_count() >= opt.charge_share_devices &&
+    if (d->pulldown.device_count() >= kChargeShareDevices &&
         d->pulldown.max_depth() >= 2 &&
-        d->keeper_ratio < opt.charge_share_keeper) {
+        d->keeper_ratio < kChargeShareKeeper) {
       rep.add("ERC009", Severity::kWarn, macro, comp.name,
               strfmt("%d-device pulldown with keeper ratio %.2f (< %.2f) "
                      "risks charge sharing",
                      d->pulldown.device_count(), d->keeper_ratio,
-                     opt.charge_share_keeper));
+                     kChargeShareKeeper));
     }
   }
 
@@ -339,7 +347,7 @@ Report run_erc(const Netlist& nl, const Options& options) {
       external.push_back(static_cast<int>(n));
   flat_rules(flat, external, nl.name(), rep);
 
-  component_rules(nl, rep.options(), rep);
+  component_rules(nl, rep);
   record_metrics(rep);
   return rep;
 }

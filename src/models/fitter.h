@@ -24,8 +24,8 @@ struct FitReport {
 
 struct FitOptions {
   /// Fit the delay slope term in the saturating-transform basis (exact for
-  /// the reference timer). Disable for the lower-accuracy linear-basis
-  /// library used by the model-accuracy/convergence ablation.
+  /// the reference timer). Disabling it gives the lower-accuracy linear
+  /// basis, which only ModelsTest.SaturatingBasisBeatsLinearBasis builds.
   bool saturating_slope_basis = true;
 };
 

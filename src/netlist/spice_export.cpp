@@ -26,14 +26,12 @@ std::string to_spice(const Netlist& nl, const Sizing& sizing,
   const FlatNetlist flat = flatten(nl, sizing);
   std::ostringstream out;
 
-  if (options.header) {
-    const auto stats = nl.device_stats(sizing);
-    out << "* " << nl.name() << " - generated by SMART\n";
-    out << util::strfmt("* devices: %zu, total width: %.2f um\n",
-                        flat.devices.size(), flat.total_width());
-    out << util::strfmt("* clock gate width: %.2f um\n",
-                        stats.clock_gate_width);
-  }
+  const auto stats = nl.device_stats(sizing);
+  out << "* " << nl.name() << " - generated by SMART\n";
+  out << util::strfmt("* devices: %zu, total width: %.2f um\n",
+                      flat.devices.size(), flat.total_width());
+  out << util::strfmt("* clock gate width: %.2f um\n",
+                      stats.clock_gate_width);
 
   // Ports: inputs, outputs, clock nets, then supplies.
   std::vector<int> ports;

@@ -16,12 +16,11 @@ struct SpiceOptions {
   double length_um = 0.18;      ///< drawn channel length
   std::string nmos_model = "nch";
   std::string pmos_model = "pch";
-  /// Include a comment header with device/width statistics.
-  bool header = true;
 };
 
 /// Renders a sized macro as a .subckt (ports = macro inputs, outputs and
-/// clock, plus vdd!/gnd!).
+/// clock, plus vdd!/gnd!) under a comment header with device/width
+/// statistics.
 std::string to_spice(const Netlist& nl, const Sizing& sizing,
                      const SpiceOptions& options = {});
 

@@ -40,9 +40,9 @@ std::vector<double> net_activities(const Netlist& nl,
   }
   for (size_t n = 0; n < nl.net_count(); ++n) {
     if (nl.net(static_cast<NetId>(n)).kind == netlist::NetKind::kClock) {
-      act[n] = opt.clock_activity;
+      act[n] = kClockActivity;
     } else if (domino_domain[n]) {
-      act[n] = opt.domino_activity;
+      act[n] = kDominoActivity;
     }
   }
   return act;

@@ -13,14 +13,15 @@
 
 namespace smart::power {
 
+/// Toggles per cycle of domino dynamic nodes and their output inverters
+/// (discharge + precharge whenever the input pattern evaluates true).
+inline constexpr double kDominoActivity = 1.0;
+/// Clock nets toggle twice per cycle.
+inline constexpr double kClockActivity = 2.0;
+
 struct PowerOptions {
   /// Toggles per cycle of data nets (primary inputs and static logic).
   double data_activity = 0.25;
-  /// Toggles per cycle of domino dynamic nodes and their output inverters
-  /// (discharge + precharge whenever the input pattern evaluates true).
-  double domino_activity = 1.0;
-  /// Clock nets toggle twice per cycle.
-  double clock_activity = 2.0;
   /// Frequency in GHz; < 0 uses the technology default.
   double freq_ghz = -1.0;
 };
@@ -33,8 +34,8 @@ struct PowerReport {
 };
 
 /// Toggle rates (transitions per cycle) for every net under the activity
-/// model: clock nets use clock_activity; domino dynamic nodes and nets
-/// transitively downstream of them use domino_activity; everything else is
+/// model: clock nets use kClockActivity; domino dynamic nodes and nets
+/// transitively downstream of them use kDominoActivity; everything else is
 /// a data net. Also used by the GP power objective.
 std::vector<double> net_activities(const netlist::Netlist& nl,
                                    const PowerOptions& opt);

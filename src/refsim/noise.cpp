@@ -13,6 +13,12 @@ using netlist::Stack;
 
 namespace {
 
+/// Keeper conductance must be at least this fraction of the worst pull-down
+/// conductance (holds the node against leakage/noise) ...
+constexpr double kMinKeeperStrength = 0.01;
+/// ... and at most this fraction (evaluation must win cleanly).
+constexpr double kMaxKeeperStrength = 0.5;
+
 /// Worst-case internal capacitance that can share charge with the dynamic
 /// node: the diffusion of every device on the deepest series path except
 /// the topmost (whose drain *is* the dynamic node).
@@ -68,9 +74,8 @@ std::vector<DominoNoiseReport> analyze_domino_noise(
         gate->keeper_ratio * nl.label_width(gate->precharge_label, sizing) /
         tech.r_pmos;
     report.keeper_strength = g_keeper / g_path;
-    report.keeper_ok =
-        report.keeper_strength >= options.min_keeper_strength &&
-        report.keeper_strength <= options.max_keeper_strength;
+    report.keeper_ok = report.keeper_strength >= kMinKeeperStrength &&
+                       report.keeper_strength <= kMaxKeeperStrength;
 
     reports.push_back(std::move(report));
   }

@@ -25,11 +25,6 @@ namespace smart::refsim {
 struct NoiseOptions {
   /// Maximum tolerated charge-sharing droop (fraction of the swing).
   double max_charge_share = 0.25;
-  /// Keeper conductance at least this fraction of the worst pull-down
-  /// conductance (holds the node against leakage/noise).
-  double min_keeper_strength = 0.01;
-  /// ... and at most this fraction (evaluation must win cleanly).
-  double max_keeper_strength = 0.5;
 };
 
 struct DominoNoiseReport {

@@ -16,6 +16,9 @@ namespace {
 using core::RespecIteration;
 using core::SolveSnapshot;
 
+/// Sensitivity drivers listed per size label.
+constexpr size_t kMaxDrivers = 3;
+
 const char* arc_kind_name(netlist::ArcKind kind) {
   switch (kind) {
     case netlist::ArcKind::kStaticData: return "static_data";
@@ -92,16 +95,15 @@ std::string edge_name(const netlist::Netlist& nl, netlist::NetId net,
 /// normalized lhs g_j and dual estimate lambda_j, the score of variable v
 /// is lambda_j * dlog g_j / dlog x_v (the softmax-weighted exponent of v
 /// in g_j). Positive => growing the device pushes g_j toward violation.
-std::vector<LabelSensitivity> sensitivities(
-    const netlist::Netlist& nl, const SolveSnapshot& snap,
-    const ScopeOptions& opt) {
+std::vector<LabelSensitivity> sensitivities(const netlist::Netlist& nl,
+                                            const SolveSnapshot& snap) {
   const auto& gen = snap.gen;
   const auto& diag = snap.gp.diag;
   const auto& x = snap.gp.x;
   const auto& constraints = gen.problem->constraints();
 
-  // Per-variable driver lists over the loose binding set (the designer's
-  // binding_tol); dual weighting already discounts marginal members.
+  // Per-variable driver lists over the loose binding set (the solver's
+  // designer-facing cut); dual weighting already discounts marginal members.
   std::unordered_map<int, std::vector<SensitivityDriver>> by_var;
   const size_t nc = std::min(constraints.size(), diag.constraints.size());
   for (size_t j = 0; j < nc; ++j) {
@@ -144,8 +146,7 @@ std::vector<LabelSensitivity> sensitivities(
                           const SensitivityDriver& b) {
                          return std::fabs(a.score) > std::fabs(b.score);
                        });
-      if (drivers.size() > opt.max_drivers)
-        drivers.resize(opt.max_drivers);
+      if (drivers.size() > kMaxDrivers) drivers.resize(kMaxDrivers);
       ls.drivers = std::move(drivers);
     }
     out.push_back(std::move(ls));
@@ -244,7 +245,7 @@ ScopeReport build_report(const netlist::Netlist& nl,
         pr.constraint = cd.tag;
         pr.gp_slack = cd.slack;
         pr.gp_dual = cd.dual;
-        pr.binding = std::fabs(cd.slack) <= opt.binding_slack_tol;
+        pr.binding = std::fabs(cd.slack) <= kBindingSlackTol;
       }
       pr.stages =
           replay_path(nl, result.sizing, path, tech, pr.target_ps);
@@ -274,7 +275,7 @@ ScopeReport build_report(const netlist::Netlist& nl,
     // ---- tight binding set over every constraint family ----
     for (size_t j = 0; j < diag.constraints.size(); ++j) {
       const auto& cd = diag.constraints[j];
-      if (!(std::fabs(cd.slack) <= opt.binding_slack_tol)) continue;
+      if (!(std::fabs(cd.slack) <= kBindingSlackTol)) continue;
       report.binding.push_back({cd.tag, core::constraint_members(gen, j),
                                 cd.lhs, cd.slack, cd.dual});
     }
@@ -283,7 +284,7 @@ ScopeReport build_report(const netlist::Netlist& nl,
                        return a.dual > b.dual;
                      });
 
-    report.sensitivities = sensitivities(nl, snap, opt);
+    report.sensitivities = sensitivities(nl, snap);
   } catch (const std::exception& e) {
     report.message = util::strfmt("report failed: %s", e.what());
   }

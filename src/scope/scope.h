@@ -25,16 +25,15 @@
 
 namespace smart::scope {
 
+/// Report-level binding cut on the normalized GP slack |1 - lhs(x)|. Much
+/// tighter than the solver's designer-facing binding set (lhs within 2% of
+/// 1): with the solver run at tolerance <= this value, constraints under
+/// the cut are active at the KKT point to working precision.
+inline constexpr double kBindingSlackTol = 1e-6;
+
 struct ScopeOptions {
   /// Critical paths reported (ranked by reference-STA slack, worst first).
   size_t top_k = 5;
-  /// Sensitivity drivers listed per size label.
-  size_t max_drivers = 3;
-  /// Report-level binding cut on the normalized GP slack |1 - lhs(x)|.
-  /// Much tighter than SolverOptions::binding_tol (the designer-facing
-  /// set): with the solver run at tolerance <= this value, constraints
-  /// under the cut are active at the KKT point to working precision.
-  double binding_slack_tol = 1e-6;
 };
 
 /// One arc of a reported path, replayed through the reference timer at the
@@ -70,7 +69,7 @@ struct PathReport {
   double model_slack_ps = 0.0;///< spec_ps - model_delay_ps
   double gp_slack = 0.0;      ///< 1 - lhs(x) of its constraint
   double gp_dual = 0.0;       ///< log-barrier dual of its constraint
-  bool binding = false;       ///< |gp_slack| <= binding_slack_tol
+  bool binding = false;       ///< |gp_slack| <= kBindingSlackTol
   double sta_arrival_ps = 0.0;///< reference-STA replay of the path
   double sta_slack_ps = 0.0;  ///< target_ps - sta_arrival_ps
   std::vector<StageReport> stages;
@@ -83,7 +82,7 @@ struct BindingReport {
   /// merged nothing). The dual is the members' summed dual.
   std::vector<std::string> members;
   double lhs = 0.0;
-  double slack = 0.0;  ///< 1 - lhs(x); |slack| <= binding_slack_tol
+  double slack = 0.0;  ///< 1 - lhs(x); |slack| <= kBindingSlackTol
   double dual = 0.0;
 };
 

@@ -40,13 +40,15 @@ uint64_t get_u64(const unsigned char* p) {
   return v;
 }
 
+/// The checksum occupies the last 8 header bytes.
+constexpr size_t kChecksumOffset = kHeaderSize - 8;
+
 /// Checksum over the header bytes that precede the checksum field, then
-/// the payload. Both sides must compute it over identical bytes; the
-/// summed header length is version-dependent (32 in v1, 40 in v2).
-uint64_t frame_checksum(const char* header, size_t summed_len,
-                        const char* payload, size_t payload_len) {
+/// the payload. Both sides must compute it over identical bytes.
+uint64_t frame_checksum(const char* header, const char* payload,
+                        size_t payload_len) {
   util::Fnv1a f;
-  f.mix_bytes(header, summed_len);
+  f.mix_bytes(header, kChecksumOffset);
   f.mix_bytes(payload, payload_len);
   return f.h;
 }
@@ -126,17 +128,11 @@ util::FailureReason reason_from(ErrorCode e) {
   return util::FailureReason::kInternal;
 }
 
-namespace {
-
-/// Shared header fields [0,32) common to both versions, then the
-/// version-specific tail: v1 appends the checksum directly; v2 appends
-/// the trace id first.
-std::string encode_with_version(const Frame& frame, uint16_t version) {
-  const size_t header = version >= 2 ? kHeaderSize : kHeaderSizeV1;
+std::string encode_frame(const Frame& frame) {
   std::string out;
-  out.reserve(header + frame.payload.size());
+  out.reserve(kHeaderSize + frame.payload.size());
   put_u32(out, kMagic);
-  put_u16(out, version);
+  put_u16(out, kProtocolVersion);
   put_u16(out, static_cast<uint16_t>(frame.type));
   put_u16(out, static_cast<uint16_t>(frame.error));
   put_u16(out, 0);  // flags (reserved)
@@ -145,23 +141,11 @@ std::string encode_with_version(const Frame& frame, uint16_t version) {
   uint64_t deadline_bits = 0;
   std::memcpy(&deadline_bits, &frame.deadline_ms, sizeof(deadline_bits));
   put_u64(out, deadline_bits);
-  if (version >= 2) put_u64(out, frame.trace_id);
-  const uint64_t sum = frame_checksum(out.data(), out.size(),
-                                      frame.payload.data(),
-                                      frame.payload.size());
-  put_u64(out, sum);
+  put_u64(out, frame.trace_id);
+  put_u64(out, frame_checksum(out.data(), frame.payload.data(),
+                              frame.payload.size()));
   out.append(frame.payload);
   return out;
-}
-
-}  // namespace
-
-std::string encode_frame(const Frame& frame) {
-  return encode_with_version(frame, kProtocolVersion);
-}
-
-std::string encode_frame_v1(const Frame& frame) {
-  return encode_with_version(frame, 1);
 }
 
 DecodeStatus decode_frame(const char* data, size_t len, Frame* out,
@@ -170,7 +154,8 @@ DecodeStatus decode_frame(const char* data, size_t len, Frame* out,
   if (bad_version != nullptr) *bad_version = false;
   // The first 16 bytes are layout-identical in every version; buffer at
   // least that much before judging anything so a split read never turns
-  // into a spurious kBad.
+  // into a spurious kBad, and a shorter frame of another version is still
+  // rejected by its version field rather than left waiting for more.
   if (len < kHeaderPrefix) return DecodeStatus::kNeedMore;
   const auto* p = reinterpret_cast<const unsigned char*>(data);
   if (get_u32(p) != kMagic) {
@@ -178,10 +163,10 @@ DecodeStatus decode_frame(const char* data, size_t len, Frame* out,
     return DecodeStatus::kBad;
   }
   const uint16_t version = get_u16(p + 4);
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     if (err != nullptr)
-      *err = util::strfmt("unsupported protocol version %u (want %u..%u)",
-                          version, kMinProtocolVersion, kProtocolVersion);
+      *err = util::strfmt("unsupported protocol version %u (want %u)",
+                          version, kProtocolVersion);
     if (bad_version != nullptr) *bad_version = true;
     return DecodeStatus::kBad;
   }
@@ -193,14 +178,11 @@ DecodeStatus decode_frame(const char* data, size_t len, Frame* out,
                           flags, payload_len);
     return DecodeStatus::kBad;
   }
-  const size_t header = version >= 2 ? kHeaderSize : kHeaderSizeV1;
-  if (len < header + payload_len) return DecodeStatus::kNeedMore;
+  if (len < kHeaderSize + payload_len) return DecodeStatus::kNeedMore;
 
-  // The checksum sits in the last 8 header bytes, summed over everything
-  // before it plus the payload.
-  const uint64_t stated = get_u64(p + header - 8);
+  const uint64_t stated = get_u64(p + kChecksumOffset);
   const uint64_t actual =
-      frame_checksum(data, header - 8, data + header, payload_len);
+      frame_checksum(data, data + kHeaderSize, payload_len);
   if (stated != actual) {
     if (err != nullptr) *err = "frame checksum mismatch";
     return DecodeStatus::kBad;
@@ -231,9 +213,9 @@ DecodeStatus decode_frame(const char* data, size_t len, Frame* out,
   out->request_id = get_u64(p + 16);
   const uint64_t deadline_bits = get_u64(p + 24);
   std::memcpy(&out->deadline_ms, &deadline_bits, sizeof(out->deadline_ms));
-  out->trace_id = version >= 2 ? get_u64(p + 32) : 0;
-  out->payload.assign(data + header, payload_len);
-  *consumed = header + payload_len;
+  out->trace_id = get_u64(p + 32);
+  out->payload.assign(data + kHeaderSize, payload_len);
+  *consumed = kHeaderSize + payload_len;
   return DecodeStatus::kOk;
 }
 

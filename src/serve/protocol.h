@@ -2,8 +2,7 @@
 
 /// \file protocol.h
 /// Wire protocol of the SMART sizing daemon (smartd). Length-prefixed
-/// binary frames over a stream socket (TCP or Unix domain). Version 2
-/// layout:
+/// binary frames over a stream socket (TCP or Unix domain). Layout:
 ///
 ///   offset size field
 ///   0      4    magic 0x534D5254 ("SMRT")
@@ -16,20 +15,17 @@
 ///   24     8    deadline_ms as an IEEE-754 double (< 0 = no deadline;
 ///               the client's *remaining* budget at send time — the server
 ///               subtracts its own queueing delay before solving)
-///   32     8    trace id (v2+; 0 = none; echoed in the response and
-///               attached to every obs span the request touches, so one
-///               Chrome trace follows it across the socket boundary)
+///   32     8    trace id (0 = none; echoed in the response and attached
+///               to every obs span the request touches, so one Chrome
+///               trace follows it across the socket boundary)
 ///   40     8    FNV-1a checksum over header bytes [0,40) and the payload
 ///   48     ...  payload (UTF-8 JSON for every type that carries one)
 ///
-/// Version 1 frames (40-byte header: no trace id, checksum at offset 32
-/// over header bytes [0,32) and the payload) still decode — bytes [0,16)
-/// are layout-identical across versions, so the decoder reads the version
-/// field first and then applies that version's header size and checksum
-/// placement. Unknown versions are rejected as a typed
-/// kUnsupportedVersion error, never a checksum mystery. Encoding always
-/// emits the current version (encode_frame_v1 exists for compatibility
-/// tests and old peers).
+/// The decoder accepts exactly one version. It reads the version field
+/// from the first kHeaderPrefix bytes, before the header size matters, so
+/// a frame of any other version — including the retired 40-byte version 1
+/// — is rejected as a typed kUnsupportedVersion error, never a checksum
+/// mystery or a stall waiting for bytes that never come.
 ///
 /// All integers are little-endian on the wire. The checksum turns any
 /// corruption — a flaky client, a fault-injected byte flip — into a
@@ -46,15 +42,10 @@ namespace smart::serve {
 
 constexpr uint32_t kMagic = 0x534D5254u;  // "SMRT"
 constexpr uint16_t kProtocolVersion = 2;
-/// Oldest version the decoder still accepts.
-constexpr uint16_t kMinProtocolVersion = 1;
-/// Header size of the current (v2) wire format.
 constexpr size_t kHeaderSize = 48;
-/// Header size of the legacy v1 format (no trace id field).
-constexpr size_t kHeaderSizeV1 = 40;
-/// Bytes whose layout is identical in every version — enough to read the
-/// magic, version, flags, and payload length before committing to a
-/// version-specific header size.
+/// Bytes whose layout every protocol version shares — enough to read the
+/// magic, version, flags, and payload length before trusting the header
+/// size.
 constexpr size_t kHeaderPrefix = 16;
 /// Upper bound on a frame payload; larger lengths are kBadFrame (protects
 /// the server from allocating on a corrupted length field).
@@ -70,8 +61,8 @@ enum class FrameType : uint16_t {
   kLint = 4,      ///< ERC + GP well-formedness report
   kReport = 5,    ///< SMART-Scope introspection report
   kShutdown = 6,  ///< ask the daemon to drain and exit
-  kStats = 7,     ///< SMART-Pulse stats snapshot (admin plane; v2+)
-  kHealth = 8,    ///< liveness/readiness probe with status JSON (v2+)
+  kStats = 7,     ///< SMART-Pulse stats snapshot (admin plane)
+  kHealth = 8,    ///< liveness/readiness probe with status JSON
   // responses
   kPong = 65,    ///< reply to kPing
   kResult = 66,  ///< success; payload is the response JSON
@@ -106,8 +97,8 @@ ErrorCode error_from(const util::Status& status);
 util::FailureReason reason_from(ErrorCode e);
 
 /// One decoded (or to-be-encoded) frame. `deadline_ms < 0` means none.
-/// `trace_id` is 0 when absent (v1 peers, untraced requests); generated
-/// ids stay within 48 bits so they survive JSON number round trips.
+/// `trace_id` is 0 for untraced requests; generated ids stay within 48
+/// bits so they survive JSON number round trips.
 struct Frame {
   FrameType type = FrameType::kPing;
   ErrorCode error = ErrorCode::kOk;
@@ -117,14 +108,8 @@ struct Frame {
   std::string payload;
 };
 
-/// Serializes a frame (header + checksum + payload) to wire bytes in the
-/// current protocol version.
+/// Serializes a frame (header + checksum + payload) to wire bytes.
 std::string encode_frame(const Frame& frame);
-
-/// Serializes in the legacy v1 format (drops trace_id). Exists so the
-/// version-compatibility contract — old clients keep working — stays
-/// under test; new code always uses encode_frame.
-std::string encode_frame_v1(const Frame& frame);
 
 enum class DecodeStatus {
   kOk,        ///< one whole frame decoded; `consumed` bytes eaten

@@ -23,6 +23,9 @@ using netlist::Stack;
 
 namespace {
 
+/// Safety bound on equivalence classes kept per (net, edge) node.
+constexpr size_t kMaxClassesPerNode = 65536;
+
 // ---- 64-bit mixing over small integer streams ----
 // Only digest equality is ever consulted (class dedup, prune buckets), so
 // the mixers just need good avalanche; murmur-style finalization per word
@@ -620,18 +623,18 @@ class Extractor {
     }
     if (bound == 0 && count_bound == 0) return;
     sc.dedup.begin(bound);
-    classes.reserve(std::min(bound, opt_.max_classes_per_node));
+    classes.reserve(std::min(bound, kMaxClassesPerNode));
     std::vector<uint64_t>* all_sigs = nullptr;
     if (count_universe_) {
       all_sigs = &sig_memo[node];
       sc.count_dedup.begin(count_bound);
-      all_sigs->reserve(std::min(count_bound, opt_.max_classes_per_node));
+      all_sigs->reserve(std::min(count_bound, kMaxClassesPerNode));
     }
 
     auto add_class = [&](Suffix&& s) {
       ++attempts_;
       if (sc.dedup.insert(s.sigs.reg)) {
-        if (classes.size() >= opt_.max_classes_per_node) {
+        if (classes.size() >= kMaxClassesPerNode) {
           overflowed_ = true;
           return;
         }
@@ -640,7 +643,7 @@ class Extractor {
     };
     auto add_count_sig = [&](uint64_t sig) {
       if (sc.count_dedup.insert(sig)) {
-        if (all_sigs->size() >= opt_.max_classes_per_node) {
+        if (all_sigs->size() >= kMaxClassesPerNode) {
           overflowed_ = true;
           return;
         }

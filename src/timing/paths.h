@@ -54,8 +54,6 @@ struct PruneOptions {
   bool regularity = true;
   bool precedence = true;
   bool dominance = true;
-  /// Safety bound on equivalence classes kept per (net, edge) node.
-  size_t max_classes_per_node = 65536;
   /// Optional wall-clock budget, polled before each phase, every few dozen
   /// nodes of the suffix-class build and before each pruning stage. Expiry
   /// throws util::TimeoutError, which the sizer maps to

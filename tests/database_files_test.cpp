@@ -19,16 +19,11 @@ namespace smart {
 namespace {
 
 std::filesystem::path database_dir() {
-  // Tests run from the build tree; the data directory lives in the source
-  // tree next to it.
-  for (auto dir = std::filesystem::current_path();
-       dir != dir.parent_path(); dir = dir.parent_path()) {
-    const auto candidate = dir / "data" / "database";
-    if (std::filesystem::exists(candidate)) return candidate;
-    const auto sibling = dir.parent_path() / "data" / "database";
-    if (std::filesystem::exists(sibling)) return sibling;
-  }
-  return {};
+  // The data directory lives in the source tree, whose root the build
+  // passes in, so the tests find it from any build directory.
+  const auto dir =
+      std::filesystem::path(SMART_SOURCE_DIR) / "data" / "database";
+  return std::filesystem::exists(dir) ? dir : std::filesystem::path{};
 }
 
 std::vector<std::filesystem::path> database_files() {

@@ -20,12 +20,12 @@ TEST(ActivityTest, ClassifiesClockDominoAndData) {
   PowerOptions opt;
   const auto act = net_activities(nl, opt);
   EXPECT_DOUBLE_EQ(act[static_cast<size_t>(nl.find_net("clk"))],
-                   opt.clock_activity);
+                   kClockActivity);
   EXPECT_DOUBLE_EQ(act[static_cast<size_t>(nl.find_net("dyn0"))],
-                   opt.domino_activity);
+                   kDominoActivity);
   // The output inverter is downstream of the dynamic node.
   EXPECT_DOUBLE_EQ(act[static_cast<size_t>(nl.find_net("o0"))],
-                   opt.domino_activity);
+                   kDominoActivity);
   // Primary data inputs stay at the data rate.
   EXPECT_DOUBLE_EQ(act[static_cast<size_t>(nl.find_net("d0_0"))],
                    opt.data_activity);

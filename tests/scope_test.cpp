@@ -323,7 +323,7 @@ TEST_F(ScopeReportTest, AdderReportIsTruthfulAboutMergedConstraints) {
   }
   EXPECT_TRUE(saw_merged);
   for (size_t j = 0; j < diag.constraints.size(); ++j) {
-    if (!(std::fabs(diag.constraints[j].slack) <= opt.binding_slack_tol))
+    if (!(std::fabs(diag.constraints[j].slack) <= kBindingSlackTol))
       continue;
     for (const auto& m : core::constraint_members(gen, j))
       EXPECT_EQ(named.count(m), 1u) << diag.constraints[j].tag << " " << m;

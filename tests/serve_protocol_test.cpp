@@ -10,6 +10,7 @@
 
 #include "serve/protocol.h"
 #include "serve/request.h"
+#include "util/hash.h"
 
 namespace smart::serve {
 namespace {
@@ -21,6 +22,20 @@ Frame make_frame() {
   f.deadline_ms = 1234.5;
   f.payload = "{\"type\":\"mux\",\"topology\":\"strong_pass\",\"n\":4}";
   return f;
+}
+
+/// A ping in the retired version-1 format: the 32 header bytes the
+/// versions share up to the deadline, then the checksum over them (no
+/// trace id), 40 bytes in all.
+std::string v1_ping() {
+  Frame ping;
+  ping.type = FrameType::kPing;
+  std::string wire = encode_frame(ping).substr(0, 32);
+  wire[4] = 1;
+  const uint64_t sum = util::fnv1a(wire.data(), wire.size());
+  for (int i = 0; i < 8; ++i)
+    wire.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
+  return wire;
 }
 
 TEST(ServeProtocol, EncodeDecodeRoundTrip) {
@@ -130,81 +145,27 @@ TEST(ServeProtocol, TraceIdRoundTripsInV2Frames) {
   EXPECT_EQ(out.payload, in.payload);
 }
 
-TEST(ServeProtocol, V1FramesStillDecode) {
-  // Backward compatibility: a v1 peer (40-byte header, no trace id) must
-  // keep working against the v2 decoder, with trace_id defaulting to 0.
-  Frame in = make_frame();
-  in.trace_id = 0x1234;  // v1 wire cannot carry it; must NOT leak through
-  const std::string wire = encode_frame_v1(in);
-  ASSERT_EQ(wire.size(), kHeaderSizeV1 + in.payload.size());
-  Frame out;
-  size_t consumed = 0;
-  std::string err;
-  ASSERT_EQ(decode_frame(wire.data(), wire.size(), &out, &consumed, &err),
-            DecodeStatus::kOk)
-      << err;
-  EXPECT_EQ(consumed, wire.size());
-  EXPECT_EQ(out.trace_id, 0u);
-  EXPECT_EQ(out.type, in.type);
-  EXPECT_EQ(out.request_id, in.request_id);
-  EXPECT_DOUBLE_EQ(out.deadline_ms, in.deadline_ms);
-  EXPECT_EQ(out.payload, in.payload);
-}
-
-TEST(ServeProtocol, V1IncrementalDecodeNeedsMoreUntilComplete) {
-  const std::string wire = encode_frame_v1(make_frame());
-  Frame out;
-  size_t consumed = 0;
-  std::string err;
-  for (size_t len = 0; len < wire.size(); ++len) {
-    ASSERT_EQ(decode_frame(wire.data(), len, &out, &consumed, &err),
-              DecodeStatus::kNeedMore)
-        << "prefix length " << len;
-  }
-  ASSERT_EQ(decode_frame(wire.data(), wire.size(), &out, &consumed, &err),
-            DecodeStatus::kOk);
-}
-
-TEST(ServeProtocol, MixedVersionStreamDecodes) {
-  // A v1 frame followed by a v2 frame on the same stream: the decoder
-  // sizes each header by its own version field.
-  Frame a = make_frame();
-  Frame b;
-  b.type = FrameType::kPing;
-  b.request_id = 42;
-  b.trace_id = 0x77;
-  const std::string wire = encode_frame_v1(a) + encode_frame(b);
-  Frame out;
-  size_t consumed = 0;
-  std::string err;
-  ASSERT_EQ(decode_frame(wire.data(), wire.size(), &out, &consumed, &err),
-            DecodeStatus::kOk);
-  EXPECT_EQ(out.request_id, a.request_id);
-  Frame out2;
-  size_t consumed2 = 0;
-  ASSERT_EQ(decode_frame(wire.data() + consumed, wire.size() - consumed,
-                         &out2, &consumed2, &err),
-            DecodeStatus::kOk);
-  EXPECT_EQ(out2.request_id, b.request_id);
-  EXPECT_EQ(out2.trace_id, b.trace_id);
-  EXPECT_EQ(consumed + consumed2, wire.size());
-}
-
 TEST(ServeProtocol, FutureVersionIsTypedRejection) {
-  // A version one past the current one must be a *typed* unsupported-
+  // A version other than the current one must be a *typed* unsupported-
   // version rejection (bad_version set), not a generic decode failure —
-  // the server answers it with kUnsupportedVersion, not kBadFrame.
-  std::string wire = encode_frame(make_frame());
-  wire[4] = static_cast<char>(kProtocolVersion + 1);
-  Frame out;
-  size_t consumed = 0;
-  std::string err;
-  bool bad_version = false;
-  EXPECT_EQ(decode_frame(wire.data(), wire.size(), &out, &consumed, &err,
-                         &bad_version),
-            DecodeStatus::kBad);
-  EXPECT_TRUE(bad_version);
-  EXPECT_NE(err.find("version"), std::string::npos) << err;
+  // the server answers it with kUnsupportedVersion, not kBadFrame. That
+  // holds for a version one past the current one and for a retired
+  // version-1 ping, whose 40-byte frame is shorter than the current header
+  // and so must be judged from the shared prefix, never left in kNeedMore.
+  std::string future = encode_frame(make_frame());
+  future[4] = static_cast<char>(kProtocolVersion + 1);
+  for (const std::string& wire : {future, v1_ping()}) {
+    Frame out;
+    size_t consumed = 0;
+    std::string err;
+    bool bad_version = false;
+    EXPECT_EQ(decode_frame(wire.data(), wire.size(), &out, &consumed, &err,
+                           &bad_version),
+              DecodeStatus::kBad)
+        << "version " << static_cast<int>(wire[4]);
+    EXPECT_TRUE(bad_version) << "version " << static_cast<int>(wire[4]);
+    EXPECT_NE(err.find("version"), std::string::npos) << err;
+  }
 }
 
 TEST(ServeProtocol, StatsAndHealthFramesRoundTrip) {

@@ -9,9 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -26,6 +31,7 @@
 #include "serve/server.h"
 #include "tech/tech.h"
 #include "util/fault.h"
+#include "util/hash.h"
 #include "util/json.h"
 #include "util/strfmt.h"
 
@@ -522,18 +528,71 @@ TEST_F(ServePulseTest, CallStatsBreakDownTheRequest) {
 }
 
 TEST_F(ServePulseTest, StatsAnswerOnV1ConnectionsAndBadVersionIsTyped) {
-  start();
-  // kStats itself rides the versioned protocol; a v2 client reaching a
-  // v2 server is the common case and covered elsewhere. Here: the stats
-  // plane answers even when the *daemon* has served v1 traffic on the
-  // same connection (mixed-version streams must not poison the parser).
-  Client client(client_options());
+  ServerOptions opt;
+  opt.unix_path = ::testing::TempDir() +
+                  util::strfmt("smartd_pulse_v1_%d.sock",
+                               static_cast<int>(::getpid()));
+  start(opt);
+
+  // A ping in the retired version-1 format, built by hand: the 32 header
+  // bytes the versions share up to the deadline, then the checksum over
+  // them (no trace id), 40 bytes in all.
+  Frame ping;
+  ping.type = FrameType::kPing;
+  std::string v1 = encode_frame(ping).substr(0, 32);
+  v1[4] = 1;
+  const uint64_t sum = util::fnv1a(v1.data(), v1.size());
+  for (int i = 0; i < 8; ++i)
+    v1.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // Bounded reads: a server that accepted the frame would keep the
+  // connection open, and the test must fail rather than hang.
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, opt.unix_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  ASSERT_EQ(::send(fd, v1.data(), v1.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(v1.size()));
+  std::string rbuf;
   Frame reply;
-  ASSERT_TRUE(client.call(FrameType::kPing, "", -1.0, &reply).ok());
-  const JsonValue doc = fetch_stats();
+  size_t consumed = 0;
+  std::string err;
+  DecodeStatus st = DecodeStatus::kNeedMore;
+  char buf[512];
+  while (st == DecodeStatus::kNeedMore) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    rbuf.append(buf, static_cast<size_t>(n));
+    st = decode_frame(rbuf.data(), rbuf.size(), &reply, &consumed, &err);
+  }
+  ::close(fd);
+  ASSERT_EQ(st, DecodeStatus::kOk) << err;
+  EXPECT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(reply.error, ErrorCode::kUnsupportedVersion);
+
+  // The rejected connection does not poison the daemon: a fresh client
+  // still gets stats, and they account the rejection.
+  ClientOptions copt = client_options();
+  copt.unix_path = opt.unix_path;
+  Client client(copt);
+  Frame stats;
+  const util::Status call = client.call(FrameType::kStats, "", -1.0, &stats);
+  ASSERT_TRUE(call.ok()) << call.to_string();
+  JsonValue doc;
+  ASSERT_TRUE(util::json_parse(stats.payload, &doc)) << stats.payload;
   EXPECT_EQ(jnum(&doc, "protocol_version"),
             static_cast<double>(kProtocolVersion));
   EXPECT_EQ(doc.find("draining")->boolean, false);
+  EXPECT_EQ(jnum(doc.find("counters"), "bad_frames"), 1.0);
+  EXPECT_EQ(jnum(doc.find("errors_by_code"), "unsupported_version"), 1.0);
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ TEST_F(SizerTest, ConvergesOnChainAtModerateSpec) {
   const auto r = sizer_.size(nl, opt);
   ASSERT_TRUE(r.ok) << r.message;
   EXPECT_EQ(r.message, "converged");
-  EXPECT_LE(r.measured_delay_ps, 120.0 * (1.0 + opt.converge_tol));
+  EXPECT_LE(r.measured_delay_ps, 120.0 * (1.0 + kConvergeTol));
   EXPECT_GT(r.total_width_um, 0.0);
   EXPECT_GT(r.respec_iterations, 0);
 }
@@ -181,7 +181,7 @@ TEST_F(SizerTest, WidthGridSnapsUpAndStillMeetsSpec) {
     const double cells = w / 0.25;
     EXPECT_NEAR(cells, std::round(cells), 1e-6) << w;
   }
-  EXPECT_LE(r.measured_delay_ps, 120.0 * (1.0 + opt.converge_tol));
+  EXPECT_LE(r.measured_delay_ps, 120.0 * (1.0 + kConvergeTol));
   // Snapping up costs at most one grid cell per label vs continuous.
   SizerOptions cont = opt;
   cont.width_grid_um = -1.0;

@@ -508,7 +508,7 @@ int cmd_report(const Args& args) {
   opt.keep_solve_snapshot = true;
   // Report-grade solve: drive the barrier until active constraints sit at
   // |1 - lhs| <= 1e-6, so the reported binding set is the KKT active set
-  // to working precision (ScopeOptions::binding_slack_tol).
+  // to working precision (scope::kBindingSlackTol).
   opt.gp.tolerance = 1e-6;
   if (opt.delay_spec_ps <= 0.0) {
     // Same rule as advise: derive the spec from the hand-sized baseline.
