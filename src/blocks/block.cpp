@@ -1,7 +1,9 @@
 #include "blocks/block.h"
 
 #include <algorithm>
+#include <map>
 
+#include "netlist/compose.h"
 #include "power/power.h"
 #include "refsim/rc_timer.h"
 #include "util/check.h"
@@ -149,6 +151,69 @@ BlockExperiment run_block_experiment(const Block& block,
     }
   }
   return ex;
+}
+
+netlist::Netlist bypass_slice(const core::MacroDatabase& db, int bits) {
+  using util::strfmt;
+  auto generate = [&](const std::string& type, const std::string& topo,
+                      const core::MacroSpec& spec) {
+    const auto* entry = db.find(type, topo);
+    SMART_CHECK(entry != nullptr, "unknown topology " + type + "/" + topo);
+    return entry->generate(spec);
+  };
+  core::MacroSpec mux_spec;
+  mux_spec.type = "mux";
+  mux_spec.n = 2;
+  mux_spec.params["bits"] = bits;
+  const auto mux = generate("mux", "encoded2", mux_spec);
+  core::MacroSpec add_spec;
+  add_spec.type = "adder";
+  add_spec.n = bits;
+  const auto adder = generate("adder", "static_cla", add_spec);
+  core::MacroSpec zd_spec;
+  zd_spec.type = "zero_detect";
+  zd_spec.n = bits;
+  const auto zd = generate("zero_detect", "static_tree", zd_spec);
+
+  netlist::Netlist top(strfmt("bypass%d", bits));
+  std::map<std::string, netlist::NetId> mux_bind;
+  for (int b = 0; b < bits; ++b)
+    for (int i = 0; i < 2; ++i) {
+      const auto d = top.add_net(strfmt("d%d_%d", b, i));
+      top.add_input(d);
+      mux_bind[strfmt("d%d_%d", b, i)] = d;
+    }
+  const auto sel = top.add_net("sel");
+  top.add_input(sel);
+  mux_bind["s0"] = sel;
+  const auto mmap = netlist::instantiate(top, mux, "mux", mux_bind);
+
+  std::map<std::string, netlist::NetId> add_bind;
+  for (int b = 0; b < bits; ++b) {
+    // Mux output is operand A; operand B and cin come from outside.
+    add_bind[strfmt("a%d", b)] =
+        mmap.nets.at(mux.find_net(strfmt("o%d", b)));
+    const auto bb = top.add_net(strfmt("b%d", b));
+    top.add_input(bb);
+    add_bind[strfmt("b%d", b)] = bb;
+  }
+  const auto cin = top.add_net("cin");
+  top.add_input(cin);
+  add_bind["cin"] = cin;
+  const auto amap = netlist::instantiate(top, adder, "add", add_bind);
+
+  std::map<std::string, netlist::NetId> zd_bind;
+  for (int b = 0; b < bits; ++b)
+    zd_bind[strfmt("in%d", b)] =
+        amap.nets.at(adder.find_net(strfmt("s%d", b)));
+  netlist::instantiate(top, zd, "zd", zd_bind);
+
+  for (int b = 0; b < bits; ++b)
+    top.add_output(top.find_net(strfmt("add/s%d", b)), 12.0);
+  top.add_output(top.find_net("add/cout"), 12.0);
+  top.add_output(top.find_net("zd/zero"), 8.0);
+  top.finalize();
+  return top;
 }
 
 }  // namespace smart::blocks

@@ -83,4 +83,12 @@ BlockExperiment run_block_experiment(const Block& block,
                                      const models::ModelLibrary& lib,
                                      const core::IsoDelayOptions& opt = {});
 
+/// A realistic execution-unit bypass slice composed from database macros
+/// at the transistor level, flattened into one netlist so it sizes as one
+/// GP: an encoded 2:1 operand mux, `bits` wide, feeds operand A of a static
+/// CLA adder whose sum drives a static zero-detect. Operand B, cin and the
+/// select are primary inputs; the sum bits and cout (12 fF) and the zero
+/// flag (8 fF) are outputs.
+netlist::Netlist bypass_slice(const core::MacroDatabase& db, int bits);
+
 }  // namespace smart::blocks

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <numeric>
 
 #include "obs/obs.h"
 #include "prof/resource.h"
@@ -33,129 +34,106 @@ constexpr double kFeasMargin = 1e-7;   ///< slack required to call y feasible
 /// binding.
 constexpr double kBindingTol = 0.02;
 
-/// A compiled convex function in the log domain:
-///   F(y) = log sum_k exp(logc_k + a_k . y)  +  linear . y + linear_const
-/// The optional linear part supports the phase-I auxiliary variable
-/// (F_j(y) - s) without special-casing the Newton machinery.
+// Working set (DESIGN.md §10). A GP with at most kWholeSolveRatio * n
+// constraints is solved whole. A larger one is seeded with the
+// max(n, kMinSeed) constraints that have the largest value at the start
+// point; after each optimal round every omitted constraint with
+// lhs > kAddLhs joins the set and the GP is re-solved.
+constexpr size_t kWholeSolveRatio = 4;
+constexpr size_t kMinSeed = 8;
+constexpr double kAddLhs = 0.95;
+
+/// A compiled posynomial in the log domain:
+///   F(y) = log sum_k exp(logc_k + a_k . y)
 ///
-/// Evaluation is support-local: gradients and Hessians are produced on the
-/// function's own variable support and scattered by the caller, so the
-/// per-constraint cost is O(|support|^2), not O(n^2).
+/// Evaluation is support-local: gradients are produced on the function's
+/// own variable support, and Hessian entries go straight to the caller's
+/// global matrix, so the per-function cost is O(terms x factors^2), not
+/// O(n^2).
 struct Func {
   struct Term {
     double logc = 0.0;
-    // (support-local index, exponent) pairs
+    /// (support-local index, exponent) pairs, ascending in variable
+    /// (Monomial keeps its factors sorted and distinct).
     std::vector<std::pair<int, double>> factors;
   };
   std::vector<Term> terms;
-  std::vector<int> support;        ///< global var ids touched by LSE part
-  std::vector<int> linear_vars;    ///< global var ids of linear part
-  std::vector<double> linear_coef;
-  double linear_const = 0.0;
-  /// union of support and linear_vars; gradient lives on these entries.
-  std::vector<int> full_support;
+  std::vector<int> support;  ///< global var ids, ascending
 
-  void finish() {
-    full_support = support;
-    for (int v : linear_vars)
-      if (std::find(full_support.begin(), full_support.end(), v) ==
-          full_support.end())
-        full_support.push_back(v);
-  }
-
-  /// Value only; `scratch_z` is a caller-owned buffer reused across calls
-  /// (the per-call vector churn dominated small-problem solve profiles).
-  double value_at(const Vec& y, std::vector<double>& scratch_z) const {
-    double value = linear_const;
-    for (size_t i = 0; i < linear_vars.size(); ++i)
-      value += linear_coef[i] * y[static_cast<size_t>(linear_vars[i])];
-    if (terms.empty()) return value;
+  /// Fills z[k] = logc_k + a_k . y and returns max_k z[k].
+  double exponents(const Vec& y, std::vector<double>& z) const {
+    z.resize(terms.size());
     double zmax = -std::numeric_limits<double>::infinity();
-    scratch_z.resize(terms.size());
     for (size_t k = 0; k < terms.size(); ++k) {
       double zk = terms[k].logc;
       for (const auto& [li, e] : terms[k].factors)
         zk += e * y[static_cast<size_t>(support[static_cast<size_t>(li)])];
-      scratch_z[k] = zk;
+      z[k] = zk;
       zmax = std::max(zmax, zk);
     }
+    return zmax;
+  }
+
+  /// F(y); `z` is a caller-owned buffer reused across calls (the per-call
+  /// vector churn dominated small-problem solve profiles).
+  double value_at(const Vec& y, std::vector<double>& z) const {
+    const double zmax = exponents(y, z);
+    return zmax + std::log(util::sum_exp_shifted(z.data(), zmax, z.size()));
+  }
+
+  /// F(y), leaving the softmax weights p_k in `p` and the gradient
+  /// g = sum_k p_k a_k on the support in `g`.
+  double value_grad(const Vec& y, std::vector<double>& p,
+                    std::vector<double>& g) const {
+    const double zmax = exponents(y, p);
     const double denom =
-        util::sum_exp_shifted(scratch_z.data(), zmax, terms.size());
-    return value + zmax + std::log(denom);
-  }
-
-  /// Value only (allocating convenience overload for cold paths).
-  double value_at(const Vec& y) const {
-    std::vector<double> z;
-    return value_at(y, z);
-  }
-
-  /// Value plus local derivatives. g_local is indexed by full_support
-  /// (gradient), h_local row-major |support| x |support| (LSE Hessian; the
-  /// linear part has none). Buffers are resized here; callers reuse them.
-  double eval_local(const Vec& y, std::vector<double>& g_local,
-                    std::vector<double>& h_local,
-                    std::vector<double>& scratch_z,
-                    std::vector<double>& scratch_g) const {
-    g_local.assign(full_support.size(), 0.0);
-    double value = linear_const;
-    for (size_t i = 0; i < linear_vars.size(); ++i) {
-      value += linear_coef[i] * y[static_cast<size_t>(linear_vars[i])];
-      // linear vars are appended after support in full_support order; find
-      // their slot (few entries, linear scan is fine).
-      for (size_t fi = 0; fi < full_support.size(); ++fi)
-        if (full_support[fi] == linear_vars[i]) {
-          g_local[fi] += linear_coef[i];
-          break;
-        }
-    }
-    const size_t sz = support.size();
-    h_local.assign(sz * sz, 0.0);
-    if (terms.empty()) return value;
-
-    scratch_z.resize(terms.size());
-    double zmax = -std::numeric_limits<double>::infinity();
+        util::exp_shifted(p.data(), zmax, p.data(), p.size());
+    g.assign(support.size(), 0.0);
     for (size_t k = 0; k < terms.size(); ++k) {
-      double zk = terms[k].logc;
+      p[k] /= denom;
       for (const auto& [li, e] : terms[k].factors)
-        zk += e * y[static_cast<size_t>(support[static_cast<size_t>(li)])];
-      scratch_z[k] = zk;
-      zmax = std::max(zmax, zk);
+        g[static_cast<size_t>(li)] += p[k] * e;
     }
-    const double denom = util::exp_shifted(scratch_z.data(), zmax,
-                                           scratch_z.data(), terms.size());
-    value += zmax + std::log(denom);
+    return zmax + std::log(denom);
+  }
 
-    // softmax weights p_k; gradient over support slots [0, sz).
-    scratch_g.assign(sz, 0.0);
-    std::vector<double>& g_lse = scratch_g;
+  /// hess += w * sum_k p_k a_k a_k^T + c * g g^T on the lower triangle of
+  /// the support block, with p and g from value_grad. F's own Hessian is
+  /// sum_k p_k a_k a_k^T - g g^T, so a barrier term folds its F''/u and
+  /// F' F'^T / u^2 parts into one (w, c) pair and one rank-1 pass.
+  void add_hessian(const std::vector<double>& p, const std::vector<double>& g,
+                   double w, double c, Matrix& hess) const {
     for (size_t k = 0; k < terms.size(); ++k) {
-      const double pk = scratch_z[k] / denom;
-      for (const auto& [li, e] : terms[k].factors) {
-        g_lse[static_cast<size_t>(li)] += pk * e;
-        for (const auto& [lj, ej] : terms[k].factors)
-          h_local[static_cast<size_t>(li) * sz + static_cast<size_t>(lj)] +=
-              pk * e * ej;
+      const auto& fac = terms[k].factors;
+      const double wk = w * p[k];
+      for (size_t a = 0; a < fac.size(); ++a) {
+        const double wa = wk * fac[a].second;
+        const auto ga =
+            static_cast<size_t>(support[static_cast<size_t>(fac[a].first)]);
+        for (size_t b = 0; b <= a; ++b)
+          hess(ga, static_cast<size_t>(
+                       support[static_cast<size_t>(fac[b].first)])) +=
+              wa * fac[b].second;
       }
     }
-    for (size_t i = 0; i < sz; ++i) {
-      g_local[i] += g_lse[i];
-      for (size_t j = 0; j < sz; ++j)
-        h_local[i * sz + j] -= g_lse[i] * g_lse[j];
+    for (size_t i = 0; i < support.size(); ++i) {
+      const double ci = c * g[i];
+      if (ci == 0.0) continue;
+      const auto gi = static_cast<size_t>(support[i]);
+      for (size_t j = 0; j <= i; ++j)
+        hess(gi, static_cast<size_t>(support[j])) += ci * g[j];
     }
-    return value;
   }
 };
 
-/// Compiles a posynomial into a Func over n_total log-variables.
+/// Compiles a posynomial into a Func over the global log-variables.
 Func compile(const posy::Posynomial& p) {
   Func f;
-  std::vector<int> support;
+  std::vector<int>& support = f.support;
   for (const auto& t : p.terms())
     for (const auto& fac : t.factors()) support.push_back(fac.var);
   std::sort(support.begin(), support.end());
   support.erase(std::unique(support.begin(), support.end()), support.end());
-  f.support = support;
   auto local = [&](int var) {
     return static_cast<int>(
         std::lower_bound(support.begin(), support.end(), var) -
@@ -169,7 +147,6 @@ Func compile(const posy::Posynomial& p) {
       ct.factors.emplace_back(local(fac.var), fac.exp);
     f.terms.push_back(std::move(ct));
   }
-  f.finish();
   return f;
 }
 
@@ -213,106 +190,101 @@ Status validate_problem(const GpProblem& problem) {
   return Status::Ok();
 }
 
-/// Barrier-method state shared by both phases. Non-owning: the compiled
-/// functions and bounds live in the caller.
+/// One barrier problem over the working set. Non-owning: the compiled
+/// functions, the set and the bounds live in the caller.
+///   phase II: phi = t f0(y) - sum_{j in W} log(-F_j(y)) - box terms
+///   phase I:  phi = t s - sum_{j in W} log(s - F_j(y)) - box terms, where
+///             s = y[n] is an auxiliary last coordinate (objective null)
 struct BarrierProblem {
-  const std::vector<Func>* constraints = nullptr;  ///< F_j(y) <= 0
-  const Func* objective = nullptr;  ///< minimized (times barrier weight t)
+  const std::vector<Func>* funcs = nullptr;      ///< every constraint
+  const std::vector<size_t>* active = nullptr;   ///< working set W
+  const Func* objective = nullptr;  ///< nullptr selects phase I
   const Vec* ylo = nullptr;         ///< strict box bounds in log domain
   const Vec* yhi = nullptr;
 };
 
-/// Scratch buffers reused across barrier evaluations.
+/// Buffers one solve reuses across every barrier evaluation, Newton step
+/// and line-search trial, in both phases and all working-set rounds.
 struct BarrierScratch {
-  std::vector<double> g_local;
-  std::vector<double> h_local;
-  std::vector<double> z;
-  std::vector<double> g_lse;
+  std::vector<double> p;  ///< per-term exponents / softmax weights
+  std::vector<double> g;  ///< one function's gradient on its support
   /// Constraint slacks at the last evaluation with derivatives (the
   /// current Newton iterate), and the smallest ratio of a later value-only
   /// evaluation's slacks to them (the line search's trial point).
   std::vector<double> slack;
   double min_slack_ratio = 1.0;
+  Vec grad;
+  Matrix hess;  ///< lower triangle only; cholesky_solve reads no more
+  Vec trial;    ///< line-search point
 };
 
-/// Wall-clock budget for one solve() call (shared by both phases).
+/// Wall-clock budget for one solve() call (shared by every round).
 using Deadline = util::Deadline;
 
-/// Evaluates the barrier objective
-///   phi(y) = t * f0(y) - sum_j log(-F_j(y)) - sum_i log box slacks
-/// Returns +inf when outside the domain. grad/hess optional; local
-/// derivatives are scattered per function, so cost scales with the total
-/// constraint support, not with constraints x n^2. An evaluation with
-/// derivatives records the constraint slacks; a value-only one records in
-/// scratch.min_slack_ratio how far its slacks shrank relative to them.
+/// Evaluates the barrier objective phi(y) (see BarrierProblem). Returns
+/// +inf when outside the domain. With `derivs` it also assembles
+/// scratch.grad and the lower triangle of scratch.hess, straight from each
+/// function's terms, and records the constraint slacks; a value-only
+/// evaluation records in scratch.min_slack_ratio how far its slacks shrank
+/// relative to them.
 double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
-                    Vec* grad, Matrix* hess, BarrierScratch& scratch) {
+                    bool derivs, BarrierScratch& s) {
   const size_t n = y.size();
-  if (grad) std::fill(grad->begin(), grad->end(), 0.0);
-  double phi = 0.0;
-
-  auto scatter = [&](const Func& f, double g_scale, double h_scale,
-                     double outer_scale) {
-    // grad += g_scale * g_local ; hess += h_scale * h_lse
-    //                            + outer_scale * g_local g_local^T
-    const auto& fs = f.full_support;
-    if (grad) {
-      for (size_t i = 0; i < fs.size(); ++i)
-        (*grad)[static_cast<size_t>(fs[i])] +=
-            g_scale * scratch.g_local[i];
-    }
-    if (hess) {
-      const size_t sz = f.support.size();
-      for (size_t i = 0; i < sz; ++i) {
-        const auto gi = static_cast<size_t>(f.support[i]);
-        for (size_t j = 0; j < sz; ++j)
-          (*hess)(gi, static_cast<size_t>(f.support[j])) +=
-              h_scale * scratch.h_local[i * sz + j];
-      }
-      if (outer_scale != 0.0) {
-        for (size_t i = 0; i < fs.size(); ++i) {
-          const double gi = scratch.g_local[i];
-          if (gi == 0.0) continue;
-          for (size_t j = 0; j < fs.size(); ++j)
-            (*hess)(static_cast<size_t>(fs[i]), static_cast<size_t>(fs[j])) +=
-                outer_scale * gi * scratch.g_local[j];
-        }
-      }
-    }
+  const bool phase1 = bp.objective == nullptr;
+  const size_t aux = n - 1;  // s, in phase I
+  if (derivs) {
+    s.grad.assign(n, 0.0);
+    if (s.hess.rows() != n)
+      s.hess = Matrix(n, n, 0.0);
+    else
+      s.hess.fill(0.0);
+  }
+  auto add_grad = [&](const Func& f, double scale) {
+    for (size_t i = 0; i < f.support.size(); ++i)
+      s.grad[static_cast<size_t>(f.support[i])] += scale * s.g[i];
   };
 
-  const bool derivs = grad != nullptr || hess != nullptr;
-  {
-    const double f0 =
-        derivs ? bp.objective->eval_local(y, scratch.g_local,
-                                          scratch.h_local, scratch.z,
-                                          scratch.g_lse)
-               : bp.objective->value_at(y, scratch.z);
-    phi += t * f0;
-    if (derivs) scatter(*bp.objective, t, t, 0.0);
+  double phi = 0.0;
+  if (phase1) {
+    phi = t * y[aux];
+    if (derivs) s.grad[aux] += t;
+  } else if (derivs) {
+    phi = t * bp.objective->value_grad(y, s.p, s.g);
+    add_grad(*bp.objective, t);
+    bp.objective->add_hessian(s.p, s.g, t, -t, s.hess);
+  } else {
+    phi = t * bp.objective->value_at(y, s.p);
   }
 
-  const size_t m = bp.constraints->size();
-  if (derivs) scratch.slack.resize(m);
-  const bool ratio = !derivs && scratch.slack.size() == m;
-  scratch.min_slack_ratio = 1.0;
-  for (size_t j = 0; j < m; ++j) {
-    const Func& fj = (*bp.constraints)[j];
-    const double v =
-        derivs ? fj.eval_local(y, scratch.g_local, scratch.h_local,
-                               scratch.z, scratch.g_lse)
-               : fj.value_at(y, scratch.z);
-    const double u = -v;  // slack, must stay positive
+  const auto& active = *bp.active;
+  const size_t m = active.size();
+  if (derivs) s.slack.resize(m);
+  const bool ratio = !derivs && s.slack.size() == m;
+  s.min_slack_ratio = 1.0;
+  for (size_t w = 0; w < m; ++w) {
+    const Func& fj = (*bp.funcs)[active[w]];
+    const double v = derivs ? fj.value_grad(y, s.p, s.g) : fj.value_at(y, s.p);
+    const double u = (phase1 ? y[aux] : 0.0) - v;  // slack, must stay > 0
     if (u <= 0.0 || !std::isfinite(u))
       return std::numeric_limits<double>::infinity();
     if (derivs)
-      scratch.slack[j] = u;
+      s.slack[w] = u;
     else if (ratio)
-      scratch.min_slack_ratio =
-          std::min(scratch.min_slack_ratio, u / scratch.slack[j]);
+      s.min_slack_ratio = std::min(s.min_slack_ratio, u / s.slack[w]);
     phi += -std::log(u);
-    // d(-log(-F)) = F'/u ; d2 = F''/u + F' F'^T / u^2.
-    if (derivs) scatter(fj, 1.0 / u, 1.0 / u, 1.0 / (u * u));
+    if (!derivs) continue;
+    // d(-log u) = F'/u ; d2 = F''/u + F' F'^T / u^2, where phase I's F'
+    // carries an extra -1 on s.
+    const double inv_u = 1.0 / u;
+    const double inv_u2 = inv_u * inv_u;
+    add_grad(fj, inv_u);
+    fj.add_hessian(s.p, s.g, inv_u, inv_u2 - inv_u, s.hess);
+    if (phase1) {
+      s.grad[aux] -= inv_u;
+      for (size_t i = 0; i < fj.support.size(); ++i)
+        s.hess(aux, static_cast<size_t>(fj.support[i])) -= inv_u2 * s.g[i];
+      s.hess(aux, aux) += inv_u2;
+    }
   }
 
   for (size_t i = 0; i < n; ++i) {
@@ -320,8 +292,10 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
     const double b = (*bp.yhi)[i] - y[i];
     if (a <= 0.0 || b <= 0.0) return std::numeric_limits<double>::infinity();
     phi += -std::log(a) - std::log(b);
-    if (grad) (*grad)[i] += -1.0 / a + 1.0 / b;
-    if (hess) (*hess)(i, i) += 1.0 / (a * a) + 1.0 / (b * b);
+    if (derivs) {
+      s.grad[i] += -1.0 / a + 1.0 / b;
+      s.hess(i, i) += 1.0 / (a * a) + 1.0 / (b * b);
+    }
   }
   return phi;
 }
@@ -342,8 +316,8 @@ struct NewtonOutcome {
 /// moves to finite accepted points: a failed iteration leaves it at the
 /// last good iterate, so callers can always report a usable point.
 NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
-                              const SolverOptions& opt,
-                              const Deadline& deadline,
+                              double tolerance, const Deadline& deadline,
+                              BarrierScratch& scratch,
                               const std::function<bool(const Vec&)>&
                                   early_exit = {}) {
   const size_t n = y.size();
@@ -352,19 +326,13 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
     out.iterations = kMaxNewtonIters;
     return out;
   }
-  Vec grad(n, 0.0);
-  BarrierScratch scratch;
-
-  // Assembly buffer lives across iterations; only the values are cleared.
-  Matrix hess(n, n, 0.0);
 
   for (int it = 0; it < kMaxNewtonIters; ++it) {
     if (deadline.expired()) {
       out.failure = NewtonFailure::kTimeout;
       return out;
     }
-    hess.fill(0.0);
-    double phi = barrier_eval(bp, t, y, &grad, &hess, scratch);
+    double phi = barrier_eval(bp, t, y, true, scratch);
     phi = util::fault_corrupt(util::FaultClass::kSolverNonFinite,
                               "gp.newton.phi", phi);
     if (!std::isfinite(phi)) {
@@ -373,21 +341,22 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
     }
     // Levenberg-style floor keeps the system solvable when the Hessian is
     // nearly singular (e.g. slack variables far from activity).
-    for (size_t i = 0; i < n; ++i) hess(i, i) += 1e-12;
+    for (size_t i = 0; i < n; ++i) scratch.hess(i, i) += 1e-12;
     Vec step;
     try {
-      step = util::cholesky_solve(hess, util::scaled(grad, -1.0));
+      step = util::cholesky_solve(scratch.hess,
+                                  util::scaled(scratch.grad, -1.0));
     } catch (const util::Error&) {
       out.failure = NewtonFailure::kNonFinite;
       return out;
     }
-    const double decrement2 = -util::dot(grad, step);
+    const double decrement2 = -util::dot(scratch.grad, step);
     if (!std::isfinite(decrement2)) {
       out.failure = NewtonFailure::kNonFinite;
       return out;
     }
     out.iterations = it + 1;
-    if (decrement2 / 2.0 < opt.tolerance * 1e-2) {
+    if (decrement2 / 2.0 < tolerance * 1e-2) {
       out.converged = true;
       return out;
     }
@@ -398,22 +367,29 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
     // where Newton only creeps along it at the scale of that slack. A
     // constraint repeated k times used to hide this behind a k-fold
     // barrier weight; canonical constraint classes emit it once.
+    //
+    // An accepted step that leaves phi unchanged means the decrease the
+    // Newton decrement predicts is below phi's rounding: at a high barrier
+    // weight (t ~ 6e8 at a 1e-6 tolerance, phi ~ 5e9) the iterate is then
+    // stationary to working precision, and another step only creeps.
     double alpha = 1.0;
     bool accepted = false;
+    bool stalled = false;
     for (int ls = 0; ls < 70; ++ls) {
-      Vec trial = y;
-      util::axpy(alpha, step, trial);
+      scratch.trial.assign(y.begin(), y.end());
+      util::axpy(alpha, step, scratch.trial);
       const double phi_trial =
-          barrier_eval(bp, t, trial, nullptr, nullptr, scratch);
+          barrier_eval(bp, t, scratch.trial, false, scratch);
       if (std::isfinite(phi_trial) && scratch.min_slack_ratio >= 0.5 &&
           phi_trial <= phi - 1e-4 * alpha * decrement2) {
-        y = std::move(trial);
+        y.swap(scratch.trial);
         accepted = true;
+        stalled = !(phi_trial < phi);
         break;
       }
       alpha *= 0.5;
     }
-    if (!accepted) {
+    if (!accepted || stalled) {
       out.converged = true;  // cannot make progress; treat as stationary
       return out;
     }
@@ -442,6 +418,196 @@ FailureReason reason_of(SolveStatus s) {
       return FailureReason::kInvalidInput;
   }
   return FailureReason::kInternal;
+}
+
+/// The fixed data of one solve, shared by its working-set rounds.
+struct CompiledGp {
+  std::vector<Func> constraints;
+  Func objective;
+  Vec ylo, yhi;  ///< log-domain box
+};
+
+/// What the working-set rounds accumulate: the iterate, the effort spent
+/// and the barrier-stage trace (stage numbers run on across rounds), plus
+/// the last round's phase-II barrier weight (0 if it never reached phase
+/// II).
+struct SolveState {
+  Vec y;
+  int newton = 0;
+  int stages = 0;
+  std::vector<StageTrace> trace;
+  double t_final = 0.0;
+};
+
+struct RoundOutcome {
+  SolveStatus status = SolveStatus::kOptimal;
+  std::string message = "optimal";
+};
+
+/// Largest constraint value over `set` at yy (which may carry phase I's
+/// auxiliary coordinate; Funcs never read it).
+double max_constraint(const CompiledGp& gp, const std::vector<size_t>& set,
+                      const Vec& yy, std::vector<double>& z) {
+  double m = -std::numeric_limits<double>::infinity();
+  for (size_t j : set) m = std::max(m, gp.constraints[j].value_at(yy, z));
+  return m;
+}
+
+/// One barrier solve over the working set `ws` from st.y: phase I when
+/// st.y is not strictly feasible for ws, then phase II. `warm` lets a
+/// strictly feasible start skip the first barrier stages.
+RoundOutcome barrier_solve(const CompiledGp& gp,
+                           const std::vector<size_t>& ws, bool warm,
+                           const SolverOptions& options,
+                           const Deadline& deadline, BarrierScratch& scratch,
+                           SolveState& st) {
+  const size_t n = gp.ylo.size();
+  Vec& y = st.y;
+  st.t_final = 0.0;
+
+  // ---- Phase I: find a strictly feasible point ----
+  if (!ws.empty() && max_constraint(gp, ws, y, scratch.p) >= -kFeasMargin) {
+    obs::Span phase1_span("gp.phase1");
+    // Augment with auxiliary s: minimize s subject to F_j(y) - s <= 0.
+    Vec ylo1 = gp.ylo, yhi1 = gp.yhi;
+    const double s0 = max_constraint(gp, ws, y, scratch.p) + 1.0;
+    if (!std::isfinite(s0))
+      return {SolveStatus::kNumericalError,
+              "non-finite constraint value at the starting point"};
+    // Generous box for s keeps the barrier well-behaved.
+    ylo1.push_back(std::min(-10.0, s0 - 100.0));
+    yhi1.push_back(s0 + 100.0);
+    const BarrierProblem p1{&gp.constraints, &ws, nullptr, &ylo1, &yhi1};
+
+    Vec ys = y;
+    ys.push_back(s0);
+    const double want = -2.0 * kFeasMargin;
+    auto feasible_now = [&](const Vec& yy) {
+      return max_constraint(gp, ws, yy, scratch.p) < want;
+    };
+    double t = 1.0;
+    NewtonFailure p1_failure = NewtonFailure::kNone;
+    for (int stage = 0; stage < kMaxBarrierStages; ++stage) {
+      ++st.stages;
+      auto outcome = newton_minimize(p1, t, ys, options.tolerance, deadline,
+                                     scratch, feasible_now);
+      st.newton += outcome.iterations;
+      st.trace.push_back({static_cast<int>(st.trace.size()), true, t,
+                          outcome.iterations, outcome.converged, -1.0});
+      if (outcome.failure != NewtonFailure::kNone) {
+        p1_failure = outcome.failure;
+        break;
+      }
+      if (feasible_now(ys)) break;
+      if (static_cast<double>(ws.size()) / t < options.tolerance) break;
+      t *= kBarrierMu;
+    }
+    y.assign(ys.begin(), ys.begin() + static_cast<long>(n));
+    if (p1_failure == NewtonFailure::kTimeout)
+      return {SolveStatus::kTimeout, "deadline exceeded in phase I"};
+    if (p1_failure == NewtonFailure::kNonFinite)
+      return {SolveStatus::kNumericalError,
+              "non-finite value in a phase I Newton step"};
+    const double worst = max_constraint(gp, ws, y, scratch.p);
+    if (worst >= 0.0)
+      return {SolveStatus::kInfeasible,
+              util::strfmt(
+                  "phase I failed: max constraint value %.4g (want < 1)",
+                  std::exp(worst))};
+  }
+
+  // ---- Phase II: barrier path following ----
+  obs::Span phase2_span("gp.phase2");
+  const BarrierProblem p2{&gp.constraints, &ws, &gp.objective, &gp.ylo,
+                          &gp.yhi};
+  const double m_total =
+      static_cast<double>(ws.size()) + 2.0 * static_cast<double>(n);
+
+  double t = kTInitial;
+  // A warm start that is strictly feasible sits near the previous
+  // optimum — close to its active constraints. Low-t centering would
+  // drag the iterate back toward the analytic center only to return, so
+  // skip two stages of the barrier schedule. Jumping further (e.g.
+  // straight to the terminal weight) backfires: far from the central
+  // path at high t, Newton exhausts its per-stage budget and the solve
+  // settles on an uncentered point. Phase I above restores strict
+  // feasibility when the raw warm point sat on its binding set.
+  if (warm && max_constraint(gp, ws, y, scratch.p) < -kFeasMargin)
+    t *= kBarrierMu * kBarrierMu;
+  bool hit_limit = true;
+  bool stage_exhausted = false;
+  for (int stage = 0; stage < kMaxBarrierStages; ++stage) {
+    ++st.stages;
+    auto outcome =
+        newton_minimize(p2, t, y, options.tolerance, deadline, scratch);
+    st.newton += outcome.iterations;
+    st.t_final = t;
+    st.trace.push_back({static_cast<int>(st.trace.size()), false, t,
+                        outcome.iterations, outcome.converged, m_total / t});
+    if (outcome.failure == NewtonFailure::kTimeout)
+      return {SolveStatus::kTimeout, "deadline exceeded in phase II"};
+    if (outcome.failure == NewtonFailure::kNonFinite)
+      return {SolveStatus::kNumericalError,
+              "non-finite value in a phase II Newton step"};
+    stage_exhausted =
+        !outcome.converged && outcome.iterations >= kMaxNewtonIters;
+    if (m_total / t < options.tolerance) {
+      hit_limit = false;
+      break;
+    }
+    t *= kBarrierMu;
+  }
+  if (hit_limit || stage_exhausted)
+    return {SolveStatus::kMaxIter, "iteration budget exhausted"};
+  return {};
+}
+
+/// The first working set: every constraint when m <= kWholeSolveRatio * n,
+/// else the max(n, kMinSeed) constraints with the largest value at y0
+/// (ties to the lower index). Ascending, so a whole-problem set walks the
+/// constraints in problem order.
+std::vector<size_t> seed_working_set(const CompiledGp& gp, const Vec& y0,
+                                     std::vector<double>& z) {
+  const size_t n = gp.ylo.size();
+  const size_t m = gp.constraints.size();
+  std::vector<size_t> ws(m);
+  std::iota(ws.begin(), ws.end(), size_t{0});
+  if (m <= kWholeSolveRatio * n) return ws;
+  std::vector<double> value(m);
+  for (size_t j = 0; j < m; ++j) {
+    value[j] = gp.constraints[j].value_at(y0, z);
+    // A NaN value orders as most violated (and keeps the order strict).
+    if (std::isnan(value[j]))
+      value[j] = std::numeric_limits<double>::infinity();
+  }
+  const size_t k = std::min(m, std::max(n, kMinSeed));
+  std::partial_sort(ws.begin(), ws.begin() + static_cast<long>(k), ws.end(),
+                    [&](size_t a, size_t b) {
+                      return value[a] > value[b] ||
+                             (value[a] == value[b] && a < b);
+                    });
+  ws.resize(k);
+  std::sort(ws.begin(), ws.end());
+  return ws;
+}
+
+/// Adds to `ws` every omitted constraint with lhs > kAddLhs at y (NaN
+/// counts as above) and returns how many were added; `ws` stays ascending.
+size_t grow_working_set(const CompiledGp& gp, const Vec& y,
+                        std::vector<size_t>& ws, std::vector<double>& z) {
+  const double add_above = std::log(kAddLhs);
+  const size_t before = ws.size();
+  size_t next = 0;  // cursor into the ascending set
+  for (size_t j = 0; j < gp.constraints.size(); ++j) {
+    if (next < before && ws[next] == j) {
+      ++next;
+      continue;
+    }
+    if (!(gp.constraints[j].value_at(y, z) <= add_above)) ws.push_back(j);
+  }
+  std::inplace_merge(ws.begin(), ws.begin() + static_cast<long>(before),
+                     ws.end());
+  return ws.size() - before;
 }
 
 }  // namespace
@@ -484,21 +650,89 @@ GpResult failed_result(const GpProblem& problem, SolveStatus status,
   return result;
 }
 
-/// Per-solve telemetry: status/iteration counters, barrier stage count and
-/// the final duality-gap estimate (< 0 = never reached phase II). One
-/// relaxed atomic load when telemetry is disabled.
-void record_solve(obs::Span& span, const GpResult& result, int barrier_stages,
-                  double duality_gap) {
+/// Builds the result over the full GpProblem from the last round's point:
+/// every constraint's lhs and slack, duals on the working set (omitted
+/// constraints have dual 0), and the duality gap over the working set's
+/// barrier terms.
+GpResult finish(const GpProblem& problem, const CompiledGp& gp,
+                SolveState& st, const std::vector<size_t>& ws, int rounds,
+                RoundOutcome outcome) {
+  const size_t n = gp.ylo.size();
+  const bool optimal = outcome.status == SolveStatus::kOptimal;
+  GpResult out;
+  out.x.assign(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    double xi = std::exp(st.y[i]);
+    if (!std::isfinite(xi)) xi = std::exp(0.5 * (gp.ylo[i] + gp.yhi[i]));
+    out.x[i] = xi;
+  }
+  out.objective = problem.objective().eval(out.x);
+  out.diag.trace = std::move(st.trace);
+  out.diag.final_t = st.t_final;
+  out.diag.duality_gap =
+      st.t_final > 0.0
+          ? (static_cast<double>(ws.size()) + 2.0 * static_cast<double>(n)) /
+                st.t_final
+          : -1.0;
+  out.diag.working_set = ws;
+  out.diag.ws_rounds = rounds;
+  out.diag.constraints.reserve(problem.constraints().size());
+  double viol = 0.0;
+  size_t next = 0;  // cursor into the ascending working set
+  for (size_t j = 0; j < problem.constraints().size(); ++j) {
+    const auto& c = problem.constraints()[j];
+    const bool in_ws = next < ws.size() && ws[next] == j;
+    if (in_ws) ++next;
+    const double v = c.lhs.eval(out.x);
+    viol = std::max(viol, v - 1.0);
+    ConstraintDiagnostics cd;
+    cd.tag = c.tag;
+    cd.lhs = v;
+    cd.slack = 1.0 - v;
+    cd.log_slack =
+        v > 0.0 ? -std::log(v) : std::numeric_limits<double>::infinity();
+    if (optimal && in_ws && st.t_final > 0.0 && cd.log_slack > 0.0 &&
+        std::isfinite(cd.log_slack))
+      cd.dual = 1.0 / (st.t_final * cd.log_slack);
+    if (optimal && v >= 1.0 - kBindingTol) {
+      cd.binding = true;
+      out.diag.binding_set.push_back(j);
+      out.binding.push_back(c.tag);
+    }
+    out.diag.constraints.push_back(std::move(cd));
+  }
+  out.max_violation = viol;
+  out.newton_iterations = st.newton;
+  out.status = outcome.status;
+  out.message = outcome.message;
+  out.diagnostics = optimal ? Status::Ok()
+                            : Status::Fail(reason_of(outcome.status),
+                                           std::move(outcome.message));
+  return out;
+}
+
+/// Per-solve telemetry: status/iteration counters, barrier stage count,
+/// working-set size and rounds, and the final duality-gap estimate (< 0 =
+/// never reached phase II). One relaxed atomic load when telemetry is
+/// disabled.
+void record_solve(obs::Span& span, const GpResult& result,
+                  int barrier_stages) {
   auto& tel = obs::Telemetry::instance();
   if (!tel.enabled()) return;
+  const double gap = result.diag.duality_gap;
+  const auto ws = static_cast<double>(result.diag.working_set.size());
   tel.counter_add("gp.solve.calls");
   tel.counter_add(std::string("gp.solve.status.") + to_string(result.status));
   tel.hist_record("gp.solve.newton_iters", result.newton_iterations);
   tel.hist_record("gp.solve.barrier_stages", barrier_stages);
-  if (duality_gap >= 0.0) tel.hist_record("gp.solve.duality_gap", duality_gap);
+  tel.hist_record("gp.working_set", ws);
+  tel.hist_record("gp.solve.ws_rounds", result.diag.ws_rounds);
+  if (gap >= 0.0) tel.hist_record("gp.solve.duality_gap", gap);
   span.arg("newton_iters", result.newton_iterations);
   span.arg("barrier_stages", barrier_stages);
-  if (duality_gap >= 0.0) span.arg("duality_gap", duality_gap);
+  span.arg("working_set", ws);
+  span.arg("ws_rounds", result.diag.ws_rounds);
+  if (gap >= 0.0) span.arg("duality_gap", gap);
 }
 
 }  // namespace
@@ -529,7 +763,6 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
   prof::ResourceScope solve_rusage("gp.solve");
   const auto& vars = problem.vars();
   const size_t n = vars.size();
-  GpResult result;
 
   // Reject malformed data up front; the fallback point is finite by
   // construction so downstream consumers never see NaN widths.
@@ -540,246 +773,73 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
                           ? SolveStatus::kNumericalError
                           : SolveStatus::kInvalidInput,
                       v.detail);
-    record_solve(solve_span, rejected, 0, -1.0);
+    record_solve(solve_span, rejected, 0);
     return rejected;
   }
 
-  // Log-domain box bounds.
-  Vec ylo(n), yhi(n);
+  CompiledGp gp;
+  gp.ylo.resize(n);
+  gp.yhi.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const auto& info = vars.info(static_cast<posy::VarId>(i));
-    ylo[i] = std::log(info.lower);
-    yhi[i] = std::log(std::max(info.upper, info.lower));
+    gp.ylo[i] = std::log(info.lower);
+    gp.yhi[i] = std::log(std::max(info.upper, info.lower));
   }
-
-  std::vector<Func> constraints;
-  constraints.reserve(problem.constraints().size());
+  gp.constraints.reserve(problem.constraints().size());
   for (const auto& c : problem.constraints())
-    constraints.push_back(compile(c.lhs));
-  Func objective = compile(problem.objective());
+    gp.constraints.push_back(compile(c.lhs));
+  gp.objective = compile(problem.objective());
   // Conditioning guardrail: shift the objective's log-coefficients so its
   // largest term has logc 0 (equivalent to scaling the objective by a
   // positive constant, which moves no argmin). Keeps t * f0 tame when cost
   // coefficients are huge (e.g. power objectives in fF*V^2 units).
-  if (!objective.terms.empty()) {
+  if (!gp.objective.terms.empty()) {
     double logc_max = -std::numeric_limits<double>::infinity();
-    for (const auto& t : objective.terms)
+    for (const auto& t : gp.objective.terms)
       logc_max = std::max(logc_max, t.logc);
     if (std::fabs(logc_max) > 30.0)
-      for (auto& t : objective.terms) t.logc -= logc_max;
+      for (auto& t : gp.objective.terms) t.logc -= logc_max;
   }
 
   const Deadline deadline = Deadline::from_ms(options_.deadline_ms);
 
-  auto max_constraint = [&](const Vec& yy) {
-    double m = -std::numeric_limits<double>::infinity();
-    for (const auto& f : constraints) m = std::max(m, f.value_at(yy));
-    return m;
-  };
-
-  // Telemetry accumulators: barrier stages consumed and the most recent
-  // duality-gap estimate (m_total / t; < 0 until phase II).
-  int total_stages = 0;
-  double last_gap = -1.0;
-
-  // The barrier solve from a given starting point. Writes into `out`.
-  auto attempt = [&](const Vec& y_init, GpResult& out) {
-    Vec y = y_init;
-    int total_newton = 0;
-    // Introspection state accumulated as the solve runs: the barrier-stage
-    // trace and the final phase-II barrier weight (0 until phase II runs).
-    // All of it is derived from values the solve computes anyway, so the
-    // iterate trajectory is untouched.
-    const double m_total = static_cast<double>(constraints.size()) +
-                           2.0 * static_cast<double>(n);
-    std::vector<StageTrace> trace;
-    double t_final = 0.0;
-    auto finish = [&](SolveStatus status, const std::string& msg) {
-      out.x.assign(n, 0.0);
-      for (size_t i = 0; i < n; ++i) {
-        double xi = std::exp(y[i]);
-        if (!std::isfinite(xi))
-          xi = std::exp(0.5 * (ylo[i] + yhi[i]));
-        out.x[i] = xi;
-      }
-      out.objective = problem.objective().eval(out.x);
-      double viol = 0.0;
-      out.binding.clear();
-      out.diag = SolveDiagnostics{};
-      out.diag.trace = std::move(trace);
-      out.diag.final_t = t_final;
-      out.diag.duality_gap = t_final > 0.0 ? m_total / t_final : -1.0;
-      out.diag.constraints.reserve(problem.constraints().size());
-      for (const auto& c : problem.constraints()) {
-        const double v = c.lhs.eval(out.x);
-        viol = std::max(viol, v - 1.0);
-        ConstraintDiagnostics cd;
-        cd.tag = c.tag;
-        cd.lhs = v;
-        cd.slack = 1.0 - v;
-        cd.log_slack = v > 0.0 ? -std::log(v)
-                               : std::numeric_limits<double>::infinity();
-        if (status == SolveStatus::kOptimal && t_final > 0.0 &&
-            cd.log_slack > 0.0 && std::isfinite(cd.log_slack))
-          cd.dual = 1.0 / (t_final * cd.log_slack);
-        if (status == SolveStatus::kOptimal &&
-            v >= 1.0 - kBindingTol) {
-          cd.binding = true;
-          out.diag.binding_set.push_back(out.diag.constraints.size());
-          out.binding.push_back(c.tag);
-        }
-        out.diag.constraints.push_back(std::move(cd));
-      }
-      out.max_violation = viol;
-      out.newton_iterations = total_newton;
-      out.status = status;
-      out.message = msg;
-      out.diagnostics = status == SolveStatus::kOptimal
-                            ? Status::Ok()
-                            : Status::Fail(reason_of(status), msg);
-    };
-
-    // ---- Phase I: find a strictly feasible point ----
-    if (!constraints.empty() && max_constraint(y) >= -kFeasMargin) {
-      obs::Span phase1_span("gp.phase1");
-      // Augment with auxiliary s: minimize s subject to F_j(y) - s <= 0.
-      Vec ylo1 = ylo, yhi1 = yhi;
-      const double s0 = max_constraint(y) + 1.0;
-      if (!std::isfinite(s0)) {
-        finish(SolveStatus::kNumericalError,
-               "non-finite constraint value at the starting point");
-        return;
-      }
-      // Generous box for s keeps the barrier well-behaved.
-      ylo1.push_back(std::min(-10.0, s0 - 100.0));
-      yhi1.push_back(s0 + 100.0);
-      std::vector<Func> aug;
-      aug.reserve(constraints.size());
-      for (const auto& f : constraints) {
-        Func fa = f;
-        fa.linear_vars.push_back(static_cast<int>(n));
-        fa.linear_coef.push_back(-1.0);
-        fa.finish();
-        aug.push_back(std::move(fa));
-      }
-      Func obj_s;  // objective = s (pure linear)
-      obj_s.linear_vars.push_back(static_cast<int>(n));
-      obj_s.linear_coef.push_back(1.0);
-      obj_s.finish();
-      BarrierProblem p1{&aug, &obj_s, &ylo1, &yhi1};
-
-      Vec ys = y;
-      ys.push_back(s0);
-      const double want = -2.0 * kFeasMargin;
-      auto feasible_now = [&](const Vec& yy) {
-        Vec ycore(yy.begin(), yy.begin() + static_cast<long>(n));
-        return max_constraint(ycore) < want;
-      };
-      double t = 1.0;
-      NewtonFailure p1_failure = NewtonFailure::kNone;
-      for (int stage = 0; stage < kMaxBarrierStages; ++stage) {
-        ++total_stages;
-        auto outcome =
-            newton_minimize(p1, t, ys, options_, deadline, feasible_now);
-        total_newton += outcome.iterations;
-        trace.push_back({static_cast<int>(trace.size()), true, t,
-                         outcome.iterations, outcome.converged, -1.0});
-        if (outcome.failure != NewtonFailure::kNone) {
-          p1_failure = outcome.failure;
-          break;
-        }
-        if (feasible_now(ys)) break;
-        if (static_cast<double>(aug.size()) / t < options_.tolerance) break;
-        t *= kBarrierMu;
-      }
-      y.assign(ys.begin(), ys.begin() + static_cast<long>(n));
-      if (p1_failure == NewtonFailure::kTimeout) {
-        finish(SolveStatus::kTimeout, "deadline exceeded in phase I");
-        return;
-      }
-      if (p1_failure == NewtonFailure::kNonFinite) {
-        finish(SolveStatus::kNumericalError,
-               "non-finite value in a phase I Newton step");
-        return;
-      }
-      if (max_constraint(y) >= 0.0) {
-        finish(SolveStatus::kInfeasible,
-               util::strfmt(
-                   "phase I failed: max constraint value %.4g (want < 1)",
-                   std::exp(max_constraint(y))));
-        return;
-      }
-    }
-
-    // ---- Phase II: barrier path following ----
-    obs::Span phase2_span("gp.phase2");
-    const BarrierProblem p2{&constraints, &objective, &ylo, &yhi};
-
-    double t = kTInitial;
-    // A warm start that is strictly feasible sits near the previous
-    // optimum — close to its active constraints. Low-t centering would
-    // drag the iterate back toward the analytic center only to return, so
-    // skip two stages of the barrier schedule. Jumping further (e.g.
-    // straight to the terminal weight) backfires: far from the central
-    // path at high t, Newton exhausts its per-stage budget and the solve
-    // settles on an uncentered point. Phase I above restores strict
-    // feasibility when the raw warm point sat on its binding set.
-    if (x0 != nullptr && max_constraint(y) < -kFeasMargin)
-      t *= kBarrierMu * kBarrierMu;
-    bool hit_limit = true;
-    bool stage_exhausted = false;
-    for (int stage = 0; stage < kMaxBarrierStages; ++stage) {
-      ++total_stages;
-      auto outcome = newton_minimize(p2, t, y, options_, deadline);
-      total_newton += outcome.iterations;
-      t_final = t;
-      trace.push_back({static_cast<int>(trace.size()), false, t,
-                       outcome.iterations, outcome.converged, m_total / t});
-      if (outcome.failure == NewtonFailure::kTimeout) {
-        finish(SolveStatus::kTimeout, "deadline exceeded in phase II");
-        return;
-      }
-      if (outcome.failure == NewtonFailure::kNonFinite) {
-        finish(SolveStatus::kNumericalError,
-               "non-finite value in a phase II Newton step");
-        return;
-      }
-      stage_exhausted = !outcome.converged &&
-                        outcome.iterations >= kMaxNewtonIters;
-      last_gap = m_total / t;
-      if (m_total / t < options_.tolerance) {
-        hit_limit = false;
-        break;
-      }
-      t *= kBarrierMu;
-    }
-
-    if (hit_limit || stage_exhausted)
-      finish(SolveStatus::kMaxIter, "iteration budget exhausted");
-    else
-      finish(SolveStatus::kOptimal, "optimal");
-  };
-
   // Initial point: warm start (clipped strictly inside the box) or the box
   // midpoint (geometric mean of the bounds).
-  Vec y0(n);
+  SolveState st;
+  st.y.resize(n);
   for (size_t i = 0; i < n; ++i) {
+    const double lo = gp.ylo[i], hi = gp.yhi[i];
     if (x0 != nullptr) {
-      const double margin = 1e-3 * std::max(1.0, yhi[i] - ylo[i]);
-      y0[i] = std::clamp(std::log(std::max((*x0)[i], 1e-300)),
-                         ylo[i] + margin, yhi[i] - margin);
-      if (!std::isfinite(y0[i])) y0[i] = 0.5 * (ylo[i] + yhi[i]);
+      const double margin = 1e-3 * std::max(1.0, hi - lo);
+      st.y[i] = std::clamp(std::log(std::max((*x0)[i], 1e-300)), lo + margin,
+                           hi - margin);
+      if (!std::isfinite(st.y[i])) st.y[i] = 0.5 * (lo + hi);
     } else {
-      y0[i] = 0.5 * (ylo[i] + yhi[i]);
+      st.y[i] = 0.5 * (lo + hi);
     }
-    if (yhi[i] - ylo[i] < 1e-12) y0[i] = ylo[i];  // effectively fixed var
+    if (hi - lo < 1e-12) st.y[i] = lo;  // effectively fixed var
   }
 
-  // One attempt: the log-domain program is convex, so a second attempt
-  // from a perturbed point could only reach the same optimum. Transient
+  // Working-set rounds. A relaxation's infeasibility is the full GP's; a
+  // relaxation optimum at which every omitted constraint is strictly
+  // slack (lhs <= kAddLhs) is feasible, hence optimal, for the full GP.
+  // Each further round adds at least one constraint, so the loop ends. One
+  // attempt per round: the log-domain program is convex, and transient
   // faults are handled a level up, by the sizer's degradation ladder.
-  attempt(y0, result);
-  record_solve(solve_span, result, total_stages, last_gap);
+  BarrierScratch scratch;
+  std::vector<size_t> ws = seed_working_set(gp, st.y, scratch.p);
+  int rounds = 0;
+  RoundOutcome outcome;
+  for (;;) {
+    ++rounds;
+    outcome = barrier_solve(gp, ws, x0 != nullptr || rounds > 1, options_,
+                            deadline, scratch, st);
+    if (outcome.status != SolveStatus::kOptimal ||
+        grow_working_set(gp, st.y, ws, scratch.p) == 0)
+      break;
+  }
+  GpResult result = finish(problem, gp, st, ws, rounds, std::move(outcome));
+  record_solve(solve_span, result, st.stages);
   return result;
 }
 

@@ -8,6 +8,17 @@
 ///              strictly feasible point is found;
 ///   phase II — standard log-barrier path following with damped Newton.
 ///
+/// Working set (DESIGN.md §10). Few constraints decide a sizing (§5.2), so
+/// the barrier solve carries only a working set of them. A GP with
+/// m <= 4n constraints is solved whole, in one round. A larger one starts
+/// from the max(n, 8) constraints with the largest value at the start
+/// point; after each optimal round every omitted constraint with lhs > 0.95
+/// joins the set and the GP is re-solved from the last point. The rounds
+/// end when nothing is added. An infeasible relaxation certifies an
+/// infeasible GP, and a relaxation optimum at which every omitted
+/// constraint is strictly slack is optimal for the full GP. Diagnostics
+/// always cover every constraint of the GpProblem.
+///
 /// Guardrails: the solver never throws and never returns non-finite
 /// variable values. Malformed problems, NaN/Inf surfacing mid-solve,
 /// iteration exhaustion and wall-clock overrun all come back as a
@@ -28,9 +39,10 @@
 namespace smart::gp {
 
 /// Per-call solver settings. The barrier schedule (growth factor, initial
-/// weight, stage and Newton budgets, feasibility margin) and the binding
-/// threshold are fixed constants in solver.cpp, tuned for SMART sizing
-/// problems (tens to a few hundred variables, hundreds of constraints).
+/// weight, stage and Newton budgets, feasibility margin), the binding
+/// threshold and the working-set rules are fixed constants in solver.cpp,
+/// tuned for SMART sizing problems (tens to a few hundred variables,
+/// hundreds to thousands of constraints).
 struct SolverOptions {
   double tolerance = 3e-5;  ///< duality-gap-style stopping criterion
 
@@ -55,7 +67,8 @@ const char* to_string(SolveStatus status);
 /// with u_j = -log lhs_j(x) the log-domain slack; by barrier
 /// complementarity lambda_j * u_j = 1/t_final, so at convergence the dual
 /// is large exactly on the constraints that bind. Duals are only populated
-/// for kOptimal solves (phase II finished); elsewhere they stay 0.
+/// for kOptimal solves (phase II finished) and only on the working set;
+/// elsewhere they stay 0.
 struct ConstraintDiagnostics {
   std::string tag;        ///< constraint tag from the GpProblem
   double lhs = 0.0;       ///< lhs(x), feasible iff <= 1
@@ -85,10 +98,18 @@ struct SolveDiagnostics {
   std::vector<ConstraintDiagnostics> constraints;
   /// Indices into `constraints` of the binding set (kOptimal solves).
   std::vector<size_t> binding_set;
-  /// Barrier-stage convergence trace of the accepted attempt.
+  /// Barrier-stage convergence trace, across every working-set round.
   std::vector<StageTrace> trace;
-  double final_t = 0.0;     ///< barrier weight at exit; 0 if no phase II
-  double duality_gap = -1.0;///< m_total / final_t at exit; < 0 if no phase II
+  /// Barrier weight at exit of the last round; 0 if it had no phase II.
+  double final_t = 0.0;
+  /// m_total / final_t at exit, with m_total = |working_set| + 2n barrier
+  /// terms; < 0 if the last round had no phase II.
+  double duality_gap = -1.0;
+  /// Ascending indices into `constraints` of the constraints the last
+  /// barrier solve carried; every other constraint has dual 0 and, at an
+  /// optimum, lhs <= 0.95. All of them when m <= 4n.
+  std::vector<size_t> working_set;
+  int ws_rounds = 0;  ///< barrier solves run: 1 + re-solves after additions
 };
 
 /// Result of a GP solve. x is in the original (positive) domain and always

@@ -1,11 +1,13 @@
 // Tests for the geometric-program solver: analytic optima, infeasibility
-// detection, box bounds, and randomized feasible-by-construction problems.
+// detection, box bounds, randomized feasible-by-construction problems, and
+// the working-set rounds and their certificate.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "gp/solver.h"
+#include "helpers.h"
 #include "util/rng.h"
 
 namespace smart::gp {
@@ -222,6 +224,129 @@ TEST(GpSolverTest, ReportsNewtonIterations) {
   const GpResult r = GpSolver().solve(p);
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r.newton_iterations, 0);
+}
+
+// A one-variable GP with m > 4n constraints whose start point (the box
+// midpoint, x = 10) ranks twelve loose upper bounds c_i x <= 1 above
+// `hidden_lower` (x >= hidden_lower reads 0.2 there), so the first working
+// set omits it. `extra` adds further constraints.
+GpProblem hidden_constraint_problem(const VarTable& vars, Posynomial extra) {
+  GpProblem p(vars);
+  p.set_objective(Posynomial::variable(0));
+  for (int i = 0; i < 12; ++i)
+    p.add_constraint(Posynomial(Monomial(0.03 + 0.002 * i) *
+                                Monomial::variable(0)),
+                     "x<=" + std::to_string(1.0 / (0.03 + 0.002 * i)));
+  p.add_constraint(Posynomial(Monomial(2.0) * Monomial::variable(0, -1)),
+                   "x>=2");
+  if (!extra.is_zero()) p.add_constraint(extra, "extra");
+  return p;
+}
+
+TEST(GpWorkingSetTest, ResolvesWithAConstraintTheSeedOmitted) {
+  VarTable vars;
+  vars.add("x", 1e-2, 1e4);
+  const GpProblem p = hidden_constraint_problem(vars, {});
+  const GpResult r = GpSolver().solve(p);
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_NEAR(r.x[0], 2.0, 2e-2);
+  // Round 1 solves over the 8 largest bounds and lands on the box floor,
+  // which violates x >= 2; round 2 adds it and certifies.
+  EXPECT_EQ(r.diag.ws_rounds, 2);
+  EXPECT_EQ(r.diag.working_set.size(), 9u);
+  EXPECT_EQ(r.diag.working_set.back(), 12u);  // x>=2
+  ASSERT_EQ(r.binding.size(), 1u);
+  EXPECT_EQ(r.binding[0], "x>=2");
+  test::expect_working_set_certificate(r);
+  // The duality gap counts the working set's barrier terms only.
+  EXPECT_NEAR(r.diag.duality_gap, (9.0 + 2.0) / r.diag.final_t,
+              1e-9 * r.diag.duality_gap);
+}
+
+TEST(GpWorkingSetTest, InfeasibleRelaxationMeansInfeasibleGp) {
+  VarTable vars;
+  vars.add("x", 1e-2, 1e4);
+  // x <= 1 reads 10 at the start point, so it is seeded; x >= 2 is not.
+  const GpProblem p =
+      hidden_constraint_problem(vars, Posynomial::variable(0));
+  const GpResult r = GpSolver().solve(p);
+  EXPECT_EQ(r.status, SolveStatus::kInfeasible);
+  EXPECT_EQ(r.diag.ws_rounds, 2);
+  for (const auto& c : r.diag.constraints) EXPECT_EQ(c.dual, 0.0) << c.tag;
+}
+
+TEST(GpWorkingSetTest, SmallProblemsSolveWholeInOneRound) {
+  // m = 2 <= 4n: the seed is every constraint and no round follows.
+  VarTable vars;
+  const VarId x = vars.add("x", 1e-3, 1e3);
+  const VarId y = vars.add("y", 1e-3, 1e3);
+  GpProblem p(vars);
+  p.set_objective(Posynomial::variable(x) + Posynomial::variable(y));
+  p.add_constraint(Posynomial::variable(x, -1.0) +
+                       Posynomial::variable(y, -1.0),
+                   "harmonic");
+  p.add_constraint(Posynomial(Monomial(1e-3) * Monomial::variable(x)),
+                   "x<=1000");
+  const GpResult r = GpSolver().solve(p);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.diag.ws_rounds, 1);
+  EXPECT_EQ(r.diag.working_set, (std::vector<size_t>{0, 1}));
+}
+
+// Property: a working-set solve (m > 4n) reaches the optimum of the same
+// GP solved whole. The reference pads the variable table with unused
+// variables until m <= 4n, which makes the solver carry every constraint
+// and leaves the optimum over the real variables unchanged.
+TEST(GpWorkingSetProperty, MatchesTheWholeSolve) {
+  util::Rng rng(77);
+  constexpr int kVars = 3;
+  constexpr int kConstraints = 40;
+  for (int trial = 0; trial < 10; ++trial) {
+    VarTable vars, padded;
+    for (int i = 0; i < kVars; ++i) {
+      vars.add("v" + std::to_string(i), 1e-3, 1e3);
+      padded.add("v" + std::to_string(i), 1e-3, 1e3);
+    }
+    for (int i = kVars; i * 4 < kConstraints; ++i)
+      padded.add("pad" + std::to_string(i), 1.0, 2.0);
+    util::Vec feasible(kVars);
+    for (auto& v : feasible) v = rng.uniform(0.5, 5.0);
+
+    GpProblem p(vars), whole(padded);
+    Posynomial obj;
+    for (int i = 0; i < kVars; ++i)
+      obj += Monomial(rng.uniform(0.5, 2.0)) * Monomial::variable(i);
+    p.set_objective(obj);
+    whole.set_objective(obj);
+    for (int c = 0; c < kConstraints; ++c) {
+      Posynomial lhs;
+      const int terms = rng.uniform_int(1, 3);
+      for (int t = 0; t < terms; ++t) {
+        Monomial mono(rng.uniform(0.1, 2.0));
+        for (int i = 0; i < kVars; ++i)
+          mono.mul_var(i, static_cast<double>(rng.uniform_int(-2, 1)));
+        lhs += mono;
+      }
+      if (lhs.is_zero() || lhs.is_constant()) continue;
+      // Slack at the feasible point ranges from none to a factor of 10.
+      lhs *= rng.uniform(0.1, 1.0) / lhs.eval(feasible);
+      p.add_constraint(lhs, "c" + std::to_string(c));
+      whole.add_constraint(lhs, "c" + std::to_string(c));
+    }
+    ASSERT_GT(p.constraints().size(), 4u * kVars);
+
+    const GpResult r = GpSolver().solve(p);
+    const GpResult ref = GpSolver().solve(whole);
+    ASSERT_TRUE(ref.ok()) << "trial " << trial << ": " << ref.message;
+    ASSERT_EQ(ref.diag.working_set.size(), whole.constraints().size());
+    ASSERT_TRUE(r.ok()) << "trial " << trial << ": " << r.message;
+    EXPECT_LT(r.diag.working_set.size(), p.constraints().size())
+        << "trial " << trial;
+    EXPECT_NEAR(r.objective, ref.objective, 1e-4 * ref.objective)
+        << "trial " << trial;
+    EXPECT_LE(r.max_violation, 1e-5) << "trial " << trial;
+    test::expect_working_set_certificate(r);
+  }
 }
 
 }  // namespace

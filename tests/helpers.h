@@ -3,11 +3,15 @@
 /// \file helpers.h
 /// Shared test fixtures and utilities for the SMART test suite.
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "core/database.h"
+#include "gp/solver.h"
 #include "macros/registry.h"
 #include "models/fitter.h"
 #include "netlist/netlist.h"
@@ -68,6 +72,24 @@ inline refsim::Logic net_value(const netlist::Netlist& nl,
   const netlist::NetId id = nl.find_net(name);
   if (id < 0) throw std::runtime_error("no net named " + name);
   return state.at(static_cast<size_t>(id));
+}
+
+/// Checks a solve's working-set certificate (gp/solver.h): the working set
+/// is ascending, every constraint it omits has lhs <= 0.95 and dual 0, and
+/// every binding constraint is in it.
+inline void expect_working_set_certificate(const gp::GpResult& r) {
+  const auto& ws = r.diag.working_set;
+  ASSERT_TRUE(std::is_sorted(ws.begin(), ws.end()));
+  std::vector<bool> in_ws(r.diag.constraints.size(), false);
+  for (size_t j : ws) in_ws.at(j) = true;
+  for (size_t j = 0; j < in_ws.size(); ++j) {
+    if (in_ws[j]) continue;
+    const auto& c = r.diag.constraints[j];
+    EXPECT_LE(c.lhs, 0.95) << c.tag;
+    EXPECT_EQ(c.dual, 0.0) << c.tag;
+  }
+  for (size_t j : r.diag.binding_set)
+    EXPECT_TRUE(in_ws.at(j)) << r.diag.constraints[j].tag;
 }
 
 /// Uniform sizing helper.

@@ -507,8 +507,9 @@ TEST(ProfOverheadTest, SamplingAt99HzStaysUnder5Percent) {
 #if defined(SMART_PROF_TEST_SANITIZED)
   GTEST_SKIP() << "overhead measurement is meaningless under sanitizers";
 #else
-  // The adder's GP: one solve takes over 100 ms, so a 99 Hz sampler fires
-  // during it and the comparison measures the sampler, not timer jitter.
+  // The adder's GP: one solve takes tens of ms (~30 ms in a Release
+  // build), so a 99 Hz sampler fires during it and the comparison measures
+  // the sampler, not timer jitter.
   const auto nl = adder64();
   const core::SizerOptions sopt = adder64_options(nl);
   core::ConstraintOptions copt;

@@ -293,6 +293,11 @@ TEST_F(ScopeReportTest, AdderReportIsTruthfulAboutMergedConstraints) {
   ASSERT_NE(result.snapshot, nullptr);
   const auto& gen = result.snapshot->gen;
   const auto& diag = result.snapshot->gp.diag;
+  // A report-grade solve drives the barrier weight to ~6e8, where the
+  // Newton decrement falls below the rounding of the barrier value; no
+  // respec iteration may creep there until its iteration budget runs out.
+  for (const auto& it : result.respec_trace)
+    EXPECT_NE(it.gp_status, gp::SolveStatus::kMaxIter) << "iter " << it.iter;
 
   ScopeOptions opt;
   opt.top_k = 1000;  // every path

@@ -1,11 +1,13 @@
 // Tests for the SMART sizing loop (Fig 4): convergence, monotone area-delay
-// behaviour, infeasibility handling, OTB and cost-metric effects, and the
-// iso-delay experiment protocol.
+// behaviour, infeasibility handling, OTB and cost-metric effects, the
+// iso-delay experiment protocol, and the working-set GP on the macros
+// whose constraints mostly never bind.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "blocks/block.h"
 #include "core/experiment.h"
 #include "core/report.h"
 #include "helpers.h"
@@ -300,6 +302,78 @@ TEST_F(SizerTest, WarmStartFromOwnSolutionConvergesCheaper) {
   EXPECT_LT(warm.gp_newton_iterations, cold.gp_newton_iterations);
   EXPECT_NEAR(warm.total_width_um, cold.total_width_um,
               0.02 * cold.total_width_um);
+}
+
+// The working-set GP (gp/solver.h) on generated macro GPs. The reference
+// objectives are those of the same GPs solved over every constraint at
+// once, which is what the solver did before it grew a working set.
+class WorkingSetGpTest : public ::testing::Test {
+ protected:
+  gp::GpResult solve(const netlist::Netlist& nl, double delay_ps,
+                     double precharge_ps = -1.0,
+                     double slope_budget_ps = 120.0) {
+    ConstraintOptions opt;
+    opt.delay_spec_ps = delay_ps;
+    opt.precharge_spec_ps = precharge_ps;
+    opt.slope_budget_ps = slope_budget_ps;
+    const auto gen = generate_problem(nl, opt, lib_, tech_);
+    constraints_ = gen.problem->constraints().size();
+    return gp::GpSolver().solve(*gen.problem);
+  }
+
+  const tech::Tech& tech_ = tech::default_tech();
+  const models::ModelLibrary& lib_ = models::default_library();
+  size_t constraints_ = 0;  ///< of the last solved GP
+};
+
+TEST_F(WorkingSetGpTest, Adder64MatchesTheWholeSolve) {
+  MacroSpec spec;
+  spec.type = "adder";
+  spec.n = 64;
+  const auto r = solve(test::generate("adder", "domino_cla", spec), 621.5,
+                       161.0, 200.0);
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_NEAR(r.objective, 3851.866, 1e-4 * 3851.866);
+  EXPECT_LT(r.diag.working_set.size(), constraints_);
+  test::expect_working_set_certificate(r);
+}
+
+TEST_F(WorkingSetGpTest, KoggeStoneIncrementorMatchesTheWholeSolve) {
+  MacroSpec spec;
+  spec.type = "incrementor";
+  spec.n = 64;
+  const auto r = solve(test::generate("incrementor", "ks_prefix", spec),
+                       450.0);
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_NEAR(r.objective, 3639.046, 1e-4 * 3639.046);
+  EXPECT_LT(r.diag.working_set.size(), constraints_);
+  test::expect_working_set_certificate(r);
+}
+
+TEST_F(WorkingSetGpTest, ComposedSliceSolvesOverAFewOfItsConstraints) {
+  const auto slice = blocks::bypass_slice(macros::builtin_database(), 32);
+  const auto r = solve(slice, 2400.0);
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_NEAR(r.objective, 1662.757, 1e-4 * 1662.757);
+  EXPECT_LT(r.diag.working_set.size(), constraints_ / 10);
+  test::expect_working_set_certificate(r);
+
+  // Solved whole, this GP stopped at its iteration budget with objective
+  // 1472.49; the working set reaches the optimum below it.
+  const auto loose = solve(slice, 2700.0);
+  ASSERT_EQ(loose.status, gp::SolveStatus::kOptimal) << loose.message;
+  EXPECT_LE(loose.objective, 1472.49);
+  test::expect_working_set_certificate(loose);
+}
+
+TEST_F(WorkingSetGpTest, SmallMuxSolvesWholeInOneRound) {
+  MacroSpec spec;
+  spec.type = "mux";
+  spec.n = 4;
+  const auto r = solve(test::generate("mux", "strong_pass", spec), 80.0);
+  EXPECT_EQ(r.diag.ws_rounds, 1);
+  EXPECT_EQ(r.diag.working_set.size(), constraints_);
+  EXPECT_GT(constraints_, 0u);
 }
 
 }  // namespace
