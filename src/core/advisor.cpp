@@ -9,7 +9,6 @@
 #include "obs/obs.h"
 #include "power/power.h"
 #include "refsim/critical_path.h"
-#include "refsim/rc_timer.h"
 #include "util/check.h"
 #include "util/strfmt.h"
 
@@ -79,13 +78,11 @@ Advice DesignAdvisor::advise(const AdvisorRequest& request) const {
     try {
       netlist::Netlist ref = topos.front()->generate(request.spec);
       apply_site_wiring(ref, request.spec);
-      BaselineSizer baseline(*tech_, request.baseline);
-      const auto ref_sizing = baseline.size(ref);
-      const refsim::RcTimer timer(*tech_);
-      const auto rep = timer.analyze(ref, ref_sizing);
-      delay_spec = rep.worst_delay;
-      if (pre_spec <= 0.0 && rep.worst_precharge > 0.0)
-        pre_spec = rep.worst_precharge;
+      SizerOptions derived;
+      spec_from_baseline(ref, *tech_, request.baseline, &derived);
+      delay_spec = derived.delay_spec_ps;
+      if (pre_spec <= 0.0 && derived.precharge_spec_ps > 0.0)
+        pre_spec = derived.precharge_spec_ps;
     } catch (const std::exception& e) {
       advice.message = util::strfmt(
           "could not derive a delay spec from the reference design: %s",
@@ -172,24 +169,18 @@ Advice DesignAdvisor::advise(const AdvisorRequest& request) const {
     return sol;
   };
 
-  // Candidate fan-out on the shared worker pool. Results land index-ordered
-  // (slot i belongs to topos[i]), so the sweep ranks identically at any
-  // thread count; each candidate's sizing runs on one thread. Solution has
-  // no default constructor (Netlist carries a mandatory name), hence the
-  // optional hop.
-  std::vector<Solution> sized;
-  sized.reserve(topos.size());
-  if (request.parallel && topos.size() > 1) {
-    auto slots = par::parallel_map<std::optional<Solution>>(
-        topos.size(),
-        [&](size_t i) { return std::optional<Solution>(size_one(topos[i])); },
-        "advisor.sweep");
-    for (auto& slot : slots) sized.push_back(std::move(*slot));
-  } else {
-    for (const TopologyEntry* entry : topos) sized.push_back(size_one(entry));
-  }
+  // Candidate fan-out on the shared worker pool (inline at one thread or
+  // one candidate). Results land index-ordered (slot i belongs to
+  // topos[i]), so the sweep ranks identically at any thread count; each
+  // candidate's sizing runs on one thread. Solution has no default
+  // constructor (Netlist carries a mandatory name), hence the optional hop.
+  auto sized = par::parallel_map<std::optional<Solution>>(
+      topos.size(),
+      [&](size_t i) { return std::optional<Solution>(size_one(topos[i])); },
+      "advisor.sweep");
 
-  for (auto& sol : sized) {
+  for (auto& slot : sized) {
+    Solution& sol = *slot;
     // A candidate only ranks when the optimizer produced its sizing; failed
     // and baseline-degraded candidates are reported with their structured
     // reason instead ("reported, not fatal").
@@ -205,7 +196,7 @@ Advice DesignAdvisor::advise(const AdvisorRequest& request) const {
   }
 
   // Deterministic ranking: stable sort plus a full tie-break chain so equal
-  // costs cannot reorder between runs (or between parallel/serial sizing).
+  // costs cannot reorder between runs or thread counts.
   std::stable_sort(advice.solutions.begin(), advice.solutions.end(),
                    [](const Solution& a, const Solution& b) {
                      if (a.meets_spec != b.meets_spec) return a.meets_spec;

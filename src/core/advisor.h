@@ -50,9 +50,6 @@ struct AdvisorRequest {
   CostMetric cost = CostMetric::kTotalWidth;
   SizerOptions sizer;  ///< delay/precharge/cost fields are overwritten
   BaselineOptions baseline;
-  /// Size candidate topologies concurrently (they are independent). The
-  /// result is deterministic either way.
-  bool parallel = true;
 };
 
 /// A candidate topology that could not be sized by the optimizer: either

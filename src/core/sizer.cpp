@@ -36,6 +36,14 @@ void record_sizing(obs::Span& span, const SizerResult& r) {
 
 }  // namespace
 
+void spec_from_baseline(const netlist::Netlist& nl, const tech::Tech& tech,
+                        const BaselineOptions& baseline, SizerOptions* opt) {
+  const refsim::RcTimer timer(tech);
+  const auto rep = timer.analyze(nl, BaselineSizer(tech, baseline).size(nl));
+  opt->delay_spec_ps = rep.worst_delay;
+  if (rep.worst_precharge > 0.0) opt->precharge_spec_ps = rep.worst_precharge;
+}
+
 const char* to_string(SizingRung rung) {
   switch (rung) {
     case SizingRung::kGp:
@@ -118,6 +126,32 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
   double snap_model_spec = 0.0, snap_model_pre = 0.0, snap_slope = 0.0;
   std::vector<double> snap_required;
 
+  // Constraint options at the given model-facing specs; everything else
+  // comes from the caller's options.
+  auto constraint_options = [&](double spec, double pre, double slope,
+                                const std::vector<double>& required) {
+    ConstraintOptions copt;
+    copt.delay_spec_ps = spec;
+    copt.precharge_spec_ps = pre;
+    copt.slope_budget_ps = slope;
+    copt.enforce_slopes = opt.enforce_slopes;
+    copt.otb = opt.otb;
+    copt.cost = opt.cost;
+    copt.activity = opt.activity;
+    copt.prune = opt.prune;
+    copt.input_cap_limit_ff = opt.input_cap_limit_ff;
+    copt.input_cap_limits_ff = opt.input_cap_limits_ff;
+    copt.output_required_ps = required;
+    return copt;
+  };
+  // Infeasible at the current model-facing specs (rejected pre-solve or by
+  // the solver): relax them and the slope budget, then retry.
+  auto relax = [&] {
+    model_spec *= 1.25;
+    model_pre_spec *= 1.25;
+    slope_budget = std::min(slope_budget * 1.15, opt.slope_budget_ps * 2.0);
+  };
+
   for (int iter = 0; iter < opt.max_respec_iters; ++iter) {
     if (deadline.expired()) {
       last_fail = Status::Fail(FailureReason::kTimeout,
@@ -136,18 +170,8 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
     {
       obs::Span gen_span("sizer.constraints");
       if (built_slope_budget != slope_budget) {
-        ConstraintOptions copt;
-        copt.delay_spec_ps = model_spec;
-        copt.precharge_spec_ps = model_pre_spec;
-        copt.slope_budget_ps = slope_budget;
-        copt.enforce_slopes = opt.enforce_slopes;
-        copt.otb = opt.otb;
-        copt.cost = opt.cost;
-        copt.activity = opt.activity;
-        copt.prune = opt.prune;
-        copt.input_cap_limit_ff = opt.input_cap_limit_ff;
-        copt.input_cap_limits_ff = opt.input_cap_limits_ff;
-        copt.output_required_ps = scaled_required;
+        ConstraintOptions copt = constraint_options(
+            model_spec, model_pre_spec, slope_budget, scaled_required);
         copt.deadline = deadline.enabled ? &deadline : nullptr;
         try {
           gen = generate_problem(nl, copt, *lib_, *tech_);
@@ -175,10 +199,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
           if (last_fail.reason == FailureReason::kInfeasible) {
             // Box-infeasible at this spec: relax exactly as a solver
             // phase-I failure would, and retry.
-            model_spec *= 1.25;
-            model_pre_spec *= 1.25;
-            slope_budget = std::min(slope_budget * 1.15,
-                                    opt.slope_budget_ps * 2.0);
+            relax();
             continue;
           }
           break;
@@ -230,10 +251,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
             sol.message.c_str());
         best.path_stats = gen.path_stats;
       }
-      model_spec *= 1.25;
-      model_pre_spec *= 1.25;
-      slope_budget = std::min(slope_budget * 1.15,
-                              opt.slope_budget_ps * 2.0);
+      relax();
       continue;
     }
     if (sol.status == gp::SolveStatus::kNumericalError ||
@@ -389,20 +407,12 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
   // index without having to copy a move-only GeneratedProblem mid-loop.
   if (opt.keep_solve_snapshot && best.ok && snap_model_spec > 0.0) {
     try {
-      ConstraintOptions copt;
-      copt.delay_spec_ps = snap_model_spec;
-      copt.precharge_spec_ps = snap_model_pre;
-      copt.slope_budget_ps = snap_slope;
-      copt.enforce_slopes = opt.enforce_slopes;
-      copt.otb = opt.otb;
-      copt.cost = opt.cost;
-      copt.activity = opt.activity;
-      copt.prune = opt.prune;
-      copt.input_cap_limit_ff = opt.input_cap_limit_ff;
-      copt.input_cap_limits_ff = opt.input_cap_limits_ff;
-      copt.output_required_ps = snap_required;
       auto snap = std::make_shared<SolveSnapshot>();
-      snap->gen = generate_problem(nl, copt, *lib_, *tech_);
+      snap->gen = generate_problem(
+          nl,
+          constraint_options(snap_model_spec, snap_model_pre, snap_slope,
+                             snap_required),
+          *lib_, *tech_);
       snap->gp = std::move(snap_gp);
       snap->model_delay_spec_ps = snap_model_spec;
       snap->model_precharge_spec_ps = snap_model_pre;

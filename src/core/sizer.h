@@ -78,6 +78,13 @@ struct SizerOptions {
   std::vector<double> warm_start;
 };
 
+/// Specs taken from the original design (§6.1): sizes `nl` with the
+/// baseline policy, sets opt->delay_spec_ps to the reference timer's worst
+/// delay, and sets opt->precharge_spec_ps to its worst precharge when the
+/// design has a precharge phase (leaving it as is otherwise).
+void spec_from_baseline(const netlist::Netlist& nl, const tech::Tech& tech,
+                        const BaselineOptions& baseline, SizerOptions* opt);
+
 /// Which rung of the degradation ladder produced a SizerResult.
 enum class SizingRung {
   kGp = 0,       ///< the full GP sizing loop

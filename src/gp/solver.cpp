@@ -215,6 +215,8 @@ struct BarrierScratch {
   double min_slack_ratio = 1.0;
   Vec grad;
   Matrix hess;  ///< lower triangle only; cholesky_solve reads no more
+  Matrix chol;  ///< Cholesky factor of hess
+  Vec step;     ///< Newton step
   Vec trial;    ///< line-search point
 };
 
@@ -342,14 +344,17 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
     // Levenberg-style floor keeps the system solvable when the Hessian is
     // nearly singular (e.g. slack variables far from activity).
     for (size_t i = 0; i < n; ++i) scratch.hess(i, i) += 1e-12;
-    Vec step;
+    // Solves H d = grad and negates: the substitutions are linear and IEEE
+    // rounding is sign-symmetric, so this is bit-identical to solving for
+    // -grad, without a negated copy of it.
+    Vec& step = scratch.step;
     try {
-      step = util::cholesky_solve(scratch.hess,
-                                  util::scaled(scratch.grad, -1.0));
+      util::cholesky_solve(scratch.hess, scratch.grad, scratch.chol, step);
     } catch (const util::Error&) {
       out.failure = NewtonFailure::kNonFinite;
       return out;
     }
+    for (double& v : step) v = -v;
     const double decrement2 = -util::dot(scratch.grad, step);
     if (!std::isfinite(decrement2)) {
       out.failure = NewtonFailure::kNonFinite;

@@ -63,16 +63,19 @@ double percentile(const std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
-HistogramSummary summarize(const std::vector<double>& samples) {
+/// Summary of `sorted` (the samples kept, sorted here) for a histogram that
+/// has seen `count` samples adding up to `sum` in all.
+HistogramSummary summarize(std::vector<double> sorted, size_t count,
+                           double sum) {
   HistogramSummary s;
-  if (samples.empty()) return s;
-  std::vector<double> sorted = samples;
+  if (sorted.empty()) return s;
   std::sort(sorted.begin(), sorted.end());
-  s.count = sorted.size();
+  s.count = count;
+  s.window = sorted.size();
+  s.sum = sum;
+  s.mean = sum / static_cast<double>(count);
   s.min = sorted.front();
   s.max = sorted.back();
-  for (double v : sorted) s.sum += v;
-  s.mean = s.sum / static_cast<double>(s.count);
   s.p50 = percentile(sorted, 50.0);
   s.p90 = percentile(sorted, 90.0);
   s.p99 = percentile(sorted, 99.0);
@@ -93,7 +96,7 @@ HistogramSummary summarize(const std::vector<double>& samples) {
     }
   } else {
     s.bucket_bounds = {s.min, s.max};
-    s.bucket_counts = {s.count};
+    s.bucket_counts = {s.window};
   }
   return s;
 }
@@ -110,7 +113,9 @@ bool write_file(const std::string& path, const std::string& content) {
 }  // namespace
 
 HistogramSummary summarize_samples(const std::vector<double>& samples) {
-  return summarize(samples);
+  double sum = 0.0;
+  for (double v : samples) sum += v;
+  return summarize(samples, samples.size(), sum);
 }
 
 uint64_t current_trace_id() { return t_trace_id; }
@@ -135,34 +140,21 @@ ScopedTraceId::ScopedTraceId(uint64_t id) : prev_(t_trace_id) {
 
 ScopedTraceId::~ScopedTraceId() { t_trace_id = prev_; }
 
-BoundedHistogram::BoundedHistogram(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(capacity_);
-}
-
-void BoundedHistogram::record(double sample) {
+void Histogram::record(double sample) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < capacity_) {
+  if (ring_.size() < kHistogramWindow) {
     ring_.push_back(sample);
   } else {
     ring_[next_] = sample;
   }
-  next_ = (next_ + 1) % capacity_;
-  ++total_;
+  next_ = (next_ + 1) % kHistogramWindow;
+  ++count_;
+  sum_ += sample;
 }
 
-HistogramSummary BoundedHistogram::summary() const {
-  std::vector<double> samples;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    samples = ring_;
-  }
-  return summarize(samples);
-}
-
-uint64_t BoundedHistogram::total_count() const {
+HistogramSummary Histogram::summary() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return total_;
+  return summarize(ring_, count_, sum_);
 }
 
 // The trace epoch is the steady clock's zero (on Linux: machine boot),
@@ -224,10 +216,8 @@ void Telemetry::hist_record(std::string_view name, double sample) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = hists_.find(name);
-  if (it == hists_.end())
-    hists_.emplace(std::string(name), std::vector<double>{sample});
-  else
-    it->second.push_back(sample);
+  if (it == hists_.end()) it = hists_.try_emplace(std::string(name)).first;
+  it->second.record(sample);
 }
 
 double Telemetry::counter(std::string_view name) const {
@@ -245,7 +235,7 @@ double Telemetry::gauge(std::string_view name) const {
 HistogramSummary Telemetry::hist_summary(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = hists_.find(name);
-  return it == hists_.end() ? HistogramSummary{} : summarize(it->second);
+  return it == hists_.end() ? HistogramSummary{} : it->second.summary();
 }
 
 size_t Telemetry::span_count() const {
@@ -331,8 +321,8 @@ std::string Telemetry::metrics_json() const {
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   first = true;
-  for (const auto& [k, samples] : hists_) {
-    const HistogramSummary s = summarize(samples);
+  for (const auto& [k, hist] : hists_) {
+    const HistogramSummary s = hist.summary();
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"" + json_escape(k) + "\": {\"count\": " +

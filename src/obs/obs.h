@@ -10,7 +10,7 @@
 /// as util::FaultInjector: while telemetry is disabled (the default) every
 /// hook costs one relaxed atomic load — no clock read, no allocation, no
 /// lock. Recording is thread-safe throughout; advisor sweeps emit spans
-/// and metrics concurrently from std::async workers.
+/// and metrics concurrently from `par` pool workers.
 ///
 /// Naming scheme (see DESIGN.md §7): dot-separated `<stage>.<what>` names,
 /// e.g. `gp.solve.newton_iters`, `timing.prune.reduction`,
@@ -94,7 +94,9 @@ class ScopedTraceId {
 };
 
 /// Summary statistics of one histogram, computed at query/export time.
-/// Percentiles use the nearest-rank method on the sorted samples.
+/// `count`, `sum` and `mean` cover every sample ever recorded; the rest
+/// describe the `window` most recent ones (all of them until a Histogram
+/// wraps). Percentiles use the nearest-rank method on the sorted window.
 /// Buckets are equal-width over [min, max] (kHistogramBuckets of them;
 /// a single catch-all bucket when min == max): bucket_bounds holds the
 /// bucket edges (size = #buckets + 1) and bucket_counts the per-bucket
@@ -104,6 +106,7 @@ struct HistogramSummary {
   static constexpr size_t kHistogramBuckets = 12;
 
   size_t count = 0;
+  size_t window = 0;  ///< samples behind min..p99 and the buckets
   double min = 0.0;
   double max = 0.0;
   double mean = 0.0;
@@ -112,7 +115,7 @@ struct HistogramSummary {
   double p90 = 0.0;
   double p99 = 0.0;
   std::vector<double> bucket_bounds;  ///< edges, size = bucket_counts.size()+1
-  std::vector<size_t> bucket_counts;
+  std::vector<size_t> bucket_counts;  ///< sums to `window`
 };
 
 /// Summary (incl. buckets) of an ad-hoc sample set, using the same math as
@@ -120,28 +123,28 @@ struct HistogramSummary {
 /// that round-trip through the metrics JSON identically.
 HistogramSummary summarize_samples(const std::vector<double>& samples);
 
-/// Thread-safe bounded-memory histogram: a fixed-capacity ring of the most
-/// recent samples plus an all-time count. Unlike Telemetry::hist_record
-/// (which accumulates every sample until export — fine for batch runs,
-/// unbounded for a daemon), this is safe to leave recording forever, and it
-/// works regardless of the telemetry enable flag. summary() snapshots the
-/// retained window under the lock without clearing it.
-class BoundedHistogram {
- public:
-  explicit BoundedHistogram(size_t capacity = 1024);
+/// Samples a Histogram keeps for its percentiles and buckets. The largest
+/// histogram a paper bench exports holds 45 samples, so those exports
+/// summarize every sample; a long-running daemon holds at most this many
+/// per histogram.
+constexpr size_t kHistogramWindow = 1024;
 
+/// Thread-safe histogram with bounded memory: a ring of the most recent
+/// kHistogramWindow samples plus an exact all-time count and sum. It works
+/// regardless of the telemetry enable flag, so it is safe to leave
+/// recording for the life of a process. summary() snapshots the window
+/// under the lock without clearing it.
+class Histogram {
+ public:
   void record(double sample);
-  /// Summary over the retained window (most recent `capacity` samples).
   HistogramSummary summary() const;
-  /// All-time sample count (>= summary().count once the ring wraps).
-  uint64_t total_count() const;
 
  private:
   mutable std::mutex mu_;
   std::vector<double> ring_;
-  size_t capacity_;
   size_t next_ = 0;
-  uint64_t total_ = 0;
+  uint64_t count_ = 0;
+  double sum_ = 0.0;
 };
 
 /// Process-wide telemetry collector. All recording methods are no-ops
@@ -205,7 +208,7 @@ class Telemetry {
   std::vector<SpanEvent> events_;
   std::map<std::string, double, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
-  std::map<std::string, std::vector<double>, std::less<>> hists_;
+  std::map<std::string, Histogram, std::less<>> hists_;
   std::map<std::thread::id, uint32_t> tids_;
 };
 

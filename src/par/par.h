@@ -13,8 +13,8 @@
 /// writes to its own slot, chunk boundaries depend only on (n, thread
 /// count), and merging is by index, never by completion order. The worker
 /// count comes from `SMART_THREADS` (env) at first use, or
-/// `set_thread_count` (the CLI's `--threads` flag); the default is the
-/// hardware concurrency.
+/// `set_thread_count` (benches and tests); the default is the hardware
+/// concurrency.
 ///
 /// Scheduling is caller-helps: the thread that calls `parallel_for`
 /// executes chunks alongside the pool, so the pool never deadlocks when a
@@ -37,7 +37,7 @@ constexpr int kMaxThreads = 4096;
 /// Strictly parses a thread-count spec ("8"): the whole string must be a
 /// decimal integer in [1, kMaxThreads]. Returns false (leaving `out`
 /// untouched) on empty, non-numeric, trailing-garbage, or out-of-range
-/// input — the validation behind SMART_THREADS and `--threads`.
+/// input — the validation behind SMART_THREADS.
 bool parse_thread_spec(const char* spec, int* out);
 
 /// Configured worker count (>= 1). First call reads SMART_THREADS; a spec
@@ -47,7 +47,7 @@ int thread_count();
 
 /// Rebuilds the pool with `n` workers. Out-of-range values are clamped to
 /// [1, kMaxThreads] with a warning. Must not be called while any
-/// parallel_for is in flight; intended for CLI startup and tests.
+/// parallel_for is in flight; intended for bench startup and tests.
 void set_thread_count(int n);
 
 /// Runs `body(begin, end)` over static chunks of [0, n). Blocks until every

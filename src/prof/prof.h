@@ -158,22 +158,4 @@ void register_current_thread();
 /// Number of threads the profiler has ever registered (for tests).
 size_t registered_thread_count();
 
-// ---- optional counting allocator hook (see alloc_hook.cpp) -------------
-
-/// Monotonic per-thread allocation counters, maintained by the replaced
-/// global operator new when the hook is compiled in and enabled.
-struct AllocCounters {
-  uint64_t bytes = 0;   ///< total bytes requested
-  uint64_t allocs = 0;  ///< total allocations
-};
-
-/// True when the build carries the operator-new replacement (it is
-/// compiled out under ASan/TSan, whose runtimes own the allocator).
-bool alloc_hook_available();
-/// Turns per-thread allocation counting on/off (no-op when unavailable).
-void set_alloc_hook_enabled(bool on);
-bool alloc_hook_enabled();
-/// The calling thread's counters (zeros while disabled/unavailable).
-AllocCounters thread_alloc_counters();
-
 }  // namespace smart::prof

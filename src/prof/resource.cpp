@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/obs.h"
-#include "prof/prof.h"
 
 namespace smart::prof {
 
@@ -30,9 +29,6 @@ ResourceUsage snapshot_usage() {
   struct rusage proc_ru;
   if (::getrusage(RUSAGE_SELF, &proc_ru) == 0)
     u.peak_rss_kb = proc_ru.ru_maxrss;
-  const AllocCounters ac = thread_alloc_counters();
-  u.alloc_bytes = ac.bytes;
-  u.allocs = ac.allocs;
   return u;
 }
 
@@ -54,11 +50,6 @@ ResourceScope::~ResourceScope() {
   tel.hist_record(prefix + ".cpu_ms", d.utime_ms + d.stime_ms);
   // Peak RSS is a process high-water mark, not a delta: export the level.
   tel.gauge_set(prefix + ".peak_rss_kb", static_cast<double>(d.peak_rss_kb));
-  if (alloc_hook_enabled()) {
-    tel.counter_add(prefix + ".alloc_bytes",
-                    static_cast<double>(d.alloc_bytes));
-    tel.counter_add(prefix + ".allocs", static_cast<double>(d.allocs));
-  }
 }
 
 ResourceUsage ResourceScope::delta() const {
@@ -70,8 +61,6 @@ ResourceUsage ResourceScope::delta() const {
   d.minflt = now.minflt - start_.minflt;
   d.majflt = now.majflt - start_.majflt;
   d.peak_rss_kb = now.peak_rss_kb;  // high-water level, not a delta
-  d.alloc_bytes = now.alloc_bytes - start_.alloc_bytes;
-  d.allocs = now.allocs - start_.allocs;
   return d;
 }
 

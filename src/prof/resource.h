@@ -2,14 +2,11 @@
 
 /// \file resource.h
 /// Span-level resource accounting: RAII deltas of per-thread rusage
-/// (utime/stime, minor/major faults), process peak RSS, and — when the
-/// counting allocator hook is compiled in and enabled — per-thread
-/// allocation counts (see prof.h).
+/// (utime/stime, minor/major faults) and process peak RSS.
 ///
 /// A ResourceScope snapshots the counters at construction and, when
 /// telemetry is enabled, records the deltas at destruction under a tag:
 ///   counters:  rusage.<tag>.utime_ms / .stime_ms / .minflt / .majflt
-///              rusage.<tag>.alloc_bytes / .allocs   (hook enabled only)
 ///   histogram: rusage.<tag>.cpu_ms          (utime + stime per scope)
 ///   gauge:     rusage.<tag>.peak_rss_kb     (process ru_maxrss high-water)
 /// All land in the existing obs metrics JSON with zero new export code.
@@ -28,12 +25,9 @@ struct ResourceUsage {
   int64_t minflt = 0;        ///< thread minor page faults
   int64_t majflt = 0;        ///< thread major page faults
   int64_t peak_rss_kb = 0;   ///< process peak RSS (ru_maxrss, KiB)
-  uint64_t alloc_bytes = 0;  ///< thread bytes via operator new (hook only)
-  uint64_t allocs = 0;       ///< thread allocation count (hook only)
 };
 
-/// Current counters for the calling thread (+ process peak RSS). Always
-/// available; alloc fields are zero unless the hook is on.
+/// Current counters for the calling thread (+ process peak RSS).
 ResourceUsage snapshot_usage();
 
 /// RAII accounting scope. `tag` must outlive the scope (string literals).

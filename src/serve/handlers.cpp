@@ -4,11 +4,9 @@
 #include <exception>
 
 #include "core/advisor.h"
-#include "core/baseline.h"
 #include "core/sizer.h"
 #include "lint/erc.h"
 #include "obs/obs.h"
-#include "refsim/rc_timer.h"
 #include "scope/scope.h"
 #include "serve/request.h"
 #include "util/deadline.h"
@@ -53,23 +51,16 @@ Status generate(const ServeContext& ctx, const Request& r,
 /// Fills the spec-derived SizerOptions fields shared by size and report.
 /// When the request has no explicit delay spec it is derived from the hand
 /// baseline, same protocol as the CLI.
-Status sizing_options(const ServeContext& ctx, const Request& r,
-                      const netlist::Netlist& nl, double budget_ms,
-                      core::SizerOptions* opt) {
+void sizing_options(const ServeContext& ctx, const Request& r,
+                    const netlist::Netlist& nl, double budget_ms,
+                    core::SizerOptions* opt) {
   opt->delay_spec_ps = r.delay_ps;
-  if (opt->delay_spec_ps <= 0.0) {
-    const core::BaselineSizer baseline(*ctx.tech);
-    const refsim::RcTimer timer(*ctx.tech);
-    const auto rep = timer.analyze(nl, baseline.size(nl));
-    opt->delay_spec_ps = rep.worst_delay;
-    if (rep.worst_precharge > 0.0)
-      opt->precharge_spec_ps = rep.worst_precharge;
-  }
+  if (opt->delay_spec_ps <= 0.0)
+    core::spec_from_baseline(nl, *ctx.tech, {}, opt);
   if (r.precharge_ps >= 0.0) opt->precharge_spec_ps = r.precharge_ps;
   if (r.slope_ps > 0.0) opt->slope_budget_ps = r.slope_ps;
   opt->cost = cost_metric(r);
   opt->gp.deadline_ms = budget_ms;
-  return Status::Ok();
 }
 
 std::string render_widths(const std::vector<double>& widths) {
@@ -154,8 +145,7 @@ HandlerOutcome handle_size(const ServeContext& ctx, const Request& req,
   }
 
   core::SizerOptions opt;
-  if (Status st = sizing_options(ctx, req, nl, budget_ms, &opt); !st.ok())
-    return {st, "", bucket};
+  sizing_options(ctx, req, nl, budget_ms, &opt);
 
   bool warm = false;
   if (cache_on) {
@@ -258,8 +248,7 @@ HandlerOutcome handle_report(const ServeContext& ctx, const Request& req,
   netlist::Netlist nl("");
   if (Status st = generate(ctx, req, &nl); !st.ok()) return {st, ""};
   core::SizerOptions opt;
-  if (Status st = sizing_options(ctx, req, nl, budget_ms, &opt); !st.ok())
-    return {st, ""};
+  sizing_options(ctx, req, nl, budget_ms, &opt);
   opt.keep_solve_snapshot = true;
   opt.gp.tolerance = 1e-6;  // report-grade binding set (see CLI `report`)
   const core::Sizer sizer(*ctx.tech, *ctx.lib);

@@ -15,6 +15,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 
 #include "obs/obs.h"
 #include "par/par.h"
@@ -27,6 +28,32 @@
 namespace smart::serve {
 
 namespace {
+
+/// ServerStats' event counters with the obs counter each one feeds, in
+/// kStats snapshot order. The snapshot keys them by field name, the counter
+/// name without its "serve." prefix.
+struct StatCounter {
+  uint64_t ServerStats::*field;
+  std::string_view counter;
+};
+constexpr std::string_view kCounterPrefix = "serve.";
+constexpr StatCounter kStatCounters[] = {
+    {&ServerStats::accepted, "serve.accepted"},
+    {&ServerStats::rejected, "serve.rejected"},
+    {&ServerStats::requests, "serve.requests"},
+    {&ServerStats::responses, "serve.responses"},
+    {&ServerStats::shed, "serve.shed"},
+    {&ServerStats::bad_frames, "serve.bad_frames"},
+    {&ServerStats::timeouts, "serve.timeouts"},
+    {&ServerStats::errors, "serve.errors"},
+    {&ServerStats::abandoned, "serve.abandoned"},
+    {&ServerStats::reaped_idle, "serve.reaped_idle"},
+    {&ServerStats::io_faults, "serve.io_faults"},
+    {&ServerStats::pings, "serve.pings"},
+    {&ServerStats::stats_requests, "serve.stats_requests"},
+    {&ServerStats::health_requests, "serve.health_requests"},
+    {&ServerStats::slow_captured, "serve.slow_captured"},
+};
 
 int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -72,15 +99,14 @@ int64_t unix_ms_now() {
       .count();
 }
 
-/// Stage-histogram JSON for the kStats snapshot: window summary plus the
-/// all-time count (the window is the last N samples, count <= N).
-std::string hist_json(const obs::BoundedHistogram& h) {
+/// Stage-histogram JSON for the kStats snapshot: the all-time count and
+/// mean, and the window (the last obs::kHistogramWindow samples) summary.
+std::string hist_json(const obs::Histogram& h) {
   const obs::HistogramSummary s = h.summary();
   return util::strfmt(
-      "{\"count\":%llu,\"window\":%zu,\"min\":%.3f,\"max\":%.3f,"
+      "{\"count\":%zu,\"window\":%zu,\"min\":%.3f,\"max\":%.3f,"
       "\"mean\":%.3f,\"p50\":%.3f,\"p90\":%.3f,\"p99\":%.3f}",
-      static_cast<unsigned long long>(h.total_count()), s.count, s.min,
-      s.max, s.mean, s.p50, s.p90, s.p99);
+      s.count, s.window, s.min, s.max, s.mean, s.p50, s.p90, s.p99);
 }
 
 }  // namespace
@@ -105,9 +131,13 @@ Server::~Server() {
     if (fd >= 0) ::close(fd);
 }
 
-void Server::bump(uint64_t ServerStats::*field, uint64_t delta) {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.*field += delta;
+void Server::bump(uint64_t ServerStats::*field) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++(stats_.*field);
+  }
+  for (const StatCounter& c : kStatCounters)
+    if (c.field == field) obs::Telemetry::instance().counter_add(c.counter);
 }
 
 void Server::bump_code(ErrorCode code) {
@@ -441,7 +471,6 @@ void Server::accept_pending() {
     conns_.emplace(fd, std::move(conn));
     conn_count_.store(conns_.size(), std::memory_order_relaxed);
     bump(&ServerStats::accepted);
-    obs::Telemetry::instance().counter_add("serve.accepted");
   }
 }
 
@@ -496,7 +525,6 @@ void Server::read_conn(const std::shared_ptr<Conn>& conn) {
     }
     if (st == DecodeStatus::kBad) {
       bump(&ServerStats::bad_frames);
-      obs::Telemetry::instance().counter_add("serve.bad_frames");
       send_error(conn, 0,
                  bad_version ? ErrorCode::kUnsupportedVersion
                              : ErrorCode::kBadFrame,
@@ -595,10 +623,8 @@ void Server::dispatch(const std::shared_ptr<Conn>& conn, Frame frame,
       queue_.push_back(std::move(item));
     }
   }
-  auto& tel = obs::Telemetry::instance();
   if (shed) {
     bump(&ServerStats::shed);
-    tel.counter_add("serve.shed");
     send_error(conn, id, ErrorCode::kOverloaded,
                util::strfmt("queue full (%zu queued)", opt_.max_queue),
                250.0, trace_id);
@@ -618,7 +644,6 @@ void Server::dispatch(const std::shared_ptr<Conn>& conn, Frame frame,
   }
   conn->outstanding.fetch_add(1, std::memory_order_relaxed);
   bump(&ServerStats::requests);
-  tel.counter_add("serve.requests");
   queue_cv_.notify_one();
 }
 
@@ -689,7 +714,6 @@ void Server::process(WorkItem item) {
   // Client already gone (mid-request disconnect): don't burn a solve.
   if (item.conn->closed.load(std::memory_order_acquire)) {
     bump(&ServerStats::abandoned);
-    tel.counter_add("serve.abandoned");
     rec.status = "abandoned";
     finish();
     return;
@@ -697,7 +721,6 @@ void Server::process(WorkItem item) {
   // Deadline spent in the queue: typed timeout, no solver time wasted.
   if (item.deadline.expired()) {
     bump(&ServerStats::timeouts);
-    tel.counter_add("serve.timeouts");
     send_error(item.conn, item.frame.request_id, ErrorCode::kTimeout,
                "deadline expired before the request started",
                opt_.write_timeout_ms, item.frame.trace_id);
@@ -749,7 +772,6 @@ void Server::process(WorkItem item) {
                        queue_us, item.decode_us, rec.solve_us));
   } else {
     bump(&ServerStats::errors);
-    tel.counter_add("serve.errors");
     reply.type = FrameType::kError;
     reply.error = error_from(out.status);
     reply.payload = util::strfmt(
@@ -761,10 +783,8 @@ void Server::process(WorkItem item) {
   obs::StopWatch encode_watch;
   if (send_frame(item.conn, reply, opt_.write_timeout_ms)) {
     bump(&ServerStats::responses);
-    tel.counter_add("serve.responses");
   } else {
     bump(&ServerStats::abandoned);
-    tel.counter_add("serve.abandoned");
     rec.status = "abandoned";
   }
   const double encode_ms = encode_watch.elapsed_ms();
@@ -784,7 +804,6 @@ void Server::process(WorkItem item) {
     rec.unix_ms = unix_ms_now();
     if (spool_.capture(rec, item.frame.payload, out.diag)) {
       bump(&ServerStats::slow_captured);
-      tel.counter_add("serve.slow_captured");
     }
     // SMART-Prof join: snapshot this slow request's CPU samples (matched
     // by trace id) next to its spool entry, so "why was it slow" comes
@@ -889,7 +908,6 @@ void Server::reap_idle() {
   for (const int fd : victims) {
     close_conn(fd);
     bump(&ServerStats::reaped_idle);
-    obs::Telemetry::instance().counter_add("serve.reaped_idle");
   }
 }
 
@@ -911,21 +929,13 @@ std::string Server::stats_json() const {
                       draining_.load(std::memory_order_relaxed) ? "true"
                                                                 : "false");
   out += "\"counters\":{";
-  out += "\"accepted\":" + u64(s.accepted) + ",";
-  out += "\"rejected\":" + u64(s.rejected) + ",";
-  out += "\"requests\":" + u64(s.requests) + ",";
-  out += "\"responses\":" + u64(s.responses) + ",";
-  out += "\"shed\":" + u64(s.shed) + ",";
-  out += "\"bad_frames\":" + u64(s.bad_frames) + ",";
-  out += "\"timeouts\":" + u64(s.timeouts) + ",";
-  out += "\"errors\":" + u64(s.errors) + ",";
-  out += "\"abandoned\":" + u64(s.abandoned) + ",";
-  out += "\"reaped_idle\":" + u64(s.reaped_idle) + ",";
-  out += "\"io_faults\":" + u64(s.io_faults) + ",";
-  out += "\"pings\":" + u64(s.pings) + ",";
-  out += "\"stats_requests\":" + u64(s.stats_requests) + ",";
-  out += "\"health_requests\":" + u64(s.health_requests) + ",";
-  out += "\"slow_captured\":" + u64(s.slow_captured) + "},";
+  for (const StatCounter& c : kStatCounters) {
+    if (&c != kStatCounters) out += ",";
+    out += "\"";
+    out += c.counter.substr(kCounterPrefix.size());
+    out += "\":" + u64(s.*c.field);
+  }
+  out += "},";
   out += "\"gauges\":{";
   out += "\"queue_depth\":" + u64(s.queue_depth) + ",";
   out += "\"in_flight\":" + u64(s.in_flight) + ",";

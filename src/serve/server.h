@@ -95,7 +95,9 @@ struct ServerOptions {
   size_t profile_max_samples = 1 << 16;
 };
 
-/// Monotonic counters snapshot; every field counts since start().
+/// Monotonic counters snapshot; every field counts since start(). With
+/// telemetry enabled each counted event also adds to the obs counter
+/// `serve.<field>`.
 struct ServerStats {
   uint64_t accepted = 0;      ///< connections accepted
   uint64_t rejected = 0;      ///< connections refused at max_connections
@@ -189,15 +191,15 @@ class Server {
     double enqueue_ts_us = 0.0;  ///< trace-clock enqueue time (queue span)
   };
 
-  /// Per-stage latency rings behind the kStats snapshot. Bounded and
+  /// Per-stage latency histograms behind the kStats snapshot. Bounded and
   /// always on (independent of the telemetry enable flag) — a daemon must
   /// answer stats after weeks of uptime without unbounded sample growth.
   struct StageHists {
-    obs::BoundedHistogram queue_ms;
-    obs::BoundedHistogram decode_ms;
-    obs::BoundedHistogram solve_ms;
-    obs::BoundedHistogram encode_ms;
-    obs::BoundedHistogram total_ms;
+    obs::Histogram queue_ms;
+    obs::Histogram decode_ms;
+    obs::Histogram solve_ms;
+    obs::Histogram encode_ms;
+    obs::Histogram total_ms;
   };
 
   void io_loop();
@@ -265,7 +267,8 @@ class Server {
   mutable std::mutex stats_mu_;
   ServerStats stats_;
   std::map<uint16_t, uint64_t> errors_by_code_;  ///< guarded by stats_mu_
-  void bump(uint64_t ServerStats::*field, uint64_t delta = 1);
+  /// Counts one event in stats_ and in its `serve.<field>` obs counter.
+  void bump(uint64_t ServerStats::*field);
 };
 
 }  // namespace smart::serve

@@ -62,12 +62,6 @@ void axpy(double alpha, const Vec& x, Vec& y) {
   for (size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
-Vec scaled(const Vec& x, double alpha) {
-  Vec y(x);
-  for (double& v : y) v *= alpha;
-  return y;
-}
-
 namespace {
 
 /// In-place Cholesky factorization A = L L^T storing L in the lower
@@ -89,26 +83,26 @@ bool cholesky_factor(Matrix& a) {
   return true;
 }
 
-Vec cholesky_back_substitute(const Matrix& l, const Vec& b) {
+/// Solves L L^T x = b for the factor in `l`'s lower triangle, in place in
+/// `x`: the forward pass leaves y = L^-1 b there, the backward pass x.
+void cholesky_back_substitute(const Matrix& l, const Vec& b, Vec& x) {
   const size_t n = l.rows();
-  Vec y(n, 0.0);
+  x.resize(n);
   for (size_t i = 0; i < n; ++i) {
     double s = b[i];
-    for (size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
-    y[i] = s / l(i, i);
+    for (size_t k = 0; k < i; ++k) s -= l(i, k) * x[k];
+    x[i] = s / l(i, i);
   }
-  Vec x(n, 0.0);
   for (size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
+    double s = x[ii];
     for (size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
     x[ii] = s / l(ii, ii);
   }
-  return x;
 }
 
 }  // namespace
 
-Vec cholesky_solve(Matrix a, Vec b) {
+void cholesky_solve(const Matrix& a, const Vec& b, Matrix& work, Vec& x) {
   SMART_CHECK(a.rows() == a.cols() && a.rows() == b.size(),
               "cholesky_solve dimension mismatch");
   const size_t n = a.rows();
@@ -118,12 +112,13 @@ Vec cholesky_solve(Matrix a, Vec b) {
 
   double lambda = 0.0;
   for (int attempt = 0; attempt < 12; ++attempt) {
-    Matrix work = a;
+    work = a;
     if (lambda > 0.0) {
       for (size_t i = 0; i < n; ++i) work(i, i) += lambda;
     }
     if (cholesky_factor(work)) {
-      return cholesky_back_substitute(work, b);
+      cholesky_back_substitute(work, b, x);
+      return;
     }
     lambda = (lambda == 0.0) ? 1e-10 * max_diag : lambda * 100.0;
   }
@@ -157,7 +152,9 @@ Vec nnls(const Matrix& a, const Vec& b, int max_iter) {
       }
     }
     for (size_t p = 0; p < m; ++p) ata(p, p) += 1e-12;
-    Vec z = cholesky_solve(ata, atb);
+    Matrix work;
+    Vec z;
+    cholesky_solve(ata, atb, work, z);
     Vec full(n, 0.0);
     for (size_t p = 0; p < m; ++p) full[idx[p]] = z[p];
     return full;

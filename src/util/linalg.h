@@ -52,13 +52,14 @@ double norm2(const Vec& a);
 double norm_inf(const Vec& a);
 /// y += alpha * x
 void axpy(double alpha, const Vec& x, Vec& y);
-Vec scaled(const Vec& x, double alpha);
 
-/// Solves the symmetric positive (semi)definite system A x = b in place via
-/// Cholesky. If factorization fails, retries with growing diagonal
-/// regularization (A + lambda I). Returns the solution; throws util::Error if
+/// Solves the symmetric positive (semi)definite system A x = b via Cholesky,
+/// reading only A's lower triangle. If factorization fails, retries with
+/// growing diagonal regularization (A + lambda I). The factor goes into
+/// `work` and the solution into `x`; both keep their storage between calls,
+/// so a caller that reuses them allocates nothing. Throws util::Error if
 /// the system cannot be solved even with heavy regularization.
-Vec cholesky_solve(Matrix a, Vec b);
+void cholesky_solve(const Matrix& a, const Vec& b, Matrix& work, Vec& x);
 
 /// Non-negative least squares: minimizes |A x - b|^2 subject to x >= 0,
 /// via Lawson-Hanson active-set iteration. Suitable for the small systems

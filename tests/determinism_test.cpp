@@ -116,7 +116,6 @@ TEST_F(DeterminismTest, AdvisorSweepBitExactAcrossThreadCounts) {
   req.spec.n = 4;
   req.spec.params["bits"] = 4;
   req.spec.load_ff = 12.0;
-  req.parallel = true;
 
   par::set_thread_count(1);
   const auto want = advisor.advise(req);

@@ -380,28 +380,33 @@ TEST_F(ObsTest, ProcessLabelEmitsMetadataEvent) {
 }
 
 TEST(BoundedHistogramTest, WindowsSamplesButCountsAll) {
-  BoundedHistogram hist(4);
-  for (int i = 1; i <= 10; ++i) hist.record(static_cast<double>(i));
-  EXPECT_EQ(hist.total_count(), 10u);
+  Histogram hist;
+  const size_t n = kHistogramWindow + 6;
+  for (size_t i = 1; i <= n; ++i) hist.record(static_cast<double>(i));
   const HistogramSummary s = hist.summary();
-  // Only the newest 4 samples (7..10) remain in the window.
-  EXPECT_EQ(s.count, 4u);
+  // Count, sum and mean cover every sample; only the newest window
+  // (7..n) remains behind min, max and the buckets.
+  EXPECT_EQ(s.count, n);
+  EXPECT_EQ(s.window, kHistogramWindow);
+  EXPECT_DOUBLE_EQ(s.sum, static_cast<double>(n * (n + 1) / 2));
+  EXPECT_DOUBLE_EQ(s.mean, static_cast<double>(n + 1) / 2.0);
   EXPECT_DOUBLE_EQ(s.min, 7.0);
-  EXPECT_DOUBLE_EQ(s.max, 10.0);
+  EXPECT_DOUBLE_EQ(s.max, static_cast<double>(n));
 }
 
 TEST(BoundedHistogramTest, EmptyAndPartialWindows) {
-  BoundedHistogram hist(8);
-  EXPECT_EQ(hist.total_count(), 0u);
+  Histogram hist;
   EXPECT_EQ(hist.summary().count, 0u);
+  EXPECT_EQ(hist.summary().window, 0u);
   hist.record(2.5);
   const HistogramSummary s = hist.summary();
   EXPECT_EQ(s.count, 1u);
+  EXPECT_EQ(s.window, 1u);
   EXPECT_DOUBLE_EQ(s.p50, 2.5);
 }
 
 TEST(BoundedHistogramTest, ConcurrentRecordsStayBounded) {
-  BoundedHistogram hist(64);
+  Histogram hist;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&hist] {
@@ -409,8 +414,36 @@ TEST(BoundedHistogramTest, ConcurrentRecordsStayBounded) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(hist.total_count(), 4000u);
-  EXPECT_EQ(hist.summary().count, 64u);
+  const HistogramSummary s = hist.summary();
+  EXPECT_EQ(s.count, 4000u);
+  EXPECT_DOUBLE_EQ(s.sum, 4.0 * 999.0 * 1000.0 / 2.0);
+  EXPECT_EQ(s.window, kHistogramWindow);
+}
+
+// The registry's histograms are bounded too: past the window they keep an
+// exact count and sum (the ledger's `.sum` work counts) while the
+// percentiles and buckets describe only the newest samples.
+TEST_F(ObsTest, RegistryHistogramKeepsWindowButCountsAll) {
+  auto& tel = Telemetry::instance();
+  const size_t n = 3 * kHistogramWindow + 5;
+  for (size_t i = 0; i < n; ++i)
+    tel.hist_record("h.long", static_cast<double>(i % 7));
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) sum += static_cast<double>(i % 7);
+  const HistogramSummary s = tel.hist_summary("h.long");
+  EXPECT_EQ(s.count, n);
+  EXPECT_DOUBLE_EQ(s.sum, sum);
+  EXPECT_EQ(s.window, kHistogramWindow);
+  size_t held = 0;
+  for (const size_t c : s.bucket_counts) held += c;
+  EXPECT_EQ(held, kHistogramWindow);
+
+  JsonValue root;
+  ASSERT_TRUE(JsonParser(tel.metrics_json()).parse(&root));
+  const JsonValue* h = root.find("histograms")->find("h.long");
+  ASSERT_NE(h, nullptr);
+  EXPECT_DOUBLE_EQ(h->find("count")->number, static_cast<double>(n));
+  EXPECT_DOUBLE_EQ(h->find("sum")->number, sum);
 }
 
 // End-to-end: one real sizing run emits the pipeline's span tree and the

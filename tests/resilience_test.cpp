@@ -15,6 +15,7 @@
 #include "gp/solver.h"
 #include "helpers.h"
 #include "models/fitter.h"
+#include "par/par.h"
 #include "util/fault.h"
 
 namespace smart {
@@ -288,6 +289,12 @@ TEST_F(SizerResilienceTest, SolverPoisonFallsBackToBaseline) {
 
 class AdvisorResilienceTest : public ::testing::Test {
  protected:
+  // One pool thread: the candidates are sized in order on the calling
+  // thread, so each fault class hits the same sites every run.
+  void SetUp() override { par::set_thread_count(1); }
+  void TearDown() override { par::set_thread_count(saved_threads_); }
+
+  const int saved_threads_ = par::thread_count();
   const tech::Tech& tech_ = tech::default_tech();
   const models::ModelLibrary& lib_ = models::default_library();
   DesignAdvisor advisor_{macros::builtin_database(), tech_, lib_};
@@ -300,7 +307,6 @@ class AdvisorResilienceTest : public ::testing::Test {
     req.spec.load_ff = 12.0;
     req.delay_spec_ps = 200.0;  // explicit: keep spec derivation off the
                                 // fault-injected paths
-    req.parallel = false;       // deterministic candidate order
     return req;
   }
 

@@ -41,10 +41,10 @@
 //   --metrics-out FILE  write the flat metrics JSON (counters/gauges/
 //                       histograms: gp.solve.*, timing.prune.*, sizer.*)
 //   --log-level LVL     debug|info|warn|error|off (default warn)
-//   --threads N         worker threads for the advisor's candidate sweep;
-//                       each sizing runs on one thread (positive integer;
-//                       default SMART_THREADS env or hardware concurrency;
-//                       results are identical at any thread count)
+//
+// SMART_THREADS (env) sets the worker threads for the advisor's candidate
+// sweep (default: hardware concurrency); each sizing runs on one thread
+// and results are identical at any thread count.
 
 #include <chrono>
 #include <cstdio>
@@ -66,7 +66,6 @@
 #include "netlist/serialize.h"
 #include "netlist/spice_export.h"
 #include "obs/obs.h"
-#include "par/par.h"
 #include "prof/prof.h"
 #include "prof/resource.h"
 #include "refsim/critical_path.h"
@@ -134,7 +133,7 @@ Args parse(int argc, char** argv) {
 // Flags every command accepts (telemetry / logging plumbing in main()).
 const std::set<std::string>& global_flags() {
   static const std::set<std::string> flags = {"trace-out", "metrics-out",
-                                              "log-level", "threads"};
+                                              "log-level"};
   return flags;
 }
 
@@ -163,7 +162,7 @@ const std::map<std::string, std::set<std::string>>& command_flags() {
       {"profile",
        {"type", "topology", "n", "bits", "m", "load", "slope", "delay",
         "hz", "repeat", "top-k", "folded-out", "speedscope-out",
-        "no-span-prefix", "alloc"}},
+        "no-span-prefix"}},
       {"client",
        {"port", "host", "unix", "type", "topology", "n", "bits", "m",
         "load", "slope", "delay", "precharge", "cost", "top-k",
@@ -510,15 +509,8 @@ int cmd_report(const Args& args) {
   // |1 - lhs| <= 1e-6, so the reported binding set is the KKT active set
   // to working precision (scope::kBindingSlackTol).
   opt.gp.tolerance = 1e-6;
-  if (opt.delay_spec_ps <= 0.0) {
-    // Same rule as advise: derive the spec from the hand-sized baseline.
-    core::BaselineSizer baseline(tech::default_tech());
-    const refsim::RcTimer timer(tech::default_tech());
-    const auto rep = timer.analyze(nl, baseline.size(nl));
-    opt.delay_spec_ps = rep.worst_delay;
-    if (rep.worst_precharge > 0.0)
-      opt.precharge_spec_ps = rep.worst_precharge;
-  }
+  if (opt.delay_spec_ps <= 0.0)
+    core::spec_from_baseline(nl, tech::default_tech(), {}, &opt);
   core::Sizer sizer(tech::default_tech(), models::default_library());
   const auto result = sizer.size(nl, opt);
   if (!result.ok) {
@@ -563,18 +555,10 @@ int cmd_profile(const Args& args) {
 
   core::SizerOptions opt;
   opt.delay_spec_ps = args.num("delay", -1.0);
-  if (opt.delay_spec_ps <= 0.0) {
-    // Same rule as advise/report: derive the spec from the hand baseline.
-    core::BaselineSizer baseline(tech::default_tech());
-    const refsim::RcTimer timer(tech::default_tech());
-    const auto rep = timer.analyze(nl, baseline.size(nl));
-    opt.delay_spec_ps = rep.worst_delay;
-    if (rep.worst_precharge > 0.0)
-      opt.precharge_spec_ps = rep.worst_precharge;
-  }
+  if (opt.delay_spec_ps <= 0.0)
+    core::spec_from_baseline(nl, tech::default_tech(), {}, &opt);
   const int repeat = std::max(1, static_cast<int>(args.num("repeat", 1)));
   const double hz = args.num("hz", 997.0);
-  if (args.has("alloc")) prof::set_alloc_hook_enabled(true);
 
   auto& profiler = prof::Profiler::instance();
   profiler.reset();
@@ -609,11 +593,6 @@ int cmd_profile(const Args& args) {
               after.stime_ms - before.stime_ms,
               static_cast<long long>(after.minflt - before.minflt),
               static_cast<long long>(after.peak_rss_kb));
-  if (prof::alloc_hook_enabled())
-    std::printf("allocs: %llu (%llu bytes) on the main thread\n",
-                static_cast<unsigned long long>(after.allocs - before.allocs),
-                static_cast<unsigned long long>(after.alloc_bytes -
-                                                before.alloc_bytes));
 
   const size_t total = profiler.sample_count();
   if (total > 0) {
@@ -979,14 +958,14 @@ void usage() {
                "|lint|report> [--type T "
                "--topology X --n N --bits B --load FF --delay PS --cost "
                "width|power|clock] [--trace-out FILE] [--metrics-out FILE] "
-               "[--log-level debug|info|warn|error|off] [--threads N]\n"
+               "[--log-level debug|info|warn|error|off]\n"
                "       smart_cli lint <type/topology[/n] | --all> "
                "[--format text|json] [--suppress ID,ID] [--out FILE]\n"
                "       smart_cli report <type/topology[/n]> [--delay PS] "
                "[--top-k K] [--format text|json] [--out FILE]\n"
                "       smart_cli profile <type/topology[/n]> [--hz HZ] "
                "[--repeat N] [--delay PS] [--folded-out FILE] "
-               "[--speedscope-out FILE] [--top-k K] [--alloc]\n"
+               "[--speedscope-out FILE] [--top-k K]\n"
                "       smart_cli client <ping|size|advise|lint|report|"
                "shutdown> (--port N | --unix PATH) [--type T --topology X "
                "--n N ...] [--deadline-ms MS] [--retries N] [--no-cache]"
@@ -1055,16 +1034,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     util::set_log_level(level);
-  }
-  if (args.has("threads")) {
-    int n = 0;
-    if (!par::parse_thread_spec(args.str("threads").c_str(), &n)) {
-      std::fprintf(stderr,
-                   "invalid --threads '%s' (want an integer in [1, %d])\n",
-                   args.str("threads").c_str(), par::kMaxThreads);
-      return 2;
-    }
-    par::set_thread_count(n);
   }
   const std::string trace_out = args.str("trace-out");
   const std::string metrics_out = args.str("metrics-out");

@@ -12,12 +12,12 @@
 //          [--access-log FILE] [--access-log-size N]
 //          [--slow-spool DIR] [--slow-threshold-ms MS]
 //          [--profile-dir DIR] [--profile-hz HZ]
-//          [--log-level LVL] [--threads N]
+//          [--log-level LVL]
 //
-// --threads N sets the worker pool that fans out an advise request's
+// SMART_THREADS (env) sets the pool that fans out an advise request's
 // candidate sweep, and is the worker count when --workers is not given
-// (default SMART_THREADS env or hardware concurrency). Each sizing runs on
-// one thread; results are identical at any thread count.
+// (default: hardware concurrency). Each sizing runs on one thread; results
+// are identical at any thread count.
 //
 // Prints "smartd listening on <endpoint>" to stdout once ready (smoke
 // scripts and supervisors scrape it, so it is flushed immediately);
@@ -32,7 +32,6 @@
 #include "macros/registry.h"
 #include "models/fitter.h"
 #include "obs/obs.h"
-#include "par/par.h"
 #include "serve/server.h"
 #include "tech/tech.h"
 #include "util/fault.h"
@@ -69,7 +68,7 @@ void usage() {
       "              [--access-log FILE] [--access-log-size N]\n"
       "              [--slow-spool DIR] [--slow-threshold-ms MS]\n"
       "              [--profile-dir DIR] [--profile-hz HZ]\n"
-      "              [--log-level LVL] [--threads N]\n"
+      "              [--log-level LVL]\n"
       "              [--arm-fault frame-corrupt|io-fail|worker-stall|"
       "cache-poison]\n");
 }
@@ -82,7 +81,7 @@ const char* const kKnownFlags[] = {
     "metrics-flush-ms", "access-log",   "access-log-size",
     "slow-spool",     "slow-threshold-ms",
     "profile-dir",    "profile-hz",
-    "log-level",      "threads",        "arm-fault"};
+    "log-level",      "arm-fault"};
 
 /// Chaos mode for smoke runs: arms one serve-layer fault site in situ so an
 /// external harness (CI) can drive the daemon through injected failures.
@@ -164,17 +163,6 @@ int main(int argc, char** argv) {
     util::set_log_level(level);
   }
   if (flags.has("arm-fault") && !arm_fault(flags.str("arm-fault"))) return 2;
-  if (flags.has("threads")) {
-    int n = 0;
-    if (!par::parse_thread_spec(flags.str("threads").c_str(), &n)) {
-      std::fprintf(stderr,
-                   "smartd: invalid --threads '%s' (want an integer in "
-                   "[1, %d])\n",
-                   flags.str("threads").c_str(), par::kMaxThreads);
-      return 2;
-    }
-    par::set_thread_count(n);
-  }
 
   serve::ServerOptions opt;
   opt.unix_path = flags.str("unix");
