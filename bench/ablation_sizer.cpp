@@ -7,7 +7,8 @@
 
 using namespace smart;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::MetricsExport metrics(argc, argv);
   // ---- model accuracy (saturating vs linear slope basis vs unfitted) ----
   {
     core::MacroSpec spec;

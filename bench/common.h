@@ -56,8 +56,8 @@ inline void paper_note(const std::string& note) {
   std::printf("paper reference: %s\n\n", note.c_str());
 }
 
-/// Opt-in metrics export for the table/figure harnesses: construct at the
-/// top of main. When the harness was invoked with `--metrics-out FILE` (or
+/// Opt-in metrics export for the table/figure harnesses: every paper bench
+/// constructs one at the top of main. When the harness was invoked with `--metrics-out FILE` (or
 /// `--metrics-out=FILE`), telemetry is enabled for the run and the whole
 /// registry — spans recorded by the sizing pipeline become counters and
 /// histograms — is written to FILE on destruction, the same flat metrics

@@ -5,7 +5,8 @@
 
 using namespace smart;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::MetricsExport metrics(argc, argv);
   struct Row {
     const char* name;
     int n;

@@ -10,7 +10,8 @@
 
 using namespace smart;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::MetricsExport metrics(argc, argv);
   core::MacroSpec spec;
   spec.type = "comparator";
   spec.n = 32;

@@ -4,28 +4,21 @@
 // of over 250. Also serves as the pruning ablation called out in
 // DESIGN.md §5: each technique is toggled independently.
 
-// Pass --metrics-out=FILE to export the pruning statistics (and the
+// Pass --metrics-out FILE to export the pruning statistics (and the
 // per-stage reduction gauges the instrumented extractor records) as the
 // flat metrics JSON, BENCH_*.json style.
 
 #include "common.h"
 
-#include <cstring>
 #include <ctime>
 
-#include "obs/obs.h"
 #include "timing/paths.h"
 
 using namespace smart;
 
 int main(int argc, char** argv) {
-  std::string metrics_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--metrics-out=", 14) == 0)
-      metrics_out = argv[i] + 14;
-  }
+  bench::MetricsExport metrics(argc, argv);
   auto& tel = obs::Telemetry::instance();
-  if (!metrics_out.empty()) tel.enable(true);
 
   // The paper's number ("over 32,000 paths") matches a 32-bit dual-rail
   // instance of our adder almost exactly; the 64-bit instance is larger.
@@ -93,9 +86,5 @@ int main(int argc, char** argv) {
       "§5.2: exhaustive analysis revealed over 32,000 paths; the pruning "
       "techniques reduced the problem to 120 paths — a factor of over 250. "
       "Reproduction target: the same orders-of-magnitude reduction.");
-  if (!metrics_out.empty() && !tel.write_metrics(metrics_out)) {
-    std::fprintf(stderr, "cannot write metrics to %s\n", metrics_out.c_str());
-    return 1;
-  }
   return 0;
 }

@@ -9,7 +9,8 @@
 
 using namespace smart;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::MetricsExport metrics(argc, argv);
   // Compose a block matching the paper's ratios: macro width share ~22%.
   blocks::BlockSpec spec;
   spec.name = "sec64_block";

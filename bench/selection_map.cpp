@@ -11,7 +11,8 @@
 
 using namespace smart;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::MetricsExport metrics(argc, argv);
   core::DesignAdvisor advisor(bench::database(), bench::tech(),
                               bench::library());
   const std::vector<int> fanins = {2, 4, 8, 16};

@@ -114,7 +114,8 @@ blocks::BlockSpec block4() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::MetricsExport metrics(argc, argv);
   util::Table table({"Functional Block", "Power savings with SMART",
                      "macro power share", "devices", "macros converged"});
   for (const auto& spec : {block1(), block2(), block3(), block4()}) {

@@ -207,10 +207,6 @@ GeneratedProblem generate_problem(const Netlist& nl,
   SMART_CHECK(opt.delay_spec_ps > 0.0, "delay spec must be positive");
 
   GeneratedProblem gen;
-  gen.built_options = opt;
-  // The deadline is a per-call borrow; the stored options must not keep a
-  // pointer that outlives the caller's Deadline.
-  gen.built_options.deadline = nullptr;
   gen.vars = std::make_unique<posy::VarTable>();
   gen.labels = models::make_label_vars(nl, *gen.vars);
 

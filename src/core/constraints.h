@@ -128,7 +128,6 @@ struct GeneratedProblem {
   std::vector<PathConstraintTemplate> path_templates;
   std::vector<PathClass> path_classes;      ///< in first-member order
   std::vector<StaticClass> static_classes;  ///< input caps, then slopes
-  ConstraintOptions built_options;  ///< options the templates were built at
 
   /// The representative paths the templates were generated from, aligned
   /// with path_templates (path i produced template i). Kept so report

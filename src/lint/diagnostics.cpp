@@ -1,5 +1,6 @@
 #include "lint/diagnostics.h"
 
+#include "util/json.h"
 #include "util/strfmt.h"
 
 namespace smart::lint {
@@ -105,37 +106,6 @@ std::string Report::to_text() const {
   return out;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += util::strfmt("\\u%04x", c);
-        else
-          out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string Report::to_json() const {
   std::string out = "{\"findings\":[";
   for (size_t i = 0; i < findings_.size(); ++i) {
@@ -144,9 +114,10 @@ std::string Report::to_json() const {
     out += util::strfmt(
         "{\"rule\":\"%s\",\"severity\":\"%s\",\"macro\":\"%s\","
         "\"location\":\"%s\",\"message\":\"%s\"}",
-        json_escape(f.rule).c_str(), to_string(f.severity),
-        json_escape(f.macro).c_str(), json_escape(f.location).c_str(),
-        json_escape(f.message).c_str());
+        util::json_escape(f.rule).c_str(), to_string(f.severity),
+        util::json_escape(f.macro).c_str(),
+        util::json_escape(f.location).c_str(),
+        util::json_escape(f.message).c_str());
   }
   out += util::strfmt(
       "],\"counts\":{\"error\":%zu,\"warn\":%zu,\"info\":%zu}}\n", errors(),

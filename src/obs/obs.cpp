@@ -5,44 +5,17 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/file.h"
+#include "util/json.h"
+
 namespace smart::obs {
 
 namespace {
 
+using util::json_escape;
+using util::json_number;
+
 thread_local uint64_t t_trace_id = 0;
-
-/// JSON string escaping for metric/span names (they are identifiers in
-/// practice, but the exporter must never emit malformed JSON).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Finite numbers only: NaN/Inf are not valid JSON literals.
-std::string json_num(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
 
 /// Fixed-point microseconds for trace timestamps. The trace clock is
 /// CLOCK_MONOTONIC-absolute (machine uptime), so ts can be ~1e11 µs —
@@ -101,15 +74,6 @@ HistogramSummary summarize(std::vector<double> sorted, size_t count,
   return s;
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = n == content.size() && std::fclose(f) == 0;
-  if (n != content.size()) std::fclose(f);
-  return ok;
-}
-
 }  // namespace
 
 HistogramSummary summarize_samples(const std::vector<double>& samples) {
@@ -142,19 +106,13 @@ ScopedTraceId::~ScopedTraceId() { t_trace_id = prev_; }
 
 void Histogram::record(double sample) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < kHistogramWindow) {
-    ring_.push_back(sample);
-  } else {
-    ring_[next_] = sample;
-  }
-  next_ = (next_ + 1) % kHistogramWindow;
-  ++count_;
+  ring_.push(sample);
   sum_ += sample;
 }
 
 HistogramSummary Histogram::summary() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return summarize(ring_, count_, sum_);
+  return summarize(ring_.items(), ring_.pushed(), sum_);
 }
 
 // The trace epoch is the steady clock's zero (on Linux: machine boot),
@@ -245,7 +203,7 @@ size_t Telemetry::span_count() const {
 
 std::vector<SpanEvent> Telemetry::spans() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_;
+  return events_.ordered();
 }
 
 void Telemetry::set_process_label(std::string label) {
@@ -256,12 +214,12 @@ void Telemetry::set_process_label(std::string label) {
 void Telemetry::record_span(SpanEvent ev) {
   std::lock_guard<std::mutex> lock(mu_);
   ev.tid = tid_of(std::this_thread::get_id());
-  events_.push_back(std::move(ev));
+  if (!events_.push(std::move(ev))) counters_["obs.spans_dropped"] += 1.0;
 }
 
 std::string Telemetry::chrome_trace_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::string pid = json_num(pid_);
+  const std::string pid = json_number(pid_);
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   if (!process_label_.empty()) {
@@ -270,13 +228,13 @@ std::string Telemetry::chrome_trace_json() const {
            "\"}}";
     first = false;
   }
-  for (const auto& ev : events_) {
+  events_.for_each([&](const SpanEvent& ev) {
     if (!first) out += ",";
     first = false;
     out += "{\"name\":\"" + json_escape(ev.name) + "\",\"cat\":\"" +
            json_escape(ev.cat) + "\",\"ph\":\"X\",\"ts\":" +
            json_us(ev.ts_us) + ",\"dur\":" + json_us(ev.dur_us) +
-           ",\"pid\":" + pid + ",\"tid\":" + json_num(ev.tid);
+           ",\"pid\":" + pid + ",\"tid\":" + json_number(ev.tid);
     const bool has_args = !ev.args.empty() || ev.trace_id != 0;
     if (has_args) {
       out += ",\"args\":{";
@@ -291,12 +249,15 @@ std::string Telemetry::chrome_trace_json() const {
       for (const auto& [k, v] : ev.args) {
         if (!afirst) out += ",";
         afirst = false;
-        out += "\"" + json_escape(k) + "\":" + json_num(v);
+        out += '"';
+        out += json_escape(k);
+        out += "\":";
+        out += json_number(v);
       }
       out += "}";
     }
     out += "}";
-  }
+  });
   out += "],\"displayTimeUnit\":\"ms\"}";
   return out;
 }
@@ -308,7 +269,7 @@ std::string Telemetry::metrics_json() const {
   for (const auto& [k, v] : counters_) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(k) + "\": " + json_num(v);
+    out += "    \"" + json_escape(k) + "\": " + json_number(v);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"gauges\": {";
@@ -316,7 +277,7 @@ std::string Telemetry::metrics_json() const {
   for (const auto& [k, v] : gauges_) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(k) + "\": " + json_num(v);
+    out += "    \"" + json_escape(k) + "\": " + json_number(v);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
@@ -326,18 +287,21 @@ std::string Telemetry::metrics_json() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"" + json_escape(k) + "\": {\"count\": " +
-           json_num(static_cast<double>(s.count)) +
-           ", \"min\": " + json_num(s.min) + ", \"max\": " + json_num(s.max) +
-           ", \"mean\": " + json_num(s.mean) + ", \"sum\": " + json_num(s.sum) +
-           ", \"p50\": " + json_num(s.p50) + ", \"p90\": " + json_num(s.p90) +
-           ", \"p99\": " + json_num(s.p99);
+           json_number(static_cast<double>(s.count)) +
+           ", \"min\": " + json_number(s.min) +
+           ", \"max\": " + json_number(s.max) +
+           ", \"mean\": " + json_number(s.mean) +
+           ", \"sum\": " + json_number(s.sum) +
+           ", \"p50\": " + json_number(s.p50) +
+           ", \"p90\": " + json_number(s.p90) +
+           ", \"p99\": " + json_number(s.p99);
     out += ", \"buckets\": {\"bounds\": [";
     for (size_t b = 0; b < s.bucket_bounds.size(); ++b)
-      out += (b ? ", " : "") + json_num(s.bucket_bounds[b]);
+      out += (b ? ", " : "") + json_number(s.bucket_bounds[b]);
     out += "], \"counts\": [";
     for (size_t b = 0; b < s.bucket_counts.size(); ++b)
       out += (b ? ", " : "") +
-             json_num(static_cast<double>(s.bucket_counts[b]));
+             json_number(static_cast<double>(s.bucket_counts[b]));
     out += "]}}";
   }
   out += first ? "}\n" : "\n  }\n";
@@ -346,11 +310,11 @@ std::string Telemetry::metrics_json() const {
 }
 
 bool Telemetry::write_chrome_trace(const std::string& path) const {
-  return write_file(path, chrome_trace_json());
+  return util::write_file(path, chrome_trace_json());
 }
 
 bool Telemetry::write_metrics(const std::string& path) const {
-  return write_file(path, metrics_json());
+  return util::write_file(path, metrics_json());
 }
 
 Span::Span(const char* name, const char* cat) {

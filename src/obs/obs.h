@@ -129,6 +129,57 @@ HistogramSummary summarize_samples(const std::vector<double>& samples);
 /// per histogram.
 constexpr size_t kHistogramWindow = 1024;
 
+/// The most recent `capacity` items plus a count of every item ever
+/// pushed: the one bounded buffer behind Histogram, the Telemetry span
+/// buffer and smartd's access log. Not thread-safe; owners guard it with
+/// their own lock.
+template <typename T>
+class Ring {
+ public:
+  explicit Ring(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+
+  /// Appends `item`. Once full it overwrites the oldest item and returns
+  /// false.
+  bool push(T item) {
+    ++pushed_;
+    if (items_.size() < capacity_) {
+      items_.push_back(std::move(item));
+      return true;
+    }
+    items_[oldest_] = std::move(item);
+    oldest_ = (oldest_ + 1) % capacity_;
+    return false;
+  }
+
+  size_t size() const { return items_.size(); }
+  uint64_t pushed() const { return pushed_; }
+  /// The items in storage order, for summaries that do not care about age.
+  const std::vector<T>& items() const { return items_; }
+  /// Calls fn(item) oldest first.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (size_t i = 0; i < items_.size(); ++i)
+      fn(items_[(oldest_ + i) % items_.size()]);
+  }
+  std::vector<T> ordered() const {
+    std::vector<T> out;
+    out.reserve(items_.size());
+    for_each([&out](const T& item) { out.push_back(item); });
+    return out;
+  }
+  void clear() {
+    items_.clear();
+    oldest_ = 0;
+    pushed_ = 0;
+  }
+
+ private:
+  size_t capacity_;
+  std::vector<T> items_;
+  size_t oldest_ = 0;  ///< index of the oldest item once full, else 0
+  uint64_t pushed_ = 0;
+};
+
 /// Thread-safe histogram with bounded memory: a ring of the most recent
 /// kHistogramWindow samples plus an exact all-time count and sum. It works
 /// regardless of the telemetry enable flag, so it is safe to leave
@@ -141,11 +192,19 @@ class Histogram {
 
  private:
   mutable std::mutex mu_;
-  std::vector<double> ring_;
-  size_t next_ = 0;
-  uint64_t count_ = 0;
+  Ring<double> ring_{kHistogramWindow};
   double sum_ = 0.0;
 };
+
+/// Spans the Telemetry buffer keeps: the most recent ones, so a
+/// long-running traced daemon holds bounded memory. Each span dropped past
+/// the window counts in the `obs.spans_dropped` counter, which appears in
+/// the metrics export only once a span has been dropped. Every trace CI
+/// writes is far inside the window: the telemetry smoke holds 28 spans and
+/// the serve smoke's daemon trace 90 (95 merged). A smartd size request
+/// for mux/strong_pass/8 records about 31 spans, so the window holds the
+/// last ~130 such requests.
+constexpr size_t kSpanWindow = 4096;
 
 /// Process-wide telemetry collector. All recording methods are no-ops
 /// (one relaxed atomic load) while disabled.
@@ -171,7 +230,7 @@ class Telemetry {
   HistogramSummary hist_summary(std::string_view name) const;
 
   // ---- spans ----
-  /// Number of completed spans in the buffer.
+  /// Number of completed spans in the buffer (at most kSpanWindow).
   size_t span_count() const;
   /// Copy of the span buffer, in completion (end-time) order.
   std::vector<SpanEvent> spans() const;
@@ -186,7 +245,8 @@ class Telemetry {
   std::string chrome_trace_json() const;
   /// Flat metrics JSON: {"counters":{},"gauges":{},"histograms":{}}.
   std::string metrics_json() const;
-  /// Write either export to a file; returns false on I/O failure.
+  /// Write either export to a file atomically (util::write_file); returns
+  /// false on I/O failure.
   bool write_chrome_trace(const std::string& path) const;
   bool write_metrics(const std::string& path) const;
 
@@ -205,7 +265,7 @@ class Telemetry {
   uint32_t pid_ = 0;
   std::string process_label_;
   mutable std::mutex mu_;
-  std::vector<SpanEvent> events_;
+  Ring<SpanEvent> events_{kSpanWindow};
   std::map<std::string, double, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> hists_;

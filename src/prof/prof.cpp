@@ -19,6 +19,8 @@
 #include <mutex>
 
 #include "obs/obs.h"
+#include "util/file.h"
+#include "util/json.h"
 #include "util/strfmt.h"
 
 // Older glibc exposes SIGEV_THREAD_ID but not the field alias.
@@ -284,15 +286,6 @@ void drain_into_retained() {
   while (g_samples.size() > max_samples) g_samples.pop_front();
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = n == content.size() && std::fclose(f) == 0;
-  if (n != content.size()) std::fclose(f);
-  return ok;
-}
-
 std::string demangle(const char* name) {
   int status = 0;
   char* demangled = abi::__cxa_demangle(name, nullptr, nullptr, &status);
@@ -370,28 +363,6 @@ std::vector<std::string> stack_of(const Sample& s) {
   for (size_t i = s.depth; i > begin; --i)
     frames.push_back(symbolize_pc(s.pcs[i - 1]));
   return frames;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -535,7 +506,7 @@ std::string Profiler::folded(const FoldedOptions& opt) const {
 
 bool Profiler::write_folded(const std::string& path,
                             const FoldedOptions& opt) const {
-  return write_file(path, folded(opt));
+  return util::write_file(path, folded(opt));
 }
 
 std::string Profiler::speedscope_json(const std::string& name) const {
@@ -560,11 +531,11 @@ std::string Profiler::speedscope_json(const std::string& name) const {
   std::string out =
       "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\","
       "\"exporter\":\"smart-prof\",\"name\":\"" +
-      json_escape(name) + "\",\"activeProfileIndex\":0,\"shared\":{"
+      util::json_escape(name) + "\",\"activeProfileIndex\":0,\"shared\":{"
       "\"frames\":[";
   for (size_t i = 0; i < frames.size(); ++i) {
     if (i != 0) out += ",";
-    out += "{\"name\":\"" + json_escape(frames[i]) + "\"}";
+    out += "{\"name\":\"" + util::json_escape(frames[i]) + "\"}";
   }
   out += "]},\"profiles\":[";
   bool first_profile = true;
@@ -574,12 +545,14 @@ std::string Profiler::speedscope_json(const std::string& name) const {
     out += util::strfmt(
         "{\"type\":\"sampled\",\"name\":\"%s tid %u\",\"unit\":\"none\","
         "\"startValue\":0,\"endValue\":%zu,\"samples\":[",
-        json_escape(name).c_str(), tid, stacks.size());
+        util::json_escape(name).c_str(), tid, stacks.size());
     for (size_t i = 0; i < stacks.size(); ++i) {
       if (i != 0) out += ",";
       out += "[";
-      for (size_t j = 0; j < stacks[i].size(); ++j)
-        out += (j ? "," : "") + util::strfmt("%zu", stacks[i][j]);
+      for (size_t j = 0; j < stacks[i].size(); ++j) {
+        if (j != 0) out += ",";
+        out += std::to_string(stacks[i][j]);
+      }
       out += "]";
     }
     out += "],\"weights\":[";
@@ -587,7 +560,7 @@ std::string Profiler::speedscope_json(const std::string& name) const {
     out += "]}";
   }
   if (per_thread.empty())
-    out += "{\"type\":\"sampled\",\"name\":\"" + json_escape(name) +
+    out += "{\"type\":\"sampled\",\"name\":\"" + util::json_escape(name) +
            "\",\"unit\":\"none\",\"startValue\":0,\"endValue\":0,"
            "\"samples\":[],\"weights\":[]}";
   out += "]}";
@@ -596,7 +569,7 @@ std::string Profiler::speedscope_json(const std::string& name) const {
 
 bool Profiler::write_speedscope(const std::string& path,
                                 const std::string& name) const {
-  return write_file(path, speedscope_json(name));
+  return util::write_file(path, speedscope_json(name));
 }
 
 std::vector<Profiler::FrameStat> Profiler::top_frames(size_t k) const {

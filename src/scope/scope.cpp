@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "refsim/rc_timer.h"
+#include "util/json.h"
 #include "util/strfmt.h"
 #include "util/table.h"
 
@@ -15,6 +16,8 @@ namespace {
 
 using core::RespecIteration;
 using core::SolveSnapshot;
+using util::json_escape;
+using util::json_number;
 
 /// Sensitivity drivers listed per size label.
 constexpr size_t kMaxDrivers = 3;
@@ -152,38 +155,6 @@ std::vector<LabelSensitivity> sensitivities(const netlist::Netlist& nl,
     out.push_back(std::move(ls));
   }
   return out;
-}
-
-// ---- JSON helpers (same conventions as the obs exporter) ----
-
-std::string jesc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string jnum(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
 }
 
 }  // namespace
@@ -418,58 +389,61 @@ std::string render_text(const ScopeReport& r) {
 
 std::string render_json(const ScopeReport& r) {
   std::string out = "{\n";
-  out += "  \"macro\": \"" + jesc(r.macro) + "\",\n";
-  out += "  \"message\": \"" + jesc(r.message) + "\",\n";
-  out += "  \"status\": \"" + jesc(r.solve_status) + "\",\n";
-  out += "  \"objective\": " + jnum(r.objective) + ",\n";
-  out += "  \"specs\": {\"target_delay_ps\": " + jnum(r.target_delay_ps) +
-         ", \"target_precharge_ps\": " + jnum(r.target_precharge_ps) +
-         ", \"model_delay_spec_ps\": " + jnum(r.model_delay_spec_ps) +
+  out += "  \"macro\": \"" + json_escape(r.macro) + "\",\n";
+  out += "  \"message\": \"" + json_escape(r.message) + "\",\n";
+  out += "  \"status\": \"" + json_escape(r.solve_status) + "\",\n";
+  out += "  \"objective\": " + json_number(r.objective) + ",\n";
+  out += "  \"specs\": {\"target_delay_ps\": " +
+         json_number(r.target_delay_ps) +
+         ", \"target_precharge_ps\": " + json_number(r.target_precharge_ps) +
+         ", \"model_delay_spec_ps\": " + json_number(r.model_delay_spec_ps) +
          ", \"model_precharge_spec_ps\": " +
-         jnum(r.model_precharge_spec_ps) + "},\n";
-  out += "  \"measured\": {\"delay_ps\": " + jnum(r.measured_delay_ps) +
-         ", \"precharge_ps\": " + jnum(r.measured_precharge_ps) + "},\n";
+         json_number(r.model_precharge_spec_ps) + "},\n";
+  out += "  \"measured\": {\"delay_ps\": " + json_number(r.measured_delay_ps) +
+         ", \"precharge_ps\": " + json_number(r.measured_precharge_ps) + "},\n";
   out += "  \"summary\": {\"total_paths\": " +
-         jnum(static_cast<double>(r.total_paths)) +
+         json_number(static_cast<double>(r.total_paths)) +
          ", \"total_constraints\": " +
-         jnum(static_cast<double>(r.total_constraints)) +
+         json_number(static_cast<double>(r.total_constraints)) +
          ", \"binding_count\": " +
-         jnum(static_cast<double>(r.binding.size())) +
-         ", \"final_t\": " + jnum(r.final_t) +
-         ", \"duality_gap\": " + jnum(r.duality_gap) + "},\n";
+         json_number(static_cast<double>(r.binding.size())) +
+         ", \"final_t\": " + json_number(r.final_t) +
+         ", \"duality_gap\": " + json_number(r.duality_gap) + "},\n";
 
   out += "  \"paths\": [";
   for (size_t i = 0; i < r.paths.size(); ++i) {
     const auto& p = r.paths[i];
     out += i ? ",\n    " : "\n    ";
-    out += "{\"rank\": " + jnum(static_cast<double>(i + 1)) +
-           ", \"index\": " + jnum(static_cast<double>(p.path_index)) +
-           ", \"tag\": \"" + jesc(p.tag) + "\", \"constraint\": \"" +
-           jesc(p.constraint) + "\", \"phase\": \"" +
-           jesc(p.phase) + "\", \"startpoint\": \"" + jesc(p.startpoint) +
-           "\", \"endpoint\": \"" + jesc(p.endpoint) +
-           "\", \"spec_ps\": " + jnum(p.spec_ps) +
-           ", \"target_ps\": " + jnum(p.target_ps) +
-           ", \"model_delay_ps\": " + jnum(p.model_delay_ps) +
-           ", \"model_slack_ps\": " + jnum(p.model_slack_ps) +
-           ", \"gp_slack\": " + jnum(p.gp_slack) +
-           ", \"gp_dual\": " + jnum(p.gp_dual) +
+    out += "{\"rank\": " + json_number(static_cast<double>(i + 1)) +
+           ", \"index\": " + json_number(static_cast<double>(p.path_index)) +
+           ", \"tag\": \"" + json_escape(p.tag) + "\", \"constraint\": \"" +
+           json_escape(p.constraint) + "\", \"phase\": \"" +
+           json_escape(p.phase) + "\", \"startpoint\": \"" +
+           json_escape(p.startpoint) +
+           "\", \"endpoint\": \"" + json_escape(p.endpoint) +
+           "\", \"spec_ps\": " + json_number(p.spec_ps) +
+           ", \"target_ps\": " + json_number(p.target_ps) +
+           ", \"model_delay_ps\": " + json_number(p.model_delay_ps) +
+           ", \"model_slack_ps\": " + json_number(p.model_slack_ps) +
+           ", \"gp_slack\": " + json_number(p.gp_slack) +
+           ", \"gp_dual\": " + json_number(p.gp_dual) +
            ", \"binding\": " + (p.binding ? "true" : "false") +
-           ", \"sta_arrival_ps\": " + jnum(p.sta_arrival_ps) +
-           ", \"sta_slack_ps\": " + jnum(p.sta_slack_ps) +
+           ", \"sta_arrival_ps\": " + json_number(p.sta_arrival_ps) +
+           ", \"sta_slack_ps\": " + json_number(p.sta_slack_ps) +
            ", \"stages\": [";
     for (size_t si = 0; si < p.stages.size(); ++si) {
       const auto& s = p.stages[si];
       out += si ? ", " : "";
-      out += "{\"from\": \"" + jesc(s.from) + "\", \"to\": \"" +
-             jesc(s.to) + "\", \"comp\": \"" + jesc(s.comp) +
-             "\", \"kind\": \"" + jesc(s.kind) + "\", \"edge\": \"" +
+      out += "{\"from\": \"" + json_escape(s.from) + "\", \"to\": \"" +
+             json_escape(s.to) + "\", \"comp\": \"" + json_escape(s.comp) +
+             "\", \"kind\": \"" + json_escape(s.kind) + "\", \"edge\": \"" +
              (s.out_rise ? "R" : "F") +
-             "\", \"delay_ps\": " + jnum(s.delay_ps) +
-             ", \"slope_ps\": " + jnum(s.slope_ps) +
-             ", \"arrival_ps\": " + jnum(s.arrival_ps) +
-             ", \"borrow_ps\": " + jnum(s.borrow_ps) +
-             ", \"stage\": " + jnum(static_cast<double>(s.domino_stage)) +
+             "\", \"delay_ps\": " + json_number(s.delay_ps) +
+             ", \"slope_ps\": " + json_number(s.slope_ps) +
+             ", \"arrival_ps\": " + json_number(s.arrival_ps) +
+             ", \"borrow_ps\": " + json_number(s.borrow_ps) +
+             ", \"stage\": " +
+             json_number(static_cast<double>(s.domino_stage)) +
              "}";
     }
     out += "]}";
@@ -477,28 +451,29 @@ std::string render_json(const ScopeReport& r) {
   out += r.paths.empty() ? "],\n" : "\n  ],\n";
 
   out += "  \"slack_histogram\": {\"count\": " +
-         jnum(static_cast<double>(r.slack_hist.count)) +
-         ", \"min\": " + jnum(r.slack_hist.min) +
-         ", \"max\": " + jnum(r.slack_hist.max) +
-         ", \"p50\": " + jnum(r.slack_hist.p50) +
+         json_number(static_cast<double>(r.slack_hist.count)) +
+         ", \"min\": " + json_number(r.slack_hist.min) +
+         ", \"max\": " + json_number(r.slack_hist.max) +
+         ", \"p50\": " + json_number(r.slack_hist.p50) +
          ", \"buckets\": {\"bounds\": [";
   for (size_t b = 0; b < r.slack_hist.bucket_bounds.size(); ++b)
-    out += (b ? ", " : "") + jnum(r.slack_hist.bucket_bounds[b]);
+    out += (b ? ", " : "") + json_number(r.slack_hist.bucket_bounds[b]);
   out += "], \"counts\": [";
   for (size_t b = 0; b < r.slack_hist.bucket_counts.size(); ++b)
     out += (b ? ", " : "") +
-           jnum(static_cast<double>(r.slack_hist.bucket_counts[b]));
+           json_number(static_cast<double>(r.slack_hist.bucket_counts[b]));
   out += "]}},\n";
 
   out += "  \"binding\": [";
   for (size_t i = 0; i < r.binding.size(); ++i) {
     const auto& b = r.binding[i];
     out += i ? ",\n    " : "\n    ";
-    out += "{\"tag\": \"" + jesc(b.tag) + "\", \"members\": [";
+    out += "{\"tag\": \"" + json_escape(b.tag) + "\", \"members\": [";
     for (size_t m = 0; m < b.members.size(); ++m)
-      out += (m ? ", \"" : "\"") + jesc(b.members[m]) + "\"";
-    out += "], \"lhs\": " + jnum(b.lhs) + ", \"slack\": " + jnum(b.slack) +
-           ", \"dual\": " + jnum(b.dual) + "}";
+      out += (m ? ", \"" : "\"") + json_escape(b.members[m]) + "\"";
+    out += "], \"lhs\": " + json_number(b.lhs) +
+           ", \"slack\": " + json_number(b.slack) +
+           ", \"dual\": " + json_number(b.dual) + "}";
   }
   out += r.binding.empty() ? "],\n" : "\n  ],\n";
 
@@ -506,15 +481,15 @@ std::string render_json(const ScopeReport& r) {
   for (size_t i = 0; i < r.sensitivities.size(); ++i) {
     const auto& ls = r.sensitivities[i];
     out += i ? ",\n    " : "\n    ";
-    out += "{\"label\": \"" + jesc(ls.label) +
-           "\", \"width_um\": " + jnum(ls.width_um) +
+    out += "{\"label\": \"" + json_escape(ls.label) +
+           "\", \"width_um\": " + json_number(ls.width_um) +
            ", \"at_lower\": " + (ls.at_lower ? "true" : "false") +
            ", \"at_upper\": " + (ls.at_upper ? "true" : "false") +
            ", \"drivers\": [";
     for (size_t di = 0; di < ls.drivers.size(); ++di) {
       out += di ? ", " : "";
-      out += "{\"tag\": \"" + jesc(ls.drivers[di].tag) +
-             "\", \"score\": " + jnum(ls.drivers[di].score) + "}";
+      out += "{\"tag\": \"" + json_escape(ls.drivers[di].tag) +
+             "\", \"score\": " + json_number(ls.drivers[di].score) + "}";
     }
     out += "]}";
   }
@@ -524,12 +499,12 @@ std::string render_json(const ScopeReport& r) {
   for (size_t i = 0; i < r.trace.size(); ++i) {
     const auto& t = r.trace[i];
     out += i ? ", " : "";
-    out += "{\"stage\": " + jnum(static_cast<double>(t.stage)) +
+    out += "{\"stage\": " + json_number(static_cast<double>(t.stage)) +
            ", \"phase1\": " + (t.phase1 ? "true" : "false") +
-           ", \"t\": " + jnum(t.t) +
-           ", \"newton_iters\": " + jnum(t.newton_iters) +
+           ", \"t\": " + json_number(t.t) +
+           ", \"newton_iters\": " + json_number(t.newton_iters) +
            ", \"converged\": " + (t.converged ? "true" : "false") +
-           ", \"gap\": " + jnum(t.gap) + "}";
+           ", \"gap\": " + json_number(t.gap) + "}";
   }
   out += "],\n";
 
@@ -537,17 +512,17 @@ std::string render_json(const ScopeReport& r) {
   for (size_t i = 0; i < r.respec.size(); ++i) {
     const auto& it = r.respec[i];
     out += i ? ", " : "";
-    out += "{\"iter\": " + jnum(it.iter) +
-           ", \"model_spec_ps\": " + jnum(it.model_spec_ps) +
-           ", \"model_pre_spec_ps\": " + jnum(it.model_pre_spec_ps) +
-           ", \"measured_delay_ps\": " + jnum(it.measured_delay_ps) +
+    out += "{\"iter\": " + json_number(it.iter) +
+           ", \"model_spec_ps\": " + json_number(it.model_spec_ps) +
+           ", \"model_pre_spec_ps\": " + json_number(it.model_pre_spec_ps) +
+           ", \"measured_delay_ps\": " + json_number(it.measured_delay_ps) +
            ", \"measured_precharge_ps\": " +
-           jnum(it.measured_precharge_ps) +
-           ", \"mismatch\": " + jnum(it.mismatch) +
-           ", \"total_width_um\": " + jnum(it.total_width_um) +
+           json_number(it.measured_precharge_ps) +
+           ", \"mismatch\": " + json_number(it.mismatch) +
+           ", \"total_width_um\": " + json_number(it.total_width_um) +
            ", \"binding_count\": " +
-           jnum(static_cast<double>(it.binding_count)) +
-           ", \"gp_status\": \"" + jesc(gp::to_string(it.gp_status)) +
+           json_number(static_cast<double>(it.binding_count)) +
+           ", \"gp_status\": \"" + json_escape(gp::to_string(it.gp_status)) +
            "\", \"meets\": " + (it.meets ? "true" : "false") +
            ", \"accepted\": " + (it.accepted ? "true" : "false") + "}";
   }

@@ -27,6 +27,9 @@ namespace {
 using util::FailureReason;
 using util::Status;
 
+/// Budget for establishing a connection.
+constexpr double kConnectTimeoutMs = 2000.0;
+
 /// poll() for `events` within `timeout_ms`; false on timeout.
 bool wait_fd(int fd, short events, double timeout_ms) {
   pollfd p{fd, events, 0};
@@ -78,7 +81,7 @@ util::Status Client::connect_once() {
     len = sizeof(in);
   }
 
-  // Non-blocking connect bounded by connect_timeout_ms.
+  // Non-blocking connect bounded by kConnectTimeoutMs.
   const int flags = ::fcntl(fd_, F_GETFL, 0);
   ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
   const int rc = ::connect(fd_, addr, len);
@@ -89,7 +92,7 @@ util::Status Client::connect_once() {
     return Status::Fail(FailureReason::kInternal, err);
   }
   if (rc != 0) {
-    if (!wait_fd(fd_, POLLOUT, opt_.connect_timeout_ms)) {
+    if (!wait_fd(fd_, POLLOUT, kConnectTimeoutMs)) {
       close();
       return Status::Fail(FailureReason::kTimeout, "connect timed out");
     }

@@ -23,7 +23,6 @@ struct ClientOptions {
   std::string unix_path;
   std::string host = "127.0.0.1";
   int port = 0;
-  double connect_timeout_ms = 2000.0;
   /// Read budget for a response when the request has no deadline; with a
   /// deadline the budget is deadline + slack.
   double io_timeout_ms = 30000.0;

@@ -10,6 +10,7 @@
 #include "scope/scope.h"
 #include "serve/request.h"
 #include "util/deadline.h"
+#include "util/json.h"
 #include "util/strfmt.h"
 
 namespace smart::serve {
@@ -19,14 +20,28 @@ namespace {
 using util::FailureReason;
 using util::Status;
 
+/// Relative L-infinity radius within which a cached neighbor warm-starts a
+/// size request.
+constexpr double kNearDistance = 0.25;
+
 core::CostMetric cost_metric(const Request& r) {
   if (r.cost == "power") return core::CostMetric::kPower;
   if (r.cost == "clock") return core::CostMetric::kClockLoad;
   return core::CostMetric::kTotalWidth;
 }
 
+/// A failed op: no payload, and accounting only for the macro key.
+HandlerOutcome fail(Status st, std::string macro = "") {
+  return {std::move(st), "", std::move(macro), "", "", ""};
+}
+
 HandlerOutcome fail(FailureReason reason, std::string detail) {
-  return {Status::Fail(reason, std::move(detail)), ""};
+  return fail(Status::Fail(reason, std::move(detail)));
+}
+
+/// A successful op that ran no solver (advise, lint).
+HandlerOutcome answered(std::string payload) {
+  return {Status::Ok(), std::move(payload), "", "", "", ""};
 }
 
 /// Resolves the named topology and generates the netlist; generation
@@ -84,13 +99,15 @@ std::string solve_diag_json(const core::SizerResult& result) {
       "\"measured_delay_ps\":%.3f,\"total_width_um\":%.3f,"
       "\"binding\":[",
       core::to_string(result.rung),
-      json_escape(result.status.to_string()).c_str(),
+      util::json_escape(result.status.to_string()).c_str(),
       result.ok ? "true" : "false", result.gp_newton_iterations,
       result.respec_iterations, result.measured_delay_ps,
       result.total_width_um);
   for (size_t i = 0; i < result.binding_constraints.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + json_escape(result.binding_constraints[i]) + "\"";
+    out += '"';
+    out += util::json_escape(result.binding_constraints[i]);
+    out += '"';
   }
   out += "],\"respec_trace\":[";
   for (size_t i = 0; i < result.respec_trace.size(); ++i) {
@@ -117,7 +134,7 @@ std::string render_size_response(const std::string& macro,
       "\"measured_precharge_ps\":%.3f,\"total_width_um\":%.3f,"
       "\"newton_iterations\":%d,\"respec_iterations\":%d,"
       "\"widths\":%s}",
-      json_escape(macro).c_str(), r.rung.c_str(), cache_state,
+      util::json_escape(macro).c_str(), r.rung.c_str(), cache_state,
       warm ? "true" : "false", r.measured_delay_ps, r.measured_precharge_ps,
       r.total_width_um, r.newton_iterations, r.respec_iterations,
       render_widths(r.widths).c_str());
@@ -129,7 +146,7 @@ HandlerOutcome handle_size(const ServeContext& ctx, const Request& req,
   const std::string bucket = macro_bucket(req);
   netlist::Netlist nl("");
   if (Status st = generate(ctx, req, &nl); !st.ok())
-    return {st, "", bucket};
+    return fail(st, bucket);
 
   const uint64_t fingerprint = request_fingerprint(req);
   const std::vector<double> params = constraint_params(req);
@@ -150,7 +167,7 @@ HandlerOutcome handle_size(const ServeContext& ctx, const Request& req,
   bool warm = false;
   if (cache_on) {
     CachedResult neighbor;
-    if (ctx.cache->lookup_near(bucket, params, 0.25, &neighbor)) {
+    if (ctx.cache->lookup_near(bucket, params, kNearDistance, &neighbor)) {
       opt.warm_start = std::move(neighbor.solution_x);
       warm = true;
       tel.counter_add("serve.cache.warm");
@@ -208,7 +225,7 @@ HandlerOutcome handle_advise(const ServeContext& ctx, const Request& req,
     out += util::strfmt(
         "{\"topology\":\"%s\",\"cost\":%.4f,\"delay_ps\":%.3f,"
         "\"width_um\":%.3f,\"meets_spec\":%s}",
-        json_escape(sol.topology).c_str(), sol.cost_value,
+        util::json_escape(sol.topology).c_str(), sol.cost_value,
         sol.sizing.measured_delay_ps, sol.sizing.total_width_um,
         sol.meets_spec ? "true" : "false");
   }
@@ -217,16 +234,16 @@ HandlerOutcome handle_advise(const ServeContext& ctx, const Request& req,
     const auto& f = advice.failures[i];
     if (i > 0) out += ",";
     out += util::strfmt("{\"topology\":\"%s\",\"status\":\"%s\"}",
-                        json_escape(f.topology).c_str(),
-                        json_escape(f.status.to_string()).c_str());
+                        util::json_escape(f.topology).c_str(),
+                        util::json_escape(f.status.to_string()).c_str());
   }
   out += "]}";
-  return {Status::Ok(), out};
+  return answered(out);
 }
 
 HandlerOutcome handle_lint(const ServeContext& ctx, const Request& req) {
   netlist::Netlist nl("");
-  if (Status st = generate(ctx, req, &nl); !st.ok()) return {st, ""};
+  if (Status st = generate(ctx, req, &nl); !st.ok()) return fail(st);
   const lint::Options opt;
   lint::Report report(opt);
   report.merge(lint::run_erc(nl, opt));
@@ -240,13 +257,13 @@ HandlerOutcome handle_lint(const ServeContext& ctx, const Request& req) {
     return fail(FailureReason::kInternal,
                 util::strfmt("constraint generation failed: %s", e.what()));
   }
-  return {Status::Ok(), report.to_json()};
+  return answered(report.to_json());
 }
 
 HandlerOutcome handle_report(const ServeContext& ctx, const Request& req,
                              double budget_ms) {
   netlist::Netlist nl("");
-  if (Status st = generate(ctx, req, &nl); !st.ok()) return {st, ""};
+  if (Status st = generate(ctx, req, &nl); !st.ok()) return fail(st);
   core::SizerOptions opt;
   sizing_options(ctx, req, nl, budget_ms, &opt);
   opt.keep_solve_snapshot = true;
@@ -254,10 +271,9 @@ HandlerOutcome handle_report(const ServeContext& ctx, const Request& req,
   const core::Sizer sizer(*ctx.tech, *ctx.lib);
   const core::SizerResult result = sizer.size(nl, opt);
   if (!result.ok)
-    return {result.status.ok()
-                ? Status::Fail(FailureReason::kInternal, result.message)
-                : result.status,
-            ""};
+    return fail(result.status.ok()
+                    ? Status::Fail(FailureReason::kInternal, result.message)
+                    : result.status);
   scope::ScopeOptions sopt;
   sopt.top_k = static_cast<size_t>(req.top_k);
   const auto report = scope::build_report(nl, result, *ctx.tech, sopt);
@@ -271,8 +287,7 @@ HandlerOutcome handle_request(const ServeContext& ctx, FrameType type,
                               const std::string& payload, double budget_ms) {
   try {
     Request req;
-    if (Status st = parse_request(payload, &req); !st.ok())
-      return {st, ""};
+    if (Status st = parse_request(payload, &req); !st.ok()) return fail(st);
     if ((type == FrameType::kSize || type == FrameType::kLint ||
          type == FrameType::kReport) &&
         req.topology.empty())

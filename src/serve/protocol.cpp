@@ -219,24 +219,4 @@ DecodeStatus decode_frame(const char* data, size_t len, Frame* out,
   return DecodeStatus::kOk;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += util::strfmt("\\u%04x", c);
-        else
-          out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace smart::serve

@@ -124,8 +124,4 @@ DecodeStatus decode_frame(const char* data, size_t len, Frame* out,
                           size_t* consumed, std::string* err,
                           bool* bad_version = nullptr);
 
-/// JSON string escaping for hand-built payloads (quotes, backslashes,
-/// control characters).
-std::string json_escape(const std::string& s);
-
 }  // namespace smart::serve

@@ -7,7 +7,8 @@
 #include <chrono>
 #include <cstring>
 
-#include "serve/protocol.h"
+#include "util/file.h"
+#include "util/json.h"
 #include "util/strfmt.h"
 
 namespace smart::serve {
@@ -25,12 +26,12 @@ std::string record_json(const RequestRecord& rec) {
   out += util::strfmt("\"trace_id\":%llu,\"request_id\":%llu,",
                       static_cast<unsigned long long>(rec.trace_id),
                       static_cast<unsigned long long>(rec.request_id));
-  out += "\"peer\":\"" + json_escape(rec.peer) + "\",";
-  out += "\"op\":\"" + json_escape(rec.op) + "\",";
-  out += "\"macro\":\"" + json_escape(rec.macro) + "\",";
-  out += "\"cache\":\"" + json_escape(rec.cache) + "\",";
-  out += "\"rung\":\"" + json_escape(rec.rung) + "\",";
-  out += "\"status\":\"" + json_escape(rec.status) + "\",";
+  out += "\"peer\":\"" + util::json_escape(rec.peer) + "\",";
+  out += "\"op\":\"" + util::json_escape(rec.op) + "\",";
+  out += "\"macro\":\"" + util::json_escape(rec.macro) + "\",";
+  out += "\"cache\":\"" + util::json_escape(rec.cache) + "\",";
+  out += "\"rung\":\"" + util::json_escape(rec.rung) + "\",";
+  out += "\"status\":\"" + util::json_escape(rec.status) + "\",";
   out += us_field("queue_us", rec.queue_us) + ",";
   out += us_field("decode_us", rec.decode_us) + ",";
   out += us_field("solve_us", rec.solve_us) + ",";
@@ -47,10 +48,7 @@ AccessLog::~AccessLog() {
 
 bool AccessLog::configure(size_t capacity, const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  ring_.clear();
-  ring_.reserve(capacity_);
-  next_ = 0;
+  ring_ = obs::Ring<RequestRecord>(capacity);
   if (sink_ != nullptr) {
     std::fclose(sink_);
     sink_ = nullptr;
@@ -64,13 +62,7 @@ void AccessLog::append(const RequestRecord& rec) {
   std::string line;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (ring_.size() < capacity_) {
-      ring_.push_back(rec);
-    } else {
-      ring_[next_] = rec;
-    }
-    next_ = (next_ + 1) % capacity_;
-    ++total_;
+    ring_.push(rec);
     if (sink_ == nullptr) return;
     line = record_json(rec);
     line += '\n';
@@ -82,20 +74,12 @@ void AccessLog::append(const RequestRecord& rec) {
 
 std::vector<RequestRecord> AccessLog::recent() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<RequestRecord> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    for (size_t i = 0; i < ring_.size(); ++i)
-      out.push_back(ring_[(next_ + i) % capacity_]);
-  }
-  return out;
+  return ring_.ordered();
 }
 
 uint64_t AccessLog::total() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return total_;
+  return ring_.pushed();
 }
 
 std::string AccessLog::recent_json() const {
@@ -141,15 +125,7 @@ bool SlowSpool::capture(const RequestRecord& rec,
                         static_cast<unsigned long long>(seq_++));
   }
 
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool wrote = std::fclose(f) == 0 && n == body.size();
-  if (!wrote || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
+  if (!util::write_file(path, body)) return false;
   std::lock_guard<std::mutex> lock(mu_);
   ++captured_;
   return true;

@@ -13,7 +13,7 @@
 ///   * SlowSpool — automatic capture of requests whose total latency
 ///     exceeds a threshold: the record, the original request JSON, and
 ///     the SMART-Scope solve diagnostics are written to a spool
-///     directory crash-safely (tmp file + rename) for offline analysis.
+///     directory atomically (util::write_file) for offline analysis.
 ///
 /// Everything here is thread-safe and independent of the obs telemetry
 /// enable flag: the serving stats plane must answer even when tracing is
@@ -24,6 +24,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/obs.h"
 
 namespace smart::serve {
 
@@ -77,18 +79,15 @@ class AccessLog {
 
  private:
   mutable std::mutex mu_;
-  std::vector<RequestRecord> ring_;
-  size_t capacity_ = 64;
-  size_t next_ = 0;
-  uint64_t total_ = 0;
+  obs::Ring<RequestRecord> ring_{64};
   std::FILE* sink_ = nullptr;
 };
 
 /// Crash-safe slow-request capture. Each captured request becomes one
 /// JSON file `slow-<unix_ms>-<trace or request id>.json` in the spool
 /// directory, containing the record, the request payload, and the solve
-/// diagnostics; writes go to a ".tmp" sibling first and rename into
-/// place so a crash mid-write never leaves a torn file visible.
+/// diagnostics; util::write_file puts it in place atomically, so a crash
+/// mid-write never leaves a torn file visible.
 class SlowSpool {
  public:
   /// Enables capture into `dir` (created if absent) for requests slower

@@ -88,10 +88,10 @@ util::Status parse_request(const std::string& payload, Request* out) {
 
 std::string request_json(const Request& r) {
   std::string out = "{";
-  out += util::strfmt("\"type\":\"%s\"", json_escape(r.type).c_str());
+  out += util::strfmt("\"type\":\"%s\"", util::json_escape(r.type).c_str());
   if (!r.topology.empty())
     out += util::strfmt(",\"topology\":\"%s\"",
-                        json_escape(r.topology).c_str());
+                        util::json_escape(r.topology).c_str());
   out += util::strfmt(",\"n\":%d", r.n);
   if (r.bits >= 0.0) out += util::strfmt(",\"bits\":%.17g", r.bits);
   if (r.m >= 0.0) out += util::strfmt(",\"m\":%.17g", r.m);
@@ -101,7 +101,7 @@ std::string request_json(const Request& r) {
     out += util::strfmt(",\"precharge_ps\":%.17g", r.precharge_ps);
   if (r.slope_ps >= 0.0)
     out += util::strfmt(",\"slope_ps\":%.17g", r.slope_ps);
-  out += util::strfmt(",\"cost\":\"%s\"", json_escape(r.cost).c_str());
+  out += util::strfmt(",\"cost\":\"%s\"", util::json_escape(r.cost).c_str());
   out += util::strfmt(",\"top_k\":%d", r.top_k);
   if (!r.use_cache) out += ",\"use_cache\":false";
   out += "}";

@@ -22,12 +22,18 @@
 #include "prof/prof.h"
 #include "prof/resource.h"
 #include "util/fault.h"
+#include "util/file.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/strfmt.h"
 
 namespace smart::serve {
 
 namespace {
+
+/// Retained-sample cap for the daemon's profiler: bounds its memory, and at
+/// the default 99 Hz keeps roughly the last 10 CPU-minutes.
+constexpr size_t kProfileMaxSamples = 1 << 16;
 
 /// ServerStats' event counters with the obs counter each one feeds, in
 /// kStats snapshot order. The snapshot keys them by field name, the counter
@@ -76,21 +82,6 @@ void on_shutdown_signal(int /*signum*/) {
     const char byte = 'S';
     [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
   }
-}
-
-/// Atomic file replace for the periodic metrics flush: a reader (or a
-/// crash) never sees a torn file, only the previous complete one.
-bool write_file_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = std::fclose(f) == 0 && n == content.size();
-  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
 }
 
 int64_t unix_ms_now() {
@@ -238,7 +229,7 @@ util::Status Server::start() {
     } else {
       prof::ProfilerOptions popt;
       popt.hz = opt_.profile_hz;
-      popt.max_samples = opt_.profile_max_samples;
+      popt.max_samples = kProfileMaxSamples;
       if (const util::Status st = prof::Profiler::instance().start(popt);
           st.ok()) {
         profiling_ = true;
@@ -280,8 +271,7 @@ void Server::flush_loop() {
     // The exporter snapshots under the telemetry lock without clearing
     // state; the atomic replace keeps readers (and crashes) safe.
     lock.unlock();
-    write_file_atomic(opt_.metrics_out,
-                      obs::Telemetry::instance().metrics_json());
+    obs::Telemetry::instance().write_metrics(opt_.metrics_out);
     lock.lock();
   }
 }
@@ -776,7 +766,7 @@ void Server::process(WorkItem item) {
     reply.error = error_from(out.status);
     reply.payload = util::strfmt(
         "{\"error\":\"%s\",\"detail\":\"%s\"}", to_string(reply.error),
-        json_escape(out.status.detail).c_str());
+        util::json_escape(out.status.detail).c_str());
     bump_code(reply.error);
     rec.status = to_string(reply.error);
   }
@@ -818,12 +808,8 @@ void Server::process(WorkItem item) {
         const std::string path = util::strfmt(
             "%s/profile-%016llx.folded", opt_.profile_dir.c_str(),
             static_cast<unsigned long long>(item.frame.trace_id));
-        FILE* f = std::fopen(path.c_str(), "w");
-        if (f != nullptr) {
-          std::fputs(folded.c_str(), f);
-          std::fclose(f);
+        if (util::write_file(path, folded))
           tel.counter_add("serve.profile_captured");
-        }
       }
     }
   }
@@ -881,7 +867,7 @@ void Server::send_error(const std::shared_ptr<Conn>& conn,
   frame.trace_id = trace_id;
   frame.payload =
       util::strfmt("{\"error\":\"%s\",\"detail\":\"%s\"}", to_string(code),
-                   json_escape(detail).c_str());
+                   util::json_escape(detail).c_str());
   bump_code(code);
   send_frame(conn, frame, timeout_ms);
 }
@@ -923,7 +909,7 @@ std::string Server::stats_json() const {
 
   std::string out = "{";
   out += util::strfmt("\"uptime_s\":%.3f,", uptime_s);
-  out += "\"endpoint\":\"" + json_escape(endpoint_) + "\",";
+  out += "\"endpoint\":\"" + util::json_escape(endpoint_) + "\",";
   out += util::strfmt("\"protocol_version\":%u,", kProtocolVersion);
   out += util::strfmt("\"draining\":%s,",
                       draining_.load(std::memory_order_relaxed) ? "true"
@@ -1020,7 +1006,7 @@ std::string Server::health_json() const {
       "\"protocol_version\":%u,\"workers\":%d,\"connections\":%llu,"
       "\"queue_depth\":%llu,\"in_flight\":%llu}",
       draining ? "draining" : "ok", uptime_s,
-      json_escape(endpoint_).c_str(), kProtocolVersion, worker_count_,
+      util::json_escape(endpoint_).c_str(), kProtocolVersion, worker_count_,
       static_cast<unsigned long long>(s.connections),
       static_cast<unsigned long long>(s.queue_depth),
       static_cast<unsigned long long>(s.in_flight));

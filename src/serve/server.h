@@ -64,14 +64,13 @@ struct ServerOptions {
   double write_timeout_ms = 5000.0;
   size_t cache_capacity = 256;
   bool enable_cache = true;
-  /// Relative L-infinity radius for warm-start neighbors.
-  double near_distance = 0.25;
   /// Obs exports flushed after drain (empty = none).
   std::string metrics_out;
   std::string trace_out;
   /// Periodic metrics flush interval for metrics_out; <= 0 writes only at
   /// drain. With a positive interval a killed daemon still leaves data no
-  /// older than this (flushes are atomic: tmp file + rename).
+  /// older than this. Every metrics and trace write, periodic or at drain,
+  /// is atomic (util::write_file).
   double metrics_flush_ms = 0.0;
   /// SMART-Pulse access log: JSONL file sink (empty = ring only) and the
   /// size of the recent-requests ring exposed through kStats.
@@ -90,9 +89,6 @@ struct ServerOptions {
   /// profile (folded + speedscope) lands there at drain.
   std::string profile_dir;
   double profile_hz = 99.0;
-  /// Retained-sample cap for the daemon's profiler (bounds memory; at
-  /// 99 Hz the default keeps roughly the last 10 CPU-minutes).
-  size_t profile_max_samples = 1 << 16;
 };
 
 /// Monotonic counters snapshot; every field counts since start(). With

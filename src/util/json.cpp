@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <exception>
@@ -70,8 +71,7 @@ class Parser {
           case 'r': *out += '\r'; break;
           case 't': *out += '\t'; break;
           case 'u':
-            if (pos_ + 4 >= s_.size()) return false;
-            pos_ += 4;  // keep the reader simple: skip the code point
+            if (!code_unit(out)) return false;
             break;
           default: return false;
         }
@@ -82,6 +82,27 @@ class Parser {
     }
     if (pos_ >= s_.size()) return false;
     ++pos_;  // closing quote
+    return true;
+  }
+  /// Decodes the four hex digits after `\u` (pos_ is on the 'u', and is
+  /// left on the last digit) and appends the code unit as UTF-8.
+  bool code_unit(std::string* out) {
+    if (pos_ + 4 >= s_.size()) return false;
+    const std::string hex = s_.substr(pos_ + 1, 4);
+    for (const char c : hex)
+      if (!std::isxdigit(static_cast<unsigned char>(c))) return false;
+    const unsigned long cp = std::stoul(hex, nullptr, 16);
+    pos_ += 4;
+    if (cp < 0x80) {
+      *out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+      *out += static_cast<char>(0xC0 | (cp >> 6));
+      *out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+      *out += static_cast<char>(0xE0 | (cp >> 12));
+      *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (cp & 0x3F));
+    }
     return true;
   }
   bool number(JsonValue* out) {
@@ -167,27 +188,41 @@ bool json_parse(const std::string& text, JsonValue* out) {
   return Parser(text).parse(out);
 }
 
-namespace {
-
-void dump_string(const std::string& s, std::string* out) {
-  *out += '"';
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
   for (const char c : s) {
     switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
+          out += buf;
         } else {
-          *out += c;
+          out += c;
         }
     }
   }
+  return out;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "0";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.10g", v);
+  return buf;
+}
+
+namespace {
+
+void dump_string(const std::string& s, std::string* out) {
+  *out += '"';
+  *out += json_escape(s);
   *out += '"';
 }
 

@@ -1,16 +1,20 @@
 #pragma once
 
 /// \file json.h
-/// Minimal recursive-descent JSON reader. The repo's exporters (obs
-/// metrics/trace, lint reports, scope timing reports) hand-build their JSON;
-/// this is the matching in-tree consumer used by tools (bench_diff) and by
-/// tests that assert the exports parse back. It covers the JSON the repo
-/// emits — objects, arrays, numbers, strings with common escapes, bools,
-/// null — and deliberately stays small: \uXXXX escapes are skipped rather
-/// than decoded, and numbers are parsed with strtod semantics.
+/// Minimal JSON support. The repo's exporters (obs metrics/trace, prof,
+/// lint reports, scope timing reports, serve payloads) hand-build their
+/// JSON with json_escape and json_number, the one string encoder and
+/// number formatter they share. The recursive-descent reader is the
+/// matching in-tree consumer used by tools (bench_diff, trace merging) and
+/// by tests that assert the exports parse back. It covers the JSON the
+/// repo emits — objects, arrays, numbers, strings, bools, null — and
+/// deliberately stays small: \uXXXX escapes decode to UTF-8 one code unit
+/// at a time (surrogate pairs are not joined), and numbers are parsed with
+/// strtod semantics.
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace smart::util {
@@ -30,6 +34,16 @@ struct JsonValue {
     return it == object.end() ? nullptr : &it->second;
   }
 };
+
+/// Escapes `s` for the inside of a JSON string literal (no surrounding
+/// quotes): `"`, `\`, \n, \r and \t get their short escapes, any other
+/// control byte becomes \u00XX, and everything else (UTF-8 included)
+/// passes through unchanged.
+std::string json_escape(std::string_view s);
+
+/// A number as exporters write it: %.10g. NaN and infinities are not JSON
+/// literals, so they become 0.
+std::string json_number(double v);
 
 /// Parses `text` as a single JSON document. Returns false on any syntax
 /// error or trailing garbage; `out` is unspecified on failure.

@@ -309,6 +309,44 @@ TEST_F(ObsTest, ResetClearsEverything) {
   EXPECT_TRUE(tel.enabled());  // reset keeps the flag
 }
 
+// The span buffer is a window: past kSpanWindow spans it keeps the newest
+// ones, in completion order, and exports how many it dropped.
+TEST_F(ObsTest, SpanBufferKeepsTheNewestWindow) {
+  auto& tel = Telemetry::instance();
+  constexpr size_t kExtra = 7;
+  for (size_t i = 0; i < kSpanWindow + kExtra; ++i) {
+    Span span("windowed");
+    span.arg("i", static_cast<double>(i));
+  }
+  EXPECT_EQ(tel.span_count(), kSpanWindow);
+  const std::vector<SpanEvent> spans = tel.spans();
+  ASSERT_EQ(spans.size(), kSpanWindow);
+  for (size_t j = 0; j < spans.size(); ++j) {
+    ASSERT_EQ(spans[j].args.size(), 1u);
+    ASSERT_DOUBLE_EQ(spans[j].args[0].second, static_cast<double>(kExtra + j))
+        << "span " << j << " of the window";
+  }
+  EXPECT_DOUBLE_EQ(tel.counter("obs.spans_dropped"), kExtra);
+
+  JsonValue trace;
+  ASSERT_TRUE(JsonParser(tel.chrome_trace_json()).parse(&trace));
+  EXPECT_EQ(trace.find("traceEvents")->array.size(), kSpanWindow);
+  JsonValue metrics;
+  ASSERT_TRUE(JsonParser(tel.metrics_json()).parse(&metrics));
+  const JsonValue* dropped =
+      metrics.find("counters")->find("obs.spans_dropped");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_DOUBLE_EQ(dropped->number, kExtra);
+}
+
+TEST_F(ObsTest, NoDroppedCounterWhileTheWindowHoldsEverySpan) {
+  auto& tel = Telemetry::instance();
+  { Span span("one"); }
+  JsonValue metrics;
+  ASSERT_TRUE(JsonParser(tel.metrics_json()).parse(&metrics));
+  EXPECT_EQ(metrics.find("counters")->find("obs.spans_dropped"), nullptr);
+}
+
 TEST_F(ObsTest, ScopedTraceIdNestsAndRestores) {
   EXPECT_EQ(current_trace_id(), 0u);
   {

@@ -31,6 +31,7 @@
 #include "serve/server.h"
 #include "tech/tech.h"
 #include "util/fault.h"
+#include "util/file.h"
 #include "util/hash.h"
 #include "util/json.h"
 #include "util/strfmt.h"
@@ -70,12 +71,7 @@ std::vector<std::string> list_dir(const std::string& dir) {
 
 std::string read_file(const std::string& path) {
   std::string text;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return text;
-  char buf[8192];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
+  util::read_file(path, &text);
   return text;
 }
 

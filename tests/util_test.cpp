@@ -1,7 +1,10 @@
 // Unit tests for the util library: formatting, tables, RNG determinism,
-// and the dense linear algebra used by the GP solver and model fitter.
+// the dense linear algebra used by the GP solver and model fitter, and the
+// JSON encoder and file writer every exporter shares.
 
 #include <gtest/gtest.h>
+
+#include <sys/stat.h>
 
 #include <cmath>
 #include <cstdio>
@@ -10,6 +13,8 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/file.h"
+#include "util/json.h"
 #include "util/linalg.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -263,6 +268,90 @@ TEST(VecOps, DotNormAxpy) {
   EXPECT_DOUBLE_EQ(norm_inf(b), 6);
   axpy(2.0, a, b);
   EXPECT_DOUBLE_EQ(b[2], 12);
+}
+
+TEST(Json, EscapeRoundTripsThroughParse) {
+  const std::vector<std::string> cases = {
+      "quote \" inside", "back\\slash", "line\nbreak", "carriage\rreturn",
+      "tab\there", std::string("ctl\x01byte"), std::string("ctl\x1f"),
+      "plain UTF-8: \xc2\xb5m, \xe2\x89\xa4 5 ps", ""};
+  for (const std::string& text : cases) {
+    std::string doc = "\"";
+    doc += json_escape(text);
+    doc += '"';
+    JsonValue v;
+    ASSERT_TRUE(json_parse(doc, &v)) << doc;
+    EXPECT_EQ(v.kind, JsonValue::Kind::kString);
+    EXPECT_EQ(v.str, text) << doc;
+  }
+  EXPECT_EQ(json_escape("a\rb\x01"), "a\\rb\\u0001");
+}
+
+TEST(Json, NumberIsTenDigitsAndFinite) {
+  EXPECT_EQ(json_number(1.0), "1");
+  EXPECT_EQ(json_number(0.1 + 0.2), "0.3");
+  EXPECT_EQ(json_number(1234567.891234), "1234567.891");
+  EXPECT_EQ(json_number(std::nan("")), "0");
+  EXPECT_EQ(json_number(-HUGE_VAL), "0");
+}
+
+/// A fresh scratch path for one test (removed first if a previous run
+/// left it behind).
+std::string scratch_path(const std::string& name) {
+  const std::string path = ::testing::TempDir() + "util_test_" + name;
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+  return path;
+}
+
+bool exists(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+TEST(WriteFile, ReplacesContentAndLeavesNoTmp) {
+  const std::string path = scratch_path("replace.txt");
+  ASSERT_TRUE(write_file(path, "first version, longer than the second\n"));
+  ASSERT_TRUE(write_file(path, "second\n"));
+  std::string text;
+  ASSERT_TRUE(read_file(path, &text));
+  EXPECT_EQ(text, "second\n");
+  EXPECT_FALSE(exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(WriteFile, FailsCleanlyWhenTheTmpCannotBeCreated) {
+  // chmod does not stop root, so the unwritable spot is a missing
+  // directory: neither the target nor its tmp sibling can be created.
+  const std::string dir = scratch_path("missing_dir");
+  const std::string path = dir + "/metrics.json";
+  EXPECT_FALSE(write_file(path, "{}\n"));
+  EXPECT_FALSE(exists(path));
+  EXPECT_FALSE(exists(path + ".tmp"));
+
+  // Same failure next to a file that exists: its tmp sibling's name is
+  // taken by a directory, so the old bytes must survive untouched.
+  const std::string kept = scratch_path("kept.json");
+  const std::string old = "{\"old\": 1}\n";
+  ASSERT_TRUE(write_file(kept, old));
+  ASSERT_EQ(::mkdir((kept + ".tmp").c_str(), 0755), 0);
+  EXPECT_FALSE(write_file(kept, "{\"new\": 2}\n"));
+  std::string text;
+  ASSERT_TRUE(read_file(kept, &text));
+  EXPECT_EQ(text, old);
+  ::rmdir((kept + ".tmp").c_str());
+  std::remove(kept.c_str());
+}
+
+TEST(WriteFile, RemovesTheTmpWhenTheRenameFails) {
+  // A non-empty directory cannot be renamed over.
+  const std::string dir = scratch_path("target_dir");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  ASSERT_TRUE(write_file(dir + "/inside", "x"));
+  EXPECT_FALSE(write_file(dir, "not a directory\n"));
+  EXPECT_FALSE(exists(dir + ".tmp"));
+  std::remove((dir + "/inside").c_str());
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace

@@ -48,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "util/file.h"
 #include "util/json.h"
 #include "util/strfmt.h"
 #include "util/table.h"
@@ -55,17 +56,8 @@
 namespace {
 
 using smart::util::JsonValue;
-
-bool read_file(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
+using smart::util::read_file;
+using smart::util::write_file;
 
 /// Loads the "gauges" object of one metrics export as name -> value, and
 /// with `work_counts` also its counters and each histogram's sum as
@@ -134,13 +126,6 @@ bool load_gauges(const std::string& path, const char* role,
     for (const auto& [name, value] : hists->object)
       take(name + ".sum", value.find("sum"));
   return true;
-}
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 void usage() {
@@ -217,15 +202,19 @@ int record_history(const std::string& history_path,
   for (const auto& [name, value] : current) {
     if (!first) row += ",";
     first = false;
-    row += "\"" + name + "\":" + smart::util::strfmt("%.6g", value);
+    row += '"';
+    row += smart::util::json_escape(name);
+    row += smart::util::strfmt("\":%.6g", value);
   }
   row += "}}\n";
 
   std::FILE* f = std::fopen(history_path.c_str(), "a");
-  if (f == nullptr ||
-      std::fwrite(row.data(), 1, row.size(), f) != row.size() ||
-      std::fclose(f) != 0) {
-    if (f != nullptr) std::fclose(f);
+  bool appended = false;
+  if (f != nullptr) {
+    const bool wrote = std::fwrite(row.data(), 1, row.size(), f) == row.size();
+    appended = std::fclose(f) == 0 && wrote;  // closed exactly once
+  }
+  if (!appended) {
     std::fprintf(stderr, "bench_diff: cannot append to history %s: %s\n",
                  history_path.c_str(), std::strerror(errno));
     return 2;

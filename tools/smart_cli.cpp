@@ -74,6 +74,7 @@
 #include "serve/client.h"
 #include "serve/request.h"
 #include "timing/paths.h"
+#include "util/file.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/strfmt.h"
@@ -472,13 +473,10 @@ int cmd_lint(const Args& args) {
       format == "json" ? report.to_json() : report.to_text();
   const std::string out = args.str("out");
   if (!out.empty()) {
-    FILE* f = std::fopen(out.c_str(), "w");
-    if (f == nullptr) {
+    if (!util::write_file(out, rendered)) {
       std::fprintf(stderr, "cannot write report to %s\n", out.c_str());
       return 2;
     }
-    std::fputs(rendered.c_str(), f);
-    std::fclose(f);
     std::printf("%zu findings (%zu errors, %zu warnings) -> %s\n",
                 report.findings().size(), report.errors(), report.warnings(),
                 out.c_str());
@@ -526,13 +524,10 @@ int cmd_report(const Args& args) {
                                                 : scope::render_text(report);
   const std::string out = args.str("out");
   if (!out.empty()) {
-    FILE* f = std::fopen(out.c_str(), "w");
-    if (f == nullptr) {
+    if (!util::write_file(out, rendered)) {
       std::fprintf(stderr, "cannot write report to %s\n", out.c_str());
       return 2;
     }
-    std::fputs(rendered.c_str(), f);
-    std::fclose(f);
     std::printf("report for %s (%zu paths, %zu binding) -> %s\n",
                 report.macro.c_str(), report.paths.size(),
                 report.binding.size(), out.c_str());
@@ -902,17 +897,11 @@ int cmd_trace_merge(const Args& args) {
   util::JsonValue events;
   events.kind = util::JsonValue::Kind::kArray;
   for (const std::string& path : args.positional) {
-    FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
+    std::string text;
+    if (!util::read_file(path, &text)) {
       std::fprintf(stderr, "trace-merge: cannot read %s\n", path.c_str());
       return 1;
     }
-    std::string text;
-    char chunk[65536];
-    size_t n = 0;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-      text.append(chunk, n);
-    std::fclose(f);
     util::JsonValue doc;
     if (!util::json_parse(text, &doc)) {
       std::fprintf(stderr, "trace-merge: %s is not valid JSON\n",
@@ -939,13 +928,10 @@ int cmd_trace_merge(const Args& args) {
     std::printf("%s\n", rendered.c_str());
     return 0;
   }
-  FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) {
+  if (!util::write_file(out, rendered)) {
     std::fprintf(stderr, "trace-merge: cannot write %s\n", out.c_str());
     return 1;
   }
-  std::fputs(rendered.c_str(), f);
-  std::fclose(f);
   std::printf("merged %zu events from %zu traces -> %s\n",
               merged.object["traceEvents"].array.size(),
               args.positional.size(), out.c_str());
