@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     sopt.input_cap_limits_ff =
         sizer.input_caps(original, orig_sizing);  // same pin budget
     const auto r = sizer.size(nl, sopt);
-    if (!r.ok || r.message != "converged") {
+    if (!r.converged()) {
       table.add_row({label, "-", "-", "-", "-",
                      r.ok ? r.message : "failed"});
       return;
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
                     std::max(orig.measured_precharge_ps, 1e-9)),
          bench::num(r.total_width_um / orig_stats.total_width),
          bench::num(r.clock_width_um / orig_stats.clock_gate_width),
-         "converged"});
+         r.message});
   };
 
   explore("SMART resize: same topology", "xorsum2_nor4");

@@ -141,8 +141,7 @@ Advice DesignAdvisor::advise(const AdvisorRequest& request) const {
         }
         sol.sizing = sizer.size(sol.netlist, sopt);
         if (sol.sizing.ok && sol.sizing.rung != SizingRung::kBaseline) {
-          sol.meets_spec = sol.sizing.rung == SizingRung::kGp &&
-                           sol.sizing.message == "converged";
+          sol.meets_spec = sol.sizing.converged();
           sol.cost_value = metric_value(sol.netlist, sol.sizing.sizing,
                                         request.cost, request.sizer.activity,
                                         *tech_);
@@ -225,8 +224,7 @@ std::vector<TradeoffPoint> DesignAdvisor::tradeoff_curve(
     const auto result = sizer.size(nl, opt);
     TradeoffPoint point;
     point.delay_spec_ps = spec;
-    point.feasible = result.ok && result.rung == SizingRung::kGp &&
-                     result.message == "converged";
+    point.feasible = result.converged();
     if (result.ok) {
       point.measured_delay_ps = result.measured_delay_ps;
       point.total_width_um = result.total_width_um;

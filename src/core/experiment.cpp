@@ -41,8 +41,7 @@ IsoDelayComparison run_iso_delay(const netlist::Netlist& nl,
   // Degraded-rung results (relaxed constraints or baseline fallback) are
   // usable sizings but not iso-delay wins: drop-in invariants only hold for
   // a fully constrained GP solve.
-  cmp.ok = cmp.smart.ok && cmp.smart.rung == SizingRung::kGp &&
-           cmp.smart.message == "converged";
+  cmp.ok = cmp.smart.converged();
 
   power::PowerEstimator estimator(tech);
   cmp.baseline_power = estimator.estimate(nl, base_sizing, opt.activity);

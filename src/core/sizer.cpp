@@ -34,6 +34,24 @@ void record_sizing(obs::Span& span, const SizerResult& r) {
   span.arg("respec_iterations", r.respec_iterations);
 }
 
+/// The ladder guard: runs one rung and turns an exception escaping it into
+/// a failed result whose status names the exception's kind.
+template <class Rung>
+SizerResult guarded(const Rung& rung) {
+  SizerResult r;
+  try {
+    return rung();
+  } catch (const util::TimeoutError& e) {
+    r.status = Status::Fail(FailureReason::kTimeout, e.what());
+  } catch (const util::Error& e) {
+    r.status = Status::Fail(FailureReason::kNumericalError, e.what());
+  } catch (const std::exception& e) {
+    r.status = Status::Fail(FailureReason::kInternal, e.what());
+  }
+  r.message = r.status.to_string();
+  return r;
+}
+
 }  // namespace
 
 void spec_from_baseline(const netlist::Netlist& nl, const tech::Tech& tech,
@@ -109,27 +127,35 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
   // them for the new model-facing specs.
   GeneratedProblem gen;
   double built_slope_budget = -1.0;
-  SizerResult best;
-  best.message = "no feasible GP solve";
-  Status last_fail = Status::Fail(FailureReason::kInfeasible,
-                                  "no feasible GP solve");
-  double best_err = 1e300;
-  bool best_meets = false;
   double prev_width = -1.0;
   int total_newton = 0;
 
-  // Introspection: per-iteration retargeting trace plus the parameters of
-  // the accepted solve (for the optional snapshot regeneration below).
+  // Every solved iteration leaves one record in respec_trace, and the
+  // accepted record is the loop's outcome. Beside its index the loop keeps
+  // only what the record lacks, the sizing and the GP solve, and fills the
+  // result from them once, after the loop.
   std::vector<RespecIteration> respec_trace;
-  int accepted_trace_idx = -1;
-  gp::GpResult snap_gp;
-  double snap_model_spec = 0.0, snap_model_pre = 0.0, snap_slope = 0.0;
-  std::vector<double> snap_required;
+  int accepted = -1;
+  netlist::Sizing accepted_sizing;
+  gp::GpResult accepted_sol;
+  // The last failure: why a loop that ends without a sizing has none.
+  Status last_fail = Status::Fail(FailureReason::kInfeasible,
+                                  "no feasible GP solve");
+  std::string fail_message = "no feasible GP solve";
+  auto fail = [&](Status why, std::string message = {}) {
+    fail_message = message.empty() ? why.to_string() : std::move(message);
+    last_fail = std::move(why);
+  };
 
+  auto scaled_required = [&](double spec) {  // respec scales ports too
+    std::vector<double> required = opt.output_required_ps;
+    for (auto& r : required)
+      if (r > 0.0) r *= spec / target_delay;
+    return required;
+  };
   // Constraint options at the given model-facing specs; everything else
   // comes from the caller's options.
-  auto constraint_options = [&](double spec, double pre, double slope,
-                                const std::vector<double>& required) {
+  auto constraint_options = [&](double spec, double pre, double slope) {
     ConstraintOptions copt;
     copt.delay_spec_ps = spec;
     copt.precharge_spec_ps = pre;
@@ -141,7 +167,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
     copt.prune = opt.prune;
     copt.input_cap_limit_ff = opt.input_cap_limit_ff;
     copt.input_cap_limits_ff = opt.input_cap_limits_ff;
-    copt.output_required_ps = required;
+    copt.output_required_ps = scaled_required(spec);
     return copt;
   };
   // Infeasible at the current model-facing specs (rejected pre-solve or by
@@ -151,35 +177,39 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
     model_pre_spec *= 1.25;
     slope_budget = std::min(slope_budget * 1.15, opt.slope_budget_ps * 2.0);
   };
+  // Relative overshoot of the targets. The delay spec is an upper bound,
+  // and precharge only penalizes overshoot: settling early is free.
+  auto overshoot = [&](const RespecIteration& it) {
+    const double pre = it.measured_precharge_ps > 0.0
+                           ? (it.measured_precharge_ps - target_pre) / target_pre
+                           : 0.0;
+    return std::max(
+        {0.0, (it.measured_delay_ps - target_delay) / target_delay, pre});
+  };
 
   for (int iter = 0; iter < opt.max_respec_iters; ++iter) {
     if (deadline.expired()) {
-      last_fail = Status::Fail(FailureReason::kTimeout,
-                               "sizing deadline exceeded between respec "
-                               "iterations");
-      if (!best.ok) best.message = last_fail.to_string();
+      fail(Status::Fail(FailureReason::kTimeout,
+                        "sizing deadline exceeded between respec "
+                        "iterations"));
       break;
     }
     obs::Span iter_span("sizer.respec_iter");
     iter_span.arg("iter", iter);
     tel.counter_add("sizer.respec.iters");
-    std::vector<double> scaled_required = opt.output_required_ps;
-    for (auto& r : scaled_required)
-      if (r > 0.0) r *= model_spec / target_delay;  // respec scales ports too
 
     {
       obs::Span gen_span("sizer.constraints");
       if (built_slope_budget != slope_budget) {
-        ConstraintOptions copt = constraint_options(
-            model_spec, model_pre_spec, slope_budget, scaled_required);
+        ConstraintOptions copt =
+            constraint_options(model_spec, model_pre_spec, slope_budget);
         copt.deadline = deadline.enabled ? &deadline : nullptr;
         try {
           gen = generate_problem(nl, copt, *lib_, *tech_);
         } catch (const util::TimeoutError& e) {
           // Extraction/congen ran out of budget: report kTimeout and let
           // the ladder produce a valid (if unoptimized) point.
-          last_fail = Status::Fail(FailureReason::kTimeout, e.what());
-          if (!best.ok) best.message = last_fail.to_string();
+          fail(Status::Fail(FailureReason::kTimeout, e.what()));
           break;
         }
         built_slope_budget = slope_budget;
@@ -190,13 +220,10 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
         // degradation ladder a failed solve would.
         const auto wf = verify_generated(gen, {}, nl.name());
         if (wf.errors() > 0) {
-          last_fail = gp::verify_status(wf);
-          if (!best.ok) {
-            best.message = util::strfmt("GP rejected pre-solve: %s",
-                                        last_fail.to_string().c_str());
-            best.path_stats = gen.path_stats;
-          }
-          if (last_fail.reason == FailureReason::kInfeasible) {
+          const Status why = gp::verify_status(wf);
+          fail(why, util::strfmt("GP rejected pre-solve: %s",
+                                 why.to_string().c_str()));
+          if (why.reason == FailureReason::kInfeasible) {
             // Box-infeasible at this spec: relax exactly as a solver
             // phase-I failure would, and retry.
             relax();
@@ -206,7 +233,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
         }
       } else {
         assemble_problem(gen, model_spec, model_pre_spec, opt.otb,
-                         scaled_required, nl);
+                         scaled_required(model_spec), nl);
       }
     }
 
@@ -229,14 +256,17 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
     gp::SolverOptions gpo = opt.gp;
     gpo.deadline_ms = deadline.remaining_ms();  // -1 when no deadline
     gp::GpSolver solver(gpo);
-    const gp::GpResult sol =
-        warm_start.empty() ? solver.solve(*gen.problem)
+    gp::GpResult sol = warm_start.empty()
+                           ? solver.solve(*gen.problem)
                            : solver.solve_from(*gen.problem, warm_start);
     total_newton += sol.newton_iterations;
     RespecIteration rec;
     rec.iter = iter;
     rec.model_spec_ps = model_spec;
     rec.model_pre_spec_ps = model_pre_spec;
+    rec.slope_budget_ps = slope_budget;
+    rec.constraint_count =
+        gen.timing_constraints + gen.stage_constraints + gen.slope_constraints;
     rec.gp_status = sol.status;
     rec.binding_count = sol.binding.size();
     if (sol.status == gp::SolveStatus::kInfeasible) {
@@ -244,13 +274,9 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
       // The model may overestimate delay (it is conservative); relax the
       // model-facing spec and retry. If the target is truly unreachable the
       // loop ends with a best-effort result whose message says so.
-      last_fail = sol.diagnostics;
-      if (!best.ok) {
-        best.message = util::strfmt(
-            "infeasible at model spec %.1f ps: %s", model_spec,
-            sol.message.c_str());
-        best.path_stats = gen.path_stats;
-      }
+      fail(sol.diagnostics,
+           util::strfmt("infeasible at model spec %.1f ps: %s", model_spec,
+                        sol.message.c_str()));
       relax();
       continue;
     }
@@ -260,12 +286,8 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
       respec_trace.push_back(rec);
       // Poisoned problem data or an exhausted deadline: retrying the respec
       // loop cannot fix either, so hand the structured reason up the ladder.
-      last_fail = sol.diagnostics;
-      if (!best.ok) {
-        best.message = util::strfmt("GP solve failed: %s",
-                                    sol.message.c_str());
-        best.path_stats = gen.path_stats;
-      }
+      fail(sol.diagnostics,
+           util::strfmt("GP solve failed: %s", sol.message.c_str()));
       break;
     }
     // kOptimal and kMaxIter both carry a usable finite point; a best-effort
@@ -292,81 +314,41 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
         !std::isfinite(stats.total_width)) {
       // Reference verification produced garbage (e.g. an injected timer
       // fault): this sizing cannot be trusted or compared.
-      last_fail = Status::Fail(FailureReason::kNumericalError,
-                               "non-finite reference-timer measurement");
-      if (!best.ok) best.message = last_fail.to_string();
+      fail(Status::Fail(FailureReason::kNumericalError,
+                        "non-finite reference-timer measurement"));
       respec_trace.push_back(rec);
       break;
     }
-
-    // The delay spec is an upper bound: a design that is *faster* than the
-    // target at minimum feasible width (e.g. pinned by slope constraints)
-    // is converged, not an error.
-    const double err_delay =
-        std::max(0.0, (report.worst_delay - target_delay) / target_delay);
-    const double slack_delay =
-        std::max(0.0, (target_delay - report.worst_delay) / target_delay);
-    const double err_pre =
-        report.worst_precharge > 0.0
-            ? std::max(0.0, (report.worst_precharge - target_pre) / target_pre)
-            : 0.0;
-    // Precharge only penalizes overshoot: settling early is free.
-    const double err = std::max(err_delay, err_pre);
-
-    const bool meets =
-        report.worst_delay <= target_delay * (1 + kConvergeTol) &&
-        report.worst_precharge <= target_pre * (1 + kConvergeTol);
-    if (meets && best.converged_iteration < 0)
-      best.converged_iteration = iter + 1;
-    // Preference order: meeting spec with least width, then closest miss.
-    const bool better =
-        !best.ok ||
-        (meets && (!best_meets || stats.total_width < best.total_width_um)) ||
-        (!meets && !best_meets && err < best_err);
-    if (better) {
-      best.ok = true;
-      best.sizing = sizing;
-      best.measured_delay_ps = report.worst_delay;
-      best.measured_precharge_ps = report.worst_precharge;
-      best.total_width_um = stats.total_width;
-      best.clock_width_um = stats.clock_gate_width;
-      best.modeled_cost = sol.objective;
-      best.path_stats = gen.path_stats;
-      best.constraint_count = gen.timing_constraints +
-                              gen.stage_constraints + gen.slope_constraints;
-      best.binding_constraints = sol.binding;
-      best.respec_iterations = iter + 1;
-      best.solution_x = sol.x;
-      best.message = meets ? "converged" : "best effort";
-      best_err = err;
-      best_meets = meets;
-      accepted_trace_idx = static_cast<int>(respec_trace.size());
-      if (opt.keep_solve_snapshot) {
-        snap_gp = sol;
-        snap_model_spec = model_spec;
-        snap_model_pre = model_pre_spec;
-        snap_slope = slope_budget;
-        snap_required = scaled_required;
-      }
-    }
-    rec.measured_delay_ps = report.worst_delay;
-    rec.measured_precharge_ps = report.worst_precharge;
-    rec.total_width_um = stats.total_width;
-    rec.mismatch = std::fabs(report.worst_delay / model_spec - 1.0);
-    rec.meets = meets;
-    respec_trace.push_back(rec);
 
     // Model-vs-measured mismatch of this iteration: the GP sized to hit
     // model_spec, the reference timer measured worst_delay — their ratio is
     // the model error the respec loop corrects for ("better model accuracy
     // leads to faster convergence" — §5.1).
+    rec.measured_delay_ps = report.worst_delay;
+    rec.measured_precharge_ps = report.worst_precharge;
+    rec.total_width_um = stats.total_width;
+    rec.clock_width_um = stats.clock_gate_width;
+    rec.mismatch = std::fabs(report.worst_delay / model_spec - 1.0);
+    rec.meets = report.worst_delay <= target_delay * (1 + kConvergeTol) &&
+                report.worst_precharge <= target_pre * (1 + kConvergeTol);
+    // Preference order: meeting spec with least width, then closest miss.
+    const RespecIteration* best =
+        accepted < 0 ? nullptr : &respec_trace[static_cast<size_t>(accepted)];
+    if (best == nullptr ||
+        (rec.meets &&
+         (!best->meets || rec.total_width_um < best->total_width_um)) ||
+        (!rec.meets && !best->meets && overshoot(rec) < overshoot(*best))) {
+      accepted = static_cast<int>(respec_trace.size());
+      accepted_sizing = std::move(sizing);
+      accepted_sol = std::move(sol);
+    }
+    respec_trace.push_back(rec);
+
     if (tel.enabled()) {
-      const double mismatch =
-          std::fabs(report.worst_delay / model_spec - 1.0);
-      tel.hist_record("sizer.respec.mismatch", mismatch);
+      tel.hist_record("sizer.respec.mismatch", rec.mismatch);
       iter_span.arg("model_spec_ps", model_spec);
       iter_span.arg("measured_ps", report.worst_delay);
-      iter_span.arg("mismatch", mismatch);
+      iter_span.arg("mismatch", rec.mismatch);
     }
 
     util::log_debug(util::strfmt(
@@ -374,10 +356,15 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
         "width %.1f", iter, model_spec, report.worst_delay, target_delay,
         stats.total_width));
 
-    if (meets && slack_delay <= kConvergeTol) break;
+    // The delay spec is an upper bound: a design that is *faster* than the
+    // target at minimum feasible width (e.g. pinned by slope constraints)
+    // is converged, not an error.
+    const double slack_delay =
+        std::max(0.0, (target_delay - report.worst_delay) / target_delay);
+    if (rec.meets && slack_delay <= kConvergeTol) break;
     // Width stagnation with spec met: the solution is pinned by other
     // constraints (slopes, caps); relaxing the spec further cannot help.
-    if (meets && prev_width > 0.0 &&
+    if (rec.meets && prev_width > 0.0 &&
         std::fabs(stats.total_width - prev_width) < 0.005 * prev_width) {
       break;
     }
@@ -394,33 +381,51 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
     }
   }
 
-  best.gp_newton_iterations = total_newton;
-  best.status = best.ok ? Status::Ok() : last_fail;
-  if (accepted_trace_idx >= 0 &&
-      accepted_trace_idx < static_cast<int>(respec_trace.size()))
-    respec_trace[static_cast<size_t>(accepted_trace_idx)].accepted = true;
-  best.respec_trace = std::move(respec_trace);
+  SizerResult r;
+  r.gp_newton_iterations = total_newton;
+  r.path_stats = gen.path_stats;  // a function of the netlist and pruning
+  r.respec_trace = std::move(respec_trace);
+  for (const auto& it : r.respec_trace)
+    if (it.meets && r.converged_iteration < 0)
+      r.converged_iteration = it.iter + 1;
+  if (accepted < 0) {
+    r.status = std::move(last_fail);
+    r.message = std::move(fail_message);
+    return r;
+  }
 
-  // Optional snapshot: regenerate the problem at the accepted iteration's
-  // model-facing specs. generate_problem is deterministic in its options,
-  // so the regenerated constraint order matches snap_gp.diag index-for-
-  // index without having to copy a move-only GeneratedProblem mid-loop.
-  if (opt.keep_solve_snapshot && best.ok && snap_model_spec > 0.0) {
+  RespecIteration& rec = r.respec_trace[static_cast<size_t>(accepted)];
+  rec.accepted = true;
+  r.ok = true;
+  r.meets = rec.meets;
+  r.message = rec.meets ? "converged" : "best effort";
+  r.sizing = std::move(accepted_sizing);
+  r.measured_delay_ps = rec.measured_delay_ps;
+  r.measured_precharge_ps = rec.measured_precharge_ps;
+  r.total_width_um = rec.total_width_um;
+  r.clock_width_um = rec.clock_width_um;
+  r.modeled_cost = accepted_sol.objective;
+  r.respec_iterations = rec.iter + 1;
+  r.constraint_count = rec.constraint_count;
+  r.binding_constraints = accepted_sol.binding;
+  r.solution_x = accepted_sol.x;
+
+  // Optional snapshot: regenerate the problem at the accepted record's
+  // specs and slope budget. generate_problem is deterministic in its
+  // options, so the constraint order matches the accepted solve's
+  // diagnostics without copying a move-only GeneratedProblem mid-loop.
+  if (opt.keep_solve_snapshot) {
     try {
       auto snap = std::make_shared<SolveSnapshot>();
       snap->gen = generate_problem(
           nl,
-          constraint_options(snap_model_spec, snap_model_pre, snap_slope,
-                             snap_required),
+          constraint_options(rec.model_spec_ps, rec.model_pre_spec_ps,
+                             rec.slope_budget_ps),
           *lib_, *tech_);
-      snap->gp = std::move(snap_gp);
-      snap->model_delay_spec_ps = snap_model_spec;
-      snap->model_precharge_spec_ps = snap_model_pre;
-      snap->slope_budget_ps = snap_slope;
+      snap->gp = std::move(accepted_sol);
       snap->target_delay_ps = target_delay;
       snap->target_precharge_ps = target_pre;
-      snap->scaled_required_ps = snap_required;
-      best.snapshot = std::move(snap);
+      r.snapshot = std::move(snap);
     } catch (const std::exception& e) {
       // A snapshot is an introspection extra; failing to build one must
       // not fail a sizing that already verified.
@@ -428,19 +433,25 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
                                   e.what()));
     }
   }
-  return best;
+  return r;
 }
 
 SizerResult Sizer::size(const netlist::Netlist& nl,
                         const SizerOptions& opt) const {
   obs::Span size_span("sizer.size");
   prof::ResourceScope size_rusage("sizer.size");
+  SizerResult r = walk_ladder(nl, opt);
+  record_sizing(size_span, r);
+  return r;
+}
+
+SizerResult Sizer::walk_ladder(const netlist::Netlist& nl,
+                               const SizerOptions& opt) const {
   if (!(opt.delay_spec_ps > 0.0)) {
     SizerResult r;
     r.status = Status::Fail(FailureReason::kInvalidInput,
                             "delay spec must be positive");
     r.message = r.status.to_string();
-    record_sizing(size_span, r);
     return r;
   }
 
@@ -451,30 +462,10 @@ SizerResult Sizer::size(const netlist::Netlist& nl,
       util::Deadline::from_ms(opt.gp.deadline_ms);
 
   // Rung 1: the full GP sizing loop.
-  SizerResult first;
-  try {
-    first = size_gp(nl, opt);
-  } catch (const util::TimeoutError& e) {
-    first.ok = false;
-    first.status = Status::Fail(FailureReason::kTimeout, e.what());
-    first.message = first.status.to_string();
-  } catch (const util::Error& e) {
-    first.ok = false;
-    first.status = Status::Fail(FailureReason::kNumericalError, e.what());
-    first.message = first.status.to_string();
-  } catch (const std::exception& e) {
-    first.ok = false;
-    first.status = Status::Fail(FailureReason::kInternal, e.what());
-    first.message = first.status.to_string();
-  }
-  if (first.ok) {
-    record_sizing(size_span, first);
-    return first;
-  }
-  const Status gp_failure = first.status.ok()
-                                ? Status::Fail(FailureReason::kInfeasible,
-                                               first.message)
-                                : first.status;
+  SizerResult first = guarded([&] { return size_gp(nl, opt); });
+  if (first.ok) return first;
+  // A failed size_gp or guarded rung always says why in its status.
+  const Status& gp_failure = first.status;
 
   // Rung 2: the slope and input-cap constraints are the usual source of
   // over-tight problems — drop them and retry a short respec loop.
@@ -490,12 +481,7 @@ SizerResult Sizer::size(const netlist::Netlist& nl,
     // size_gp then times out immediately and the ladder falls through to
     // the cheap baseline rung).
     relaxed.gp.deadline_ms = ladder_deadline.remaining_ms();
-    SizerResult second;
-    try {
-      second = size_gp(nl, relaxed);
-    } catch (const std::exception&) {
-      second.ok = false;
-    }
+    SizerResult second = guarded([&] { return size_gp(nl, relaxed); });
     if (second.ok) {
       second.rung = SizingRung::kGpRelaxed;
       second.message = util::strfmt(
@@ -504,7 +490,6 @@ SizerResult Sizer::size(const netlist::Netlist& nl,
       util::log_warn(util::strfmt("sizer: %s degraded to relaxed GP (%s)",
                                   nl.name().c_str(),
                                   gp_failure.to_string().c_str()));
-      record_sizing(size_span, second);
       return second;
     }
   }
@@ -513,29 +498,23 @@ SizerResult Sizer::size(const netlist::Netlist& nl,
   // over-designed) sizing, so sweeps over many candidates keep moving; the
   // status preserves why the optimizer could not do better.
   if (opt.allow_baseline_fallback) {
-    try {
-      const BaselineSizer baseline(*tech_);
-      SizerResult third = measure(nl, baseline.size(nl));
-      if (std::isfinite(third.measured_delay_ps) &&
-          std::isfinite(third.total_width_um)) {
-        third.rung = SizingRung::kBaseline;
-        third.status = gp_failure;
-        third.gp_newton_iterations = first.gp_newton_iterations;
-        third.message = util::strfmt("degraded to baseline fallback (%s)",
-                                     gp_failure.to_string().c_str());
-        util::log_warn(util::strfmt("sizer: %s degraded to baseline (%s)",
-                                    nl.name().c_str(),
-                                    gp_failure.to_string().c_str()));
-        record_sizing(size_span, third);
-        return third;
-      }
-    } catch (const std::exception&) {
-      // fall through to the failed first-rung result
+    SizerResult third = guarded(
+        [&] { return measure(nl, BaselineSizer(*tech_).size(nl)); });
+    if (third.ok && std::isfinite(third.measured_delay_ps) &&
+        std::isfinite(third.total_width_um)) {
+      third.rung = SizingRung::kBaseline;
+      third.status = gp_failure;
+      third.gp_newton_iterations = first.gp_newton_iterations;
+      third.message = util::strfmt("degraded to baseline fallback (%s)",
+                                   gp_failure.to_string().c_str());
+      util::log_warn(util::strfmt("sizer: %s degraded to baseline (%s)",
+                                  nl.name().c_str(),
+                                  gp_failure.to_string().c_str()));
+      return third;
     }
   }
 
-  first.status = gp_failure;
-  record_sizing(size_span, first);
+  // Nothing else answered: the failed first-rung result.
   return first;
 }
 

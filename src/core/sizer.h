@@ -95,40 +95,43 @@ enum class SizingRung {
 const char* to_string(SizingRung rung);
 
 /// The GP problem and solve behind an accepted sizing, kept only when
-/// SizerOptions::keep_solve_snapshot is set. `gen` is regenerated at the
-/// accepted iteration's model-facing specs after the loop finishes, so its
-/// constraint order matches `gp.diag.constraints` index-for-index (both are
-/// deterministic functions of the options).
+/// SizerOptions::keep_solve_snapshot is set. `gen` is regenerated after the
+/// loop at the specs and slope budget of SizerResult::accepted_record(), so
+/// its constraint order matches `gp.diag.constraints` index-for-index (both
+/// are deterministic functions of the options).
 struct SolveSnapshot {
   GeneratedProblem gen;
   gp::GpResult gp;                    ///< accepted solve incl. diagnostics
-  double model_delay_spec_ps = 0.0;   ///< model-facing spec of the solve
-  double model_precharge_spec_ps = 0.0;
-  double slope_budget_ps = 0.0;
   double target_delay_ps = 0.0;       ///< designer-facing spec
   double target_precharge_ps = 0.0;
-  std::vector<double> scaled_required_ps;  ///< per-output, model-facing
 };
 
 /// One iteration of the model-vs-STA re-specification loop, recorded for
 /// every size_gp run (cheap: a dozen scalars per iteration). Iterations
-/// whose GP solve failed outright carry the status and zeroed measurements.
+/// whose GP solve failed outright carry the status and zeroed measurements;
+/// an iteration the pre-solve gate rejected leaves no record.
 struct RespecIteration {
   int iter = 0;                     ///< 0-based loop iteration
   double model_spec_ps = 0.0;       ///< model-facing spec the GP sized to
   double model_pre_spec_ps = 0.0;
+  double slope_budget_ps = 0.0;     ///< slope budget the problem was built at
   double measured_delay_ps = 0.0;   ///< reference-timer verification
   double measured_precharge_ps = 0.0;
   double mismatch = 0.0;            ///< |measured/model_spec - 1|
   double total_width_um = 0.0;
+  double clock_width_um = 0.0;
+  size_t constraint_count = 0;      ///< timing + stage + slope constraints
   size_t binding_count = 0;         ///< binding constraints of the solve
   gp::SolveStatus gp_status = gp::SolveStatus::kMaxIter;
   bool meets = false;               ///< measured within kConvergeTol of spec
-  bool accepted = false;            ///< became the returned best solution
+  bool accepted = false;            ///< became the returned solution
 };
 
 struct SizerResult {
   bool ok = false;
+  /// The accepted respec record's verdict: measured within kConvergeTol of
+  /// the targets. False for baseline-rung and failed results.
+  bool meets = false;
   netlist::Sizing sizing;
   double measured_delay_ps = 0.0;      ///< reference-timer delay at outputs
   double measured_precharge_ps = 0.0;  ///< reference-timer precharge settle
@@ -164,6 +167,17 @@ struct SizerResult {
   /// and most of the barrier schedule — the result cache's warm-start
   /// currency.
   std::vector<double> solution_x;
+
+  /// A full-GP-rung design that meets its targets: the verdict iso-delay
+  /// comparisons, the advisor and topology exploration count (§6.1).
+  bool converged() const { return ok && rung == SizingRung::kGp && meets; }
+  /// The respec record of the returned solution; nullptr when no iteration
+  /// was accepted (baseline-rung and failed results).
+  const RespecIteration* accepted_record() const {
+    for (const auto& it : respec_trace)
+      if (it.accepted) return &it;
+    return nullptr;
+  }
 };
 
 /// Sizes macros against a technology and calibrated model library.
@@ -194,6 +208,9 @@ class Sizer {
   /// result's status instead of throwing.
   SizerResult size_gp(const netlist::Netlist& nl,
                       const SizerOptions& opt) const;
+  /// size() without telemetry: the degradation ladder, each rung guarded.
+  SizerResult walk_ladder(const netlist::Netlist& nl,
+                          const SizerOptions& opt) const;
 
   const tech::Tech* tech_;
   const models::ModelLibrary* lib_;

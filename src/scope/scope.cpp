@@ -181,8 +181,10 @@ ScopeReport build_report(const netlist::Netlist& nl,
     report.objective = snap.gp.objective;
     report.target_delay_ps = snap.target_delay_ps;
     report.target_precharge_ps = snap.target_precharge_ps;
-    report.model_delay_spec_ps = snap.model_delay_spec_ps;
-    report.model_precharge_spec_ps = snap.model_precharge_spec_ps;
+    // A snapshot is kept only for an accepted solve.
+    const core::RespecIteration& accepted = *result.accepted_record();
+    report.model_delay_spec_ps = accepted.model_spec_ps;
+    report.model_precharge_spec_ps = accepted.model_pre_spec_ps;
     report.total_paths = gen.paths.size();
     report.total_constraints = gen.problem->constraints().size();
     report.final_t = diag.final_t;

@@ -31,6 +31,14 @@ namespace smart::scope {
 /// the cut are active at the KKT point to working precision.
 inline constexpr double kBindingSlackTol = 1e-6;
 
+/// Report-grade sizing: keep the snapshot a report reads, and solve until
+/// active constraints sit at |1 - lhs| <= kBindingSlackTol, so the binding
+/// set reported is the KKT active set to working precision.
+inline void make_report_grade(core::SizerOptions* opt) {
+  opt->keep_solve_snapshot = true;
+  opt->gp.tolerance = kBindingSlackTol;
+}
+
 struct ScopeOptions {
   /// Critical paths reported (ranked by reference-STA slack, worst first).
   size_t top_k = 5;

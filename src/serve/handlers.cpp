@@ -266,8 +266,7 @@ HandlerOutcome handle_report(const ServeContext& ctx, const Request& req,
   if (Status st = generate(ctx, req, &nl); !st.ok()) return fail(st);
   core::SizerOptions opt;
   sizing_options(ctx, req, nl, budget_ms, &opt);
-  opt.keep_solve_snapshot = true;
-  opt.gp.tolerance = 1e-6;  // report-grade binding set (see CLI `report`)
+  scope::make_report_grade(&opt);
   const core::Sizer sizer(*ctx.tech, *ctx.lib);
   const core::SizerResult result = sizer.size(nl, opt);
   if (!result.ok)

@@ -92,7 +92,7 @@ TEST(NoiseTest, ChargeShareGrowsWithStackDepth) {
     const auto clk = nl.add_net("clk", netlist::NetKind::kClock);
     std::vector<Stack> leaves;
     for (int i = 0; i < depth; ++i) {
-      const auto in = nl.add_net("i" + std::to_string(i));
+      const auto in = nl.add_net(util::strfmt("i%d", i));
       nl.add_input(in);
       leaves.push_back(Stack::leaf(in, 0));
     }

@@ -132,7 +132,7 @@ TEST(GpSolverProperty, RandomFeasibleProblems) {
     VarTable vars;
     std::vector<VarId> ids;
     for (int i = 0; i < n; ++i)
-      ids.push_back(vars.add("v" + std::to_string(i), 1e-3, 1e3));
+      ids.push_back(vars.add(util::strfmt("v%d", i), 1e-3, 1e3));
     util::Vec feasible(static_cast<size_t>(n));
     for (auto& v : feasible) v = rng.uniform(0.5, 5.0);
 
@@ -157,7 +157,7 @@ TEST(GpSolverProperty, RandomFeasibleProblems) {
       // Scale so the feasible point satisfies lhs <= 1 with 20% slack.
       const double at = lhs.eval(feasible);
       lhs *= 0.8 / at;
-      p.add_constraint(lhs, "c" + std::to_string(c));
+      p.add_constraint(lhs, util::strfmt("c%d", c));
     }
 
     const GpResult r = GpSolver().solve(p);
@@ -304,11 +304,11 @@ TEST(GpWorkingSetProperty, MatchesTheWholeSolve) {
   for (int trial = 0; trial < 10; ++trial) {
     VarTable vars, padded;
     for (int i = 0; i < kVars; ++i) {
-      vars.add("v" + std::to_string(i), 1e-3, 1e3);
-      padded.add("v" + std::to_string(i), 1e-3, 1e3);
+      vars.add(util::strfmt("v%d", i), 1e-3, 1e3);
+      padded.add(util::strfmt("v%d", i), 1e-3, 1e3);
     }
     for (int i = kVars; i * 4 < kConstraints; ++i)
-      padded.add("pad" + std::to_string(i), 1.0, 2.0);
+      padded.add(util::strfmt("pad%d", i), 1.0, 2.0);
     util::Vec feasible(kVars);
     for (auto& v : feasible) v = rng.uniform(0.5, 5.0);
 
@@ -330,8 +330,8 @@ TEST(GpWorkingSetProperty, MatchesTheWholeSolve) {
       if (lhs.is_zero() || lhs.is_constant()) continue;
       // Slack at the feasible point ranges from none to a factor of 10.
       lhs *= rng.uniform(0.1, 1.0) / lhs.eval(feasible);
-      p.add_constraint(lhs, "c" + std::to_string(c));
-      whole.add_constraint(lhs, "c" + std::to_string(c));
+      p.add_constraint(lhs, util::strfmt("c%d", c));
+      whole.add_constraint(lhs, util::strfmt("c%d", c));
     }
     ASSERT_GT(p.constraints().size(), 4u * kVars);
 

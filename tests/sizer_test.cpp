@@ -30,7 +30,7 @@ TEST_F(SizerTest, ConvergesOnChainAtModerateSpec) {
   opt.delay_spec_ps = 120.0;
   const auto r = sizer_.size(nl, opt);
   ASSERT_TRUE(r.ok) << r.message;
-  EXPECT_EQ(r.message, "converged");
+  EXPECT_TRUE(r.converged()) << r.message;
   EXPECT_LE(r.measured_delay_ps, 120.0 * (1.0 + kConvergeTol));
   EXPECT_GT(r.total_width_um, 0.0);
   EXPECT_GT(r.respec_iterations, 0);
@@ -54,7 +54,7 @@ TEST_F(SizerTest, ImpossibleSpecReportsBestEffort) {
   SizerOptions opt;
   opt.delay_spec_ps = 5.0;  // physically unreachable
   const auto r = sizer_.size(nl, opt);
-  EXPECT_NE(r.message, "converged");
+  EXPECT_FALSE(r.converged()) << r.message;
 }
 
 TEST_F(SizerTest, SolutionRespectsSlopeBudget) {
@@ -178,7 +178,7 @@ TEST_F(SizerTest, WidthGridSnapsUpAndStillMeetsSpec) {
   opt.width_grid_um = 0.25;
   const auto r = sizer_.size(nl, opt);
   ASSERT_TRUE(r.ok) << r.message;
-  EXPECT_EQ(r.message, "converged");
+  EXPECT_TRUE(r.converged()) << r.message;
   for (double w : r.sizing) {
     const double cells = w / 0.25;
     EXPECT_NEAR(cells, std::round(cells), 1e-6) << w;
@@ -194,27 +194,52 @@ TEST_F(SizerTest, WidthGridSnapsUpAndStillMeetsSpec) {
 
 TEST_F(SizerTest, RespecTraceRecordsEveryIteration) {
   const auto nl = test::inverter_chain(3, 30.0);
-  SizerOptions opt;
-  opt.delay_spec_ps = 120.0;
-  const auto r = sizer_.size(nl, opt);
-  ASSERT_TRUE(r.ok) << r.message;
+  // A spec the loop meets, and one below what the chain can reach: a
+  // best-effort GP result whose accepted record does not meet.
+  for (const auto& [spec, converges] : {std::pair{120.0, true},
+                                        std::pair{20.0, false}}) {
+    SCOPED_TRACE(spec);
+    SizerOptions opt;
+    opt.delay_spec_ps = spec;
+    opt.allow_relaxed_retry = false;
+    opt.allow_baseline_fallback = false;
+    const auto r = sizer_.size(nl, opt);
+    ASSERT_TRUE(r.ok) << r.message;
+    ASSERT_EQ(r.rung, SizingRung::kGp);
 
-  ASSERT_FALSE(r.respec_trace.empty());
-  size_t accepted = 0;
-  for (size_t i = 0; i < r.respec_trace.size(); ++i) {
-    const auto& it = r.respec_trace[i];
-    EXPECT_EQ(it.iter, static_cast<int>(i));
-    EXPECT_GT(it.model_spec_ps, 0.0);
-    if (it.accepted) {
-      ++accepted;
-      EXPECT_EQ(it.gp_status, gp::SolveStatus::kOptimal);
-      // The accepted iteration's measurement is the returned result.
-      EXPECT_DOUBLE_EQ(it.measured_delay_ps, r.measured_delay_ps);
+    ASSERT_FALSE(r.respec_trace.empty());
+    size_t accepted = 0;
+    for (size_t i = 0; i < r.respec_trace.size(); ++i) {
+      const auto& it = r.respec_trace[i];
+      // A pre-solve rejection leaves no record, so only the spec that
+      // solves from the first iteration numbers its records 0, 1, ...
+      if (converges) {
+        EXPECT_EQ(it.iter, static_cast<int>(i));
+      }
+      if (i > 0) {
+        EXPECT_GT(it.iter, r.respec_trace[i - 1].iter);
+      }
+      EXPECT_GT(it.model_spec_ps, 0.0);
+      if (it.accepted) ++accepted;
     }
+    // Exactly one accepted record, and it is the returned result: its
+    // verdict, measurement and width.
+    EXPECT_EQ(accepted, 1u);
+    const RespecIteration* rec = r.accepted_record();
+    ASSERT_NE(rec, nullptr);
+    if (rec->meets) {
+      EXPECT_EQ(rec->gp_status, gp::SolveStatus::kOptimal);
+    }
+    EXPECT_EQ(r.converged(), converges);
+    EXPECT_EQ(rec->meets, r.converged());
+    EXPECT_EQ(rec->measured_delay_ps, r.measured_delay_ps);
+    EXPECT_EQ(rec->measured_precharge_ps, r.measured_precharge_ps);
+    EXPECT_EQ(rec->total_width_um, r.total_width_um);
+    EXPECT_EQ(rec->clock_width_um, r.clock_width_um);
+    EXPECT_EQ(rec->iter + 1, r.respec_iterations);
+    // No snapshot unless asked for: the default result stays lean.
+    EXPECT_EQ(r.snapshot, nullptr);
   }
-  EXPECT_EQ(accepted, 1u);
-  // No snapshot unless asked for: the default result stays lean.
-  EXPECT_EQ(r.snapshot, nullptr);
 }
 
 TEST_F(SizerTest, SnapshotAlignsWithSolveDiagnostics) {
@@ -244,7 +269,8 @@ TEST_F(SizerTest, SnapshotAlignsWithSolveDiagnostics) {
   // reproduces the recorded objective on the regenerated problem.
   EXPECT_NEAR(snap.gen.problem->objective().eval(snap.gp.x),
               snap.gp.objective, 1e-9 * std::abs(snap.gp.objective) + 1e-9);
-  EXPECT_GT(snap.model_delay_spec_ps, 0.0);
+  ASSERT_NE(r.accepted_record(), nullptr);
+  EXPECT_GT(r.accepted_record()->model_spec_ps, 0.0);
   EXPECT_EQ(snap.target_delay_ps, opt.delay_spec_ps);
 }
 

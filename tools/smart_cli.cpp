@@ -502,11 +502,7 @@ int cmd_report(const Args& args) {
 
   core::SizerOptions opt;
   opt.delay_spec_ps = args.num("delay", -1.0);
-  opt.keep_solve_snapshot = true;
-  // Report-grade solve: drive the barrier until active constraints sit at
-  // |1 - lhs| <= 1e-6, so the reported binding set is the KKT active set
-  // to working precision (scope::kBindingSlackTol).
-  opt.gp.tolerance = 1e-6;
+  scope::make_report_grade(&opt);
   if (opt.delay_spec_ps <= 0.0)
     core::spec_from_baseline(nl, tech::default_tech(), {}, &opt);
   core::Sizer sizer(tech::default_tech(), models::default_library());
