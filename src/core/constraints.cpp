@@ -1,13 +1,13 @@
 #include "core/constraints.h"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 #include <unordered_map>
 
 #include "gp/verify.h"
 #include "obs/obs.h"
 #include "util/check.h"
+#include "util/hash.h"
 #include "util/strfmt.h"
 
 namespace smart::core {
@@ -24,19 +24,8 @@ namespace {
 /// percent of slack keeps the constraint strictly satisfiable.
 constexpr double kInputCapSlack = 1.05;
 
-/// One step of the 64-bit hash every key below is built with.
-uint64_t mix(uint64_t h, uint64_t v) {
-  v *= 0xff51afd7ed558ccdULL;
-  v ^= v >> 33;
-  h = (h ^ v) * 0x2545f4914f6cdd1dULL;
-  return h ^ (h >> 29);
-}
-
-uint64_t bits_of(double d) {
-  uint64_t b;
-  std::memcpy(&b, &d, sizeof b);
-  return b;
-}
+using util::bits_of;
+using util::mix64;
 
 /// Canonical form of a posynomial: its terms in sorted order and a hash of
 /// them. Posynomials keep terms in first-appearance order, so the same sum
@@ -63,13 +52,13 @@ CanonPosy canonical(const Posynomial& p) {
           return x.var != y.var ? x.var < y.var : x.exp < y.exp;
         });
   });
-  uint64_t h = mix(0x9e3779b97f4a7c15ULL, terms.size());
+  uint64_t h = mix64(util::kMix64Seed, terms.size());
   for (const uint32_t i : c.order) {
-    h = mix(h, bits_of(terms[i].coeff()));
-    h = mix(h, terms[i].factors().size());
+    h = mix64(h, bits_of(terms[i].coeff()));
+    h = mix64(h, terms[i].factors().size());
     for (const auto& f : terms[i].factors()) {
-      h = mix(h, static_cast<uint32_t>(f.var));
-      h = mix(h, bits_of(f.exp));
+      h = mix64(h, static_cast<uint32_t>(f.var));
+      h = mix64(h, bits_of(f.exp));
     }
   }
   c.hash = h;
@@ -105,13 +94,13 @@ CanonTemplate canonical(const PathConstraintTemplate& t) {
   c.total = canonical(t.total);
   const int stages = t.stage_prefixes.empty() ? 0 : t.stages_total;
   uint64_t h =
-      mix(static_cast<uint64_t>(t.phase), static_cast<uint64_t>(stages));
-  h = mix(h, c.total.hash);
+      mix64(static_cast<uint64_t>(t.phase), static_cast<uint64_t>(stages));
+  h = mix64(h, c.total.hash);
   c.prefixes.reserve(t.stage_prefixes.size());
   for (const auto& [stage, prefix] : t.stage_prefixes) {
     c.prefixes.push_back(canonical(prefix));
-    h = mix(h, static_cast<uint64_t>(stage));
-    h = mix(h, c.prefixes.back().hash);
+    h = mix64(h, static_cast<uint64_t>(stage));
+    h = mix64(h, c.prefixes.back().hash);
   }
   c.hash = h;
   return c;
@@ -229,7 +218,7 @@ GeneratedProblem generate_problem(const Netlist& nl,
   timing::PathExtractor extractor(nl);
   timing::PruneOptions prune = opt.prune;
   if (opt.deadline != nullptr) prune.deadline = opt.deadline;
-  gen.paths = extractor.extract(prune, &gen.path_stats);
+  gen.paths = extractor.extract(prune);
 
   // The same arc transition at the same input slope appears on many paths;
   // model it once. Keys collect in path order, each distinct model builds
@@ -248,15 +237,17 @@ GeneratedProblem generate_problem(const Netlist& nl,
   };
   struct StepKeyHash {
     size_t operator()(const StepKey& k) const {
-      uint64_t h = mix(0x9e3779b97f4a7c15ULL,
-                       static_cast<uint32_t>(k.comp));
-      h = mix(h, (static_cast<uint64_t>(static_cast<uint32_t>(k.from)) << 32) |
-                     static_cast<uint64_t>(static_cast<uint32_t>(k.to)));
-      h = mix(h, (static_cast<uint64_t>(static_cast<uint8_t>(k.kind)) << 16) |
-                     (static_cast<uint64_t>(static_cast<uint8_t>(k.out_rise))
-                      << 8) |
-                     static_cast<uint64_t>(static_cast<uint8_t>(k.phase)));
-      return static_cast<size_t>(mix(h, k.slope_bits));
+      uint64_t h =
+          mix64(util::kMix64Seed, static_cast<uint32_t>(k.comp));
+      h = mix64(h,
+                (static_cast<uint64_t>(static_cast<uint32_t>(k.from)) << 32) |
+                    static_cast<uint64_t>(static_cast<uint32_t>(k.to)));
+      h = mix64(h,
+                (static_cast<uint64_t>(static_cast<uint8_t>(k.kind)) << 16) |
+                    (static_cast<uint64_t>(static_cast<uint8_t>(k.out_rise))
+                     << 8) |
+                    static_cast<uint64_t>(static_cast<uint8_t>(k.phase)));
+      return static_cast<size_t>(mix64(h, k.slope_bits));
     }
   };
   auto step_key = [&](const timing::PathStep& step, netlist::Phase phase,
@@ -268,7 +259,7 @@ GeneratedProblem generate_problem(const Netlist& nl,
     k.kind = static_cast<int8_t>(step.arc.kind);
     k.out_rise = step.out_rise ? 1 : 0;
     k.phase = static_cast<int8_t>(phase);
-    std::memcpy(&k.slope_bits, &slope, sizeof(slope));
+    k.slope_bits = bits_of(slope);
     return k;
   };
   std::unordered_map<StepKey, uint32_t, StepKeyHash> model_index;
@@ -416,11 +407,7 @@ GeneratedProblem generate_problem(const Netlist& nl,
       if (util::deadline_expired(opt.deadline))
         throw util::TimeoutError(
             "constraint generation deadline exceeded (slopes)");
-      bool footed = true;
-      if (const auto* dg = nl.comp(arc.comp).as_domino())
-        footed = dg->evaluate_label >= 0;
-      netlist::arc_edge_maps(arc.kind, netlist::Phase::kEvaluate, footed,
-                             maps);
+      netlist::arc_edge_maps(nl, arc, netlist::Phase::kEvaluate, maps);
       // Each distinct output transition gets one slope bound.
       bool done_rise = false, done_fall = false;
       for (const auto& em : maps) {

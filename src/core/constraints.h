@@ -117,7 +117,6 @@ struct GeneratedProblem {
   std::unique_ptr<posy::VarTable> vars;
   models::LabelVarMap labels;  ///< label -> monomial over *vars
   std::unique_ptr<gp::GpProblem> problem;
-  timing::PathStats path_stats;
   /// Emitted constraints per family (one per canonical class).
   size_t timing_constraints = 0;
   size_t stage_constraints = 0;

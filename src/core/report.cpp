@@ -3,6 +3,7 @@
 #include <map>
 #include <sstream>
 
+#include "timing/paths.h"
 #include "util/strfmt.h"
 #include "util/table.h"
 
@@ -18,10 +19,16 @@ std::string describe_solution(const netlist::Netlist& nl,
       "width %.1f um\n",
       result.measured_delay_ps, result.measured_precharge_ps,
       result.total_width_um, result.clock_width_um);
+  // The raw count is a property of the netlist; a result that extracted
+  // no paths (the baseline rung) reports none.
+  const double raw_paths =
+      result.path_count > 0
+          ? timing::PathExtractor(nl).count_topological_paths()
+          : 0.0;
   out << util::strfmt(
       "  %d respec iterations, %zu constraints from %zu paths (raw %.0f)\n",
-      result.respec_iterations, result.constraint_count,
-      result.path_stats.final_paths, result.path_stats.raw_topological);
+      result.respec_iterations, result.constraint_count, result.path_count,
+      raw_paths);
 
   if (!result.sizing.empty()) {
     // Device count per label, for width context.

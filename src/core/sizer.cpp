@@ -130,10 +130,10 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
   double prev_width = -1.0;
   int total_newton = 0;
 
-  // Every solved iteration leaves one record in respec_trace, and the
-  // accepted record is the loop's outcome. Beside its index the loop keeps
-  // only what the record lacks, the sizing and the GP solve, and fills the
-  // result from them once, after the loop.
+  // Every iteration that built or solved a problem leaves one record in
+  // respec_trace, and the accepted record is the loop's outcome. Beside
+  // its index the loop keeps only what the record lacks, the sizing and
+  // the GP solve, and fills the result from them once, after the loop.
   std::vector<RespecIteration> respec_trace;
   int accepted = -1;
   netlist::Sizing accepted_sizing;
@@ -176,6 +176,18 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
     model_spec *= 1.25;
     model_pre_spec *= 1.25;
     slope_budget = std::min(slope_budget * 1.15, opt.slope_budget_ps * 2.0);
+  };
+  // The record of this iteration's problem, before any solve: the specs
+  // and slope budget it was built at and its constraint count.
+  auto record = [&](int iter) {
+    RespecIteration rec;
+    rec.iter = iter;
+    rec.model_spec_ps = model_spec;
+    rec.model_pre_spec_ps = model_pre_spec;
+    rec.slope_budget_ps = slope_budget;
+    rec.constraint_count =
+        gen.timing_constraints + gen.stage_constraints + gen.slope_constraints;
+    return rec;
   };
   // Relative overshoot of the targets. The delay spec is an upper bound,
   // and precharge only penalizes overshoot: settling early is free.
@@ -223,6 +235,15 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
           const Status why = gp::verify_status(wf);
           fail(why, util::strfmt("GP rejected pre-solve: %s",
                                  why.to_string().c_str()));
+          RespecIteration rec = record(iter);
+          rec.rejected_pre_solve = true;
+          rec.gp_status =
+              why.reason == FailureReason::kInfeasible
+                  ? gp::SolveStatus::kInfeasible
+                  : why.reason == FailureReason::kNumericalError
+                        ? gp::SolveStatus::kNumericalError
+                        : gp::SolveStatus::kInvalidInput;
+          respec_trace.push_back(rec);
           if (why.reason == FailureReason::kInfeasible) {
             // Box-infeasible at this spec: relax exactly as a solver
             // phase-I failure would, and retry.
@@ -260,13 +281,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
                            ? solver.solve(*gen.problem)
                            : solver.solve_from(*gen.problem, warm_start);
     total_newton += sol.newton_iterations;
-    RespecIteration rec;
-    rec.iter = iter;
-    rec.model_spec_ps = model_spec;
-    rec.model_pre_spec_ps = model_pre_spec;
-    rec.slope_budget_ps = slope_budget;
-    rec.constraint_count =
-        gen.timing_constraints + gen.stage_constraints + gen.slope_constraints;
+    RespecIteration rec = record(iter);
     rec.gp_status = sol.status;
     rec.binding_count = sol.binding.size();
     if (sol.status == gp::SolveStatus::kInfeasible) {
@@ -383,7 +398,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
 
   SizerResult r;
   r.gp_newton_iterations = total_newton;
-  r.path_stats = gen.path_stats;  // a function of the netlist and pruning
+  r.path_count = gen.paths.size();  // a function of the netlist and pruning
   r.respec_trace = std::move(respec_trace);
   for (const auto& it : r.respec_trace)
     if (it.meets && r.converged_iteration < 0)
@@ -447,13 +462,26 @@ SizerResult Sizer::size(const netlist::Netlist& nl,
 
 SizerResult Sizer::walk_ladder(const netlist::Netlist& nl,
                                const SizerOptions& opt) const {
-  if (!(opt.delay_spec_ps > 0.0)) {
+  // Malformed requests get a typed error before any rung is tried.
+  auto invalid = [](std::string why) {
     SizerResult r;
-    r.status = Status::Fail(FailureReason::kInvalidInput,
-                            "delay spec must be positive");
+    r.status = Status::Fail(FailureReason::kInvalidInput, std::move(why));
     r.message = r.status.to_string();
     return r;
-  }
+  };
+  if (!(opt.delay_spec_ps > 0.0)) return invalid("delay spec must be positive");
+  // A per-port vector is either empty or has one entry per port.
+  auto wrong_length = [](const std::vector<double>& v, size_t ports) {
+    return !v.empty() && v.size() != ports;
+  };
+  if (wrong_length(opt.input_cap_limits_ff, nl.inputs().size()))
+    return invalid(util::strfmt(
+        "input_cap_limits_ff has %zu entries but the macro has %zu inputs",
+        opt.input_cap_limits_ff.size(), nl.inputs().size()));
+  if (wrong_length(opt.output_required_ps, nl.outputs().size()))
+    return invalid(util::strfmt(
+        "output_required_ps has %zu entries but the macro has %zu outputs",
+        opt.output_required_ps.size(), nl.outputs().size()));
 
   // The deadline budget spans the whole degradation ladder: a rung-2 retry
   // only gets what rung 1 left over, so a served request's budget bounds

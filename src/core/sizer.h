@@ -41,8 +41,10 @@ struct SizerOptions {
   /// Input pin capacitance limits (see ConstraintOptions).
   double input_cap_limit_ff = -1.0;
   std::vector<double> input_cap_limits_ff;
-  /// Per-output required times (see ConstraintOptions). When set, the
-  /// verification step measures each port against its own deadline.
+  /// Per-output required times (see ConstraintOptions). They shape the
+  /// GP's per-port timing constraints (scaled with each respec of the
+  /// delay spec); the verification step still checks only the worst
+  /// output delay against delay_spec_ps.
   std::vector<double> output_required_ps;
 
   int max_respec_iters = 10;
@@ -107,9 +109,12 @@ struct SolveSnapshot {
 };
 
 /// One iteration of the model-vs-STA re-specification loop, recorded for
-/// every size_gp run (cheap: a dozen scalars per iteration). Iterations
-/// whose GP solve failed outright carry the status and zeroed measurements;
-/// an iteration the pre-solve gate rejected leaves no record.
+/// every size_gp run (cheap: a dozen scalars per iteration). Every
+/// iteration that built a problem leaves one record, so `iter` runs 0, 1,
+/// 2, ... without gaps.
+/// An iteration whose GP solve failed outright, or whose problem the
+/// pre-solve gate rejected (rejected_pre_solve), carries the status and
+/// zeroed measurements.
 struct RespecIteration {
   int iter = 0;                     ///< 0-based loop iteration
   double model_spec_ps = 0.0;       ///< model-facing spec the GP sized to
@@ -123,6 +128,9 @@ struct RespecIteration {
   size_t constraint_count = 0;      ///< timing + stage + slope constraints
   size_t binding_count = 0;         ///< binding constraints of the solve
   gp::SolveStatus gp_status = gp::SolveStatus::kMaxIter;
+  /// The pre-solve gate rejected the problem, so no GP solve ran;
+  /// gp_status is the status the rejection maps to.
+  bool rejected_pre_solve = false;
   bool meets = false;               ///< measured within kConvergeTol of spec
   bool accepted = false;            ///< became the returned solution
 };
@@ -141,7 +149,8 @@ struct SizerResult {
   int respec_iterations = 0;       ///< iteration of the returned solution
   int converged_iteration = -1;    ///< first iteration that met the spec
   int gp_newton_iterations = 0;
-  timing::PathStats path_stats;
+  /// Representative paths the constraints came from (after §5.2 pruning).
+  size_t path_count = 0;
   size_t constraint_count = 0;
   /// Constraints active at the GP solution ("what limits this design"):
   /// eval/pre path tags, slope_<net>, incap_<net>, stage<k> deadlines.

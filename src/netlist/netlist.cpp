@@ -91,6 +91,17 @@ void arc_edge_maps(ArcKind kind, Phase phase, bool domino_footed,
   }
 }
 
+void arc_edge_maps(const Netlist& nl, const Arc& arc, Phase phase,
+                   std::vector<EdgeMap>& out) {
+  // Footedness only selects among the kDominoEval entries above, so the
+  // other arcs skip the component lookup.
+  bool footed = true;
+  if (arc.kind == ArcKind::kDominoEval)
+    if (const DominoGate* dg = nl.comp(arc.comp).as_domino())
+      footed = dg->evaluate_label >= 0;
+  arc_edge_maps(arc.kind, phase, footed, out);
+}
+
 NetId Netlist::add_net(const std::string& name, NetKind kind) {
   SMART_CHECK(!finalized_, "cannot modify a finalized netlist");
   nets_.push_back(Net{name, kind});

@@ -272,4 +272,9 @@ class Netlist {
   std::vector<std::vector<Arc>> arcs_from_;    // by net
 };
 
+/// arc_edge_maps for an arc of `nl`: a domino arc is footed iff its gate
+/// has an evaluate (foot) device.
+void arc_edge_maps(const Netlist& nl, const Arc& arc, Phase phase,
+                   std::vector<EdgeMap>& out);
+
 }  // namespace smart::netlist

@@ -56,10 +56,7 @@ CriticalPath critical_path(const Netlist& nl, const Sizing& sizing,
     double best_err = 1e-3;
     EdgeDelay best_ed;
     for (const Arc& a : nl.arcs_into(net)) {
-      bool footed = true;
-      if (const auto* dg = nl.comp(a.comp).as_domino())
-        footed = dg->evaluate_label >= 0;
-      netlist::arc_edge_maps(a.kind, netlist::Phase::kEvaluate, footed, maps);
+      netlist::arc_edge_maps(nl, a, netlist::Phase::kEvaluate, maps);
       for (const EdgeMap& em : maps) {
         if (em.out_rise != rise) continue;
         const auto& src = report.nets[static_cast<size_t>(a.from)];

@@ -281,10 +281,7 @@ TimingReport RcTimer::analyze(const Netlist& nl,
     std::vector<netlist::EdgeMap> maps;
     for (const NetId n : topo) {
       for (const Arc& a : nl.arcs_into(n)) {
-        bool footed = true;
-        if (const auto* dg = nl.comp(a.comp).as_domino())
-          footed = dg->evaluate_label >= 0;
-        netlist::arc_edge_maps(a.kind, phase, footed, maps);
+        netlist::arc_edge_maps(nl, a, phase, maps);
         const auto& src = nets[static_cast<size_t>(a.from)];
         auto& dst = nets[static_cast<size_t>(a.to)];
         for (const netlist::EdgeMap& em : maps) {

@@ -56,10 +56,7 @@ SlackReport compute_slack(const Netlist& nl, const Sizing& sizing,
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const NetId n = *it;
     for (const Arc& a : nl.arcs_from(n)) {
-      bool footed = true;
-      if (const auto* dg = nl.comp(a.comp).as_domino())
-        footed = dg->evaluate_label >= 0;
-      netlist::arc_edge_maps(a.kind, netlist::Phase::kEvaluate, footed, maps);
+      netlist::arc_edge_maps(nl, a, netlist::Phase::kEvaluate, maps);
       for (const EdgeMap& em : maps) {
         const double req_out = em.out_rise
                                    ? req_rise[static_cast<size_t>(a.to)]

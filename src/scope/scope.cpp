@@ -379,10 +379,12 @@ std::string render_text(const ScopeReport& r) {
     for (const auto& it : r.respec) {
       out << util::strfmt(
           "  iter %d: spec %.1f -> measured %.1f ps (mismatch %.1f%%), "
-          "width %.1f um, %zu binding, gp %s%s%s\n",
+          "width %.1f um, %zu binding, gp %s%s%s%s\n",
           it.iter, it.model_spec_ps, it.measured_delay_ps,
           it.mismatch * 100.0, it.total_width_um, it.binding_count,
-          gp::to_string(it.gp_status), it.meets ? ", meets" : "",
+          gp::to_string(it.gp_status),
+          it.rejected_pre_solve ? " (rejected pre-solve)" : "",
+          it.meets ? ", meets" : "",
           it.accepted ? " [accepted]" : "");
     }
   }
@@ -525,7 +527,9 @@ std::string render_json(const ScopeReport& r) {
            ", \"binding_count\": " +
            json_number(static_cast<double>(it.binding_count)) +
            ", \"gp_status\": \"" + json_escape(gp::to_string(it.gp_status)) +
-           "\", \"meets\": " + (it.meets ? "true" : "false") +
+           "\", \"rejected_pre_solve\": " +
+           (it.rejected_pre_solve ? "true" : "false") +
+           ", \"meets\": " + (it.meets ? "true" : "false") +
            ", \"accepted\": " + (it.accepted ? "true" : "false") + "}";
   }
   out += "]\n}\n";

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <optional>
 
 #include "obs/obs.h"
 #include "util/check.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/strfmt.h"
 
@@ -26,35 +26,18 @@ namespace {
 /// Safety bound on equivalence classes kept per (net, edge) node.
 constexpr size_t kMaxClassesPerNode = 65536;
 
-// ---- 64-bit mixing over small integer streams ----
-// Only digest equality is ever consulted (class dedup, prune buckets), so
-// the mixers just need good avalanche; murmur-style finalization per word
-// replaces the original byte-at-a-time FNV loop on the extraction hot path.
-
+/// Incremental util::mix64 digest over small integer streams.
 struct Hash {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  void mix(uint64_t v) {
-    v *= 0xff51afd7ed558ccdULL;
-    v ^= v >> 33;
-    v *= 0xc4ceb9fe1a85ec53ULL;
-    v ^= v >> 33;
-    h = (h ^ v) * 0x2545f4914f6cdd1dULL;
-    h ^= h >> 29;
-  }
-  void mix_double(double d) {
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-  }
+  uint64_t h = util::kMix64Seed;
+  void mix(uint64_t v) { h = util::mix64(h, v); }
+  void mix_double(double d) { mix(util::bits_of(d)); }
 };
 
-/// Non-commutative combine of two already-mixed digests; the workhorse of
-/// suffix-chain hashing (called once per stored signature per class).
-inline uint64_t mix2(uint64_t x, uint64_t y) {
-  uint64_t v = x ^ (y + 0x9e3779b97f4a7c15ULL + (x << 6) + (x >> 2));
-  v *= 0xff51afd7ed558ccdULL;
-  v ^= v >> 33;
-  return v;
+/// Signature of the suffix chain `rest` extended by a step of signature
+/// `step`. The step is the mixed-in value, so a loop over one child's
+/// classes mixes the step's half once.
+inline uint64_t extend(uint64_t rest, uint64_t step) {
+  return util::mix64(rest, step);
 }
 
 void hash_stack(const Stack& s, Hash& h) {
@@ -189,64 +172,55 @@ struct Suffix {
 /// allocation. Sized ahead of time from the exact attempt bound.
 class DedupTable {
  public:
-  /// Prepares the table for up to `expect` insertions.
+  /// Prepares the table for up to `expect` insertions. Only the first
+  /// power of two >= 2 * expect slots are probed, so a small node stays in
+  /// cache after a large one has grown the table.
   void begin(size_t expect) {
     size_t want = 16;
     while (want < expect * 2) want <<= 1;
-    if (want > sigs_.size()) {
-      sigs_.assign(want, 0);
-      gens_.assign(want, 0);
+    if (want > slots_.size()) {
+      slots_.assign(want, Slot{});
       gen_ = 1;
     } else if (++gen_ == 0) {
-      std::fill(gens_.begin(), gens_.end(), 0u);
+      for (Slot& slot : slots_) slot.gen = 0;
       gen_ = 1;
     }
-    mask_ = sigs_.size() - 1;
+    mask_ = want - 1;
   }
 
   /// True when `sig` was not present (and inserts it).
   bool insert(uint64_t sig) {
-    size_t i = static_cast<size_t>(sig) & mask_;
-    for (;;) {
-      if (gens_[i] != gen_) {
-        gens_[i] = gen_;
-        sigs_[i] = sig;
-        return true;
-      }
-      if (sigs_[i] == sig) return false;
-      i = (i + 1) & mask_;
-    }
+    bool inserted = false;
+    id_of(sig, 0, &inserted);
+    return inserted;
   }
 
   /// Maps `sig` to a dense id: existing id on repeat, `next_id` on first
   /// sight (and reports the insertion through `inserted`).
   uint32_t id_of(uint64_t sig, uint32_t next_id, bool* inserted) {
-    size_t i = static_cast<size_t>(sig) & mask_;
-    for (;;) {
-      if (gens_[i] != gen_) {
-        gens_[i] = gen_;
-        sigs_[i] = sig;
-        ids_[i] = next_id;
+    for (size_t i = static_cast<size_t>(sig) & mask_;; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.gen != gen_) {
+        slot = Slot{sig, gen_, next_id};
         *inserted = true;
         return next_id;
       }
-      if (sigs_[i] == sig) {
+      if (slot.sig == sig) {
         *inserted = false;
-        return ids_[i];
+        return slot.id;
       }
-      i = (i + 1) & mask_;
     }
   }
 
-  /// Enables id_of for the current generation (begin() first).
-  void with_ids() {
-    if (ids_.size() < sigs_.size()) ids_.resize(sigs_.size());
-  }
-
  private:
-  std::vector<uint64_t> sigs_;
-  std::vector<uint32_t> ids_;
-  std::vector<uint32_t> gens_;
+  /// Digest, generation stamp and id share a slot, so a probe touches one
+  /// cache line.
+  struct Slot {
+    uint64_t sig = 0;
+    uint32_t gen = 0;
+    uint32_t id = 0;
+  };
+  std::vector<Slot> slots_;
   uint32_t gen_ = 0;
   size_t mask_ = 0;
 };
@@ -269,7 +243,6 @@ void pareto_prune(std::vector<T>& items, SigFn sig, DominatesFn dominates,
                   PruneScratch& sc) {
   const size_t n = items.size();
   sc.buckets.begin(n);
-  sc.buckets.with_ids();
   sc.prev.assign(n, -1);
   sc.dead.assign(n, 0);
   sc.last.clear();
@@ -306,19 +279,6 @@ void pareto_prune(std::vector<T>& items, SigFn sig, DominatesFn dominates,
   items.resize(w);
 }
 
-}  // namespace
-
-int Path::domino_stages() const {
-  int n = 0;
-  for (const auto& s : steps)
-    if (s.arc.kind == ArcKind::kDominoEval ||
-        s.arc.kind == ArcKind::kDominoClkEval)
-      ++n;
-  return n;
-}
-
-namespace {
-
 /// Sources of a phase: (net, rise?, arrival, slope) tuples.
 struct Source {
   NetId net;
@@ -343,6 +303,101 @@ std::vector<Source> phase_sources(const Netlist& nl, Phase phase) {
   return sources;
 }
 
+/// Source attributes (edge, phase, arrival, slope) distinguish classes at
+/// every granularity.
+uint64_t source_hash(const Source& src, Phase phase) {
+  Hash h;
+  h.mix(static_cast<uint64_t>(src.rise));
+  h.mix(static_cast<uint64_t>(phase));
+  h.mix_double(src.arrival);
+  h.mix_double(src.slope);
+  return h.h;
+}
+
+/// Index of a phase in per-phase arrays.
+size_t phase_index(Phase phase) {
+  return phase == Phase::kEvaluate ? 0 : 1;
+}
+
+/// Key of a (net, edge) node.
+uint32_t node_key(NetId net, bool rise) {
+  return static_cast<uint32_t>(net) * 2 + (rise ? 1u : 0u);
+}
+
+/// Calls `fn(arc_index, arc, edge_map, child)` for every edge-annotated
+/// successor `child` of the (net, edge) node `node` in `phase`, in arc
+/// order. `maps` is caller scratch.
+template <typename Fn>
+void for_each_successor(const Netlist& nl, Phase phase, uint32_t node,
+                        std::vector<EdgeMap>& maps, Fn fn) {
+  const auto& arcs = nl.arcs_from(static_cast<NetId>(node / 2));
+  const bool rise = (node & 1u) != 0;
+  for (size_t ai = 0; ai < arcs.size(); ++ai) {
+    netlist::arc_edge_maps(nl, arcs[ai], phase, maps);
+    for (const EdgeMap& em : maps)
+      if (em.in_rise == rise)
+        fn(ai, arcs[ai], em, node_key(arcs[ai].to, em.out_rise));
+  }
+}
+
+/// Children-first order of the nodes of an acyclic graph reachable from
+/// `roots`: every node follows all of its successors, so a DP over the
+/// order only reads finished children. `succ(node, out)` appends the
+/// successors of `node` to `out`.
+template <typename SuccFn>
+std::vector<uint32_t> post_order(size_t n_nodes,
+                                 const std::vector<uint32_t>& roots,
+                                 SuccFn succ) {
+  std::vector<uint8_t> state(n_nodes, 0);  // 0 new, 1 open, 2 done
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> stack;
+  std::vector<uint32_t> kids;
+  for (const uint32_t root : roots) {
+    if (state[root] != 0) continue;
+    stack.push_back(root);
+    while (!stack.empty()) {
+      const uint32_t n = stack.back();
+      if (state[n] == 0) {
+        state[n] = 1;
+        kids.clear();
+        succ(n, kids);
+        for (uint32_t k : kids)
+          if (state[k] == 0) stack.push_back(k);
+      } else {
+        if (state[n] == 1) {
+          state[n] = 2;
+          order.push_back(n);
+        }
+        stack.pop_back();
+      }
+    }
+  }
+  return order;
+}
+
+/// Children-first order of the (net, edge) nodes a phase's sources reach.
+std::vector<uint32_t> phase_order(const Netlist& nl, Phase phase,
+                                  const std::vector<Source>& sources) {
+  std::vector<uint32_t> roots;
+  roots.reserve(sources.size());
+  for (const Source& src : sources)
+    roots.push_back(node_key(src.net, src.rise));
+  std::vector<EdgeMap> maps;
+  return post_order(nl.net_count() * 2, roots,
+                    [&](uint32_t node, std::vector<uint32_t>& out) {
+                      for_each_successor(
+                          nl, phase, node, maps,
+                          [&](size_t, const Arc&, const EdgeMap&,
+                              uint32_t child) { out.push_back(child); });
+                    });
+}
+
+std::vector<uint8_t> output_mask(const Netlist& nl) {
+  std::vector<uint8_t> is_output(nl.net_count(), 0);
+  for (const auto& p : nl.outputs()) is_output[static_cast<size_t>(p.net)] = 1;
+  return is_output;
+}
+
 constexpr uint64_t kTerminalSeed = 0x7e34a1ULL;
 
 /// Nodes built between two deadline polls of Extractor::build.
@@ -350,12 +405,7 @@ constexpr size_t kDeadlinePollNodes = 64;
 
 class Extractor {
  public:
-  /// `count_universe` additionally tracks, per node, the regularity
-  /// signatures of the *unpruned* class universe, so PathStats can report
-  /// the paper's after-regularity count even though node-level precedence
-  /// pruning (below) never materializes most of those classes.
-  Extractor(const Netlist& nl, const PruneOptions& opt, bool count_universe)
-      : nl_(nl), opt_(opt), count_universe_(count_universe) {
+  Extractor(const Netlist& nl, const PruneOptions& opt) : nl_(nl), opt_(opt) {
     Hash th;
     th.mix(kTerminalSeed);
     terminal_sig_ = th.h;
@@ -384,68 +434,16 @@ class Extractor {
       output_load_[static_cast<size_t>(p.net)] = p.load_ff;
   }
 
-  static uint32_t node_key(NetId net, bool rise) {
-    return static_cast<uint32_t>(net) * 2 + (rise ? 1u : 0u);
-  }
-
   /// Builds the suffix-class memo of a phase bottom-up over the subgraph
   /// reachable from the phase's sources: a node only reads its children's
   /// finished slots and writes its own.
-  void build(Phase phase) {
-    auto& memo = memo_of(phase);
+  void build(Phase phase, const std::vector<Source>& sources) {
+    auto& memo = memo_[phase_index(phase)];
     if (!memo.empty()) return;
-    const size_t n_nodes = nl_.net_count() * 2;
-    memo.assign(n_nodes, {});
-    if (count_universe_) sig_memo_of(phase).assign(n_nodes, {});
-
-    // Iterative DFS post-order from the phase sources: children precede
-    // parents, bounding the build to the subgraph the sources can see.
-    std::vector<uint8_t> state(n_nodes, 0);
-    std::vector<uint32_t> order;
-    std::vector<uint32_t> stack;
-    std::vector<EdgeMap> maps;
-    std::vector<uint32_t> kids;
-    auto children = [&](uint32_t node, std::vector<uint32_t>& out) {
-      out.clear();
-      const NetId net = static_cast<NetId>(node / 2);
-      const bool rise = (node & 1u) != 0;
-      for (const Arc& a : nl_.arcs_from(net)) {
-        bool footed = true;
-        if (const auto* dg = nl_.comp(a.comp).as_domino())
-          footed = dg->evaluate_label >= 0;
-        netlist::arc_edge_maps(a.kind, phase, footed, maps);
-        for (const EdgeMap& em : maps) {
-          if (em.in_rise != rise) continue;
-          out.push_back(node_key(a.to, em.out_rise));
-        }
-      }
-    };
-    for (const Source& src : phase_sources(nl_, phase)) {
-      const uint32_t root = node_key(src.net, src.rise);
-      if (state[root] != 0) continue;
-      stack.push_back(root);
-      while (!stack.empty()) {
-        const uint32_t n = stack.back();
-        if (state[n] == 0) {
-          state[n] = 1;
-          children(n, kids);
-          for (uint32_t k : kids)
-            if (state[k] == 0) stack.push_back(k);
-        } else {
-          if (state[n] == 1) {
-            state[n] = 2;
-            order.push_back(n);
-          }
-          stack.pop_back();
-        }
-      }
-    }
-
-    // Reused across extractions: the dedup tables and buffers are
-    // generation-cleared / assigned at each use, so retained capacity
-    // cannot affect results — it only avoids reallocating multi-hundred-KB
-    // tables per build.
-    static thread_local BuildScratch sc;
+    memo.assign(nl_.net_count() * 2, {});
+    auto& order = order_[phase_index(phase)];
+    order = phase_order(nl_, phase, sources);
+    BuildScratch& sc = scratch();
     for (size_t i = 0; i < order.size(); ++i) {
       // A served request with an exhausted budget must stop extracting,
       // not finish the build.
@@ -457,27 +455,41 @@ class Extractor {
   }
 
   const std::vector<Suffix>& classes(Phase phase, uint32_t node) const {
-    return memo_of(phase)[node];
-  }
-
-  /// Regularity signatures of the unpruned universe at a node (requires
-  /// count_universe). When the node is an output sink, index 0 is the
-  /// terminal (length-0) class.
-  const std::vector<uint64_t>& universe_sigs(Phase phase,
-                                             uint32_t node) const {
-    return sig_memo_of(phase)[node];
-  }
-
-  bool node_has_terminal(uint32_t node) const {
-    return output_load_[static_cast<size_t>(node / 2)] >= 0.0;
+    return memo_[phase_index(phase)][node];
   }
 
   const Suffix* suffix_at(Phase phase, uint32_t node, size_t index) const {
-    return &memo_of(phase)[node][index];
+    return &memo_[phase_index(phase)][node][index];
   }
 
   const Suffix* next_suffix(Phase phase, const Suffix* s) const {
-    return &memo_of(phase)[s->child_node][static_cast<size_t>(s->child_index)];
+    return suffix_at(phase, s->child_node,
+                     static_cast<size_t>(s->child_index));
+  }
+
+  /// Stepwise domination, the one test behind the node-level precedence
+  /// prune and both global prune stages (paper §5.2: "compare the fanout
+  /// space of two nodes when determining the dominance relationship"):
+  /// class `a` of phase `pa` may replace class `b` of phase `pb` only when
+  /// a is at least as slow at *every* step — deeper stack, deeper pin, and
+  /// at least as much fanout — so dropping b cannot lose the binding
+  /// constraint. The summed aggregates give an exact O(1) pre-filter
+  /// (per-step >= implies summed >=).
+  bool dominates(Phase pa, const Suffix& a, Phase pb, const Suffix& b) const {
+    if (a.len != b.len) return false;
+    if (a.sum_depth < b.sum_depth || a.sum_fanout < b.sum_fanout)
+      return false;
+    const Suffix* sa = &a;
+    const Suffix* sb = &b;
+    while (sa->len > 0) {
+      if (sa->step.comp_depth < sb->step.comp_depth ||
+          sa->step.pin_depth < sb->step.pin_depth ||
+          sa->step.fanout < sb->step.fanout)
+        return false;
+      sa = next_suffix(pa, sa);
+      sb = next_suffix(pb, sb);
+    }
+    return true;
   }
 
   /// Appends the chained steps of class (node, index) to `out`.
@@ -503,38 +515,153 @@ class Extractor {
     }
     uint64_t sig = terminal_sig_;
     for (size_t i = chain.size(); i-- > 0;)
-      sig = mix2(step_sigs(*chain[i]).no_fan, sig);
+      sig = extend(sig, step_sigs(*chain[i]).no_fan);
     return sig;
+  }
+
+  /// The paper's after-regularity count: distinct (source, regularity
+  /// class) pairs of the *unpruned* suffix-class universe of the built
+  /// `phases`. Node-level precedence pruning keeps most of those classes
+  /// from ever being stored, so this count-only pass walks build()'s
+  /// post-order again but keeps only each class's regularity signature,
+  /// with the same per-node dedup and cap. Like candidate collection, it
+  /// dedups the (source, class) digests within a phase. `seen` is caller
+  /// scratch.
+  size_t count_regularity_classes(const std::vector<Phase>& phases,
+                                  DedupTable& seen) {
+    BuildScratch& sc = scratch();
+    size_t count = 0;
+    for (const Phase phase : phases) {
+      std::vector<std::vector<uint64_t>> sigs(nl_.net_count() * 2);
+      for (const uint32_t node : order_[phase_index(phase)]) {
+        const size_t bound = live_steps(phase, node, sigs, sc);
+        if (bound == 0) continue;
+        sc.dedup.begin(bound);
+        auto& own = sigs[node];
+        own.reserve(std::min(bound, kMaxClassesPerNode));
+        auto add = [&](uint64_t sig) {
+          if (!sc.dedup.insert(sig)) return;
+          if (own.size() >= kMaxClassesPerNode) {
+            overflowed_ = true;
+            return;
+          }
+          own.push_back(sig);
+        };
+        if (is_output_node(node)) add(terminal_sig_);
+        for (const LiveStep& ls : sc.steps) {
+          const size_t comp = static_cast<size_t>(ls.step.arc.comp);
+          const uint64_t step =
+              reg_of(step_base(ls.step, comp_sigs_[comp]), ls.step);
+          for (const uint64_t csig : sigs[ls.child]) add(extend(csig, step));
+        }
+      }
+      const std::vector<Source> sources = phase_sources(nl_, phase);
+      size_t total = 0;
+      for (const Source& src : sources)
+        total += sigs[node_key(src.net, src.rise)].size();
+      seen.begin(total);
+      for (const Source& src : sources) {
+        const uint64_t sh = source_hash(src, phase);
+        const uint32_t node = node_key(src.net, src.rise);
+        const auto& own = sigs[node];
+        // Skip the terminal (length-0) class, as candidate collection does.
+        for (size_t k = is_output_node(node) ? 1 : 0; k < own.size(); ++k)
+          if (seen.insert(util::mix64(own[k], sh))) ++count;
+      }
+    }
+    return count;
   }
 
   bool overflowed() const { return overflowed_; }
   long class_attempts() const { return attempts_; }
   long classes_stored() const { return stored_; }
 
+ private:
+  /// A step from a node to a successor whose memo slot is non-empty.
+  struct LiveStep {
+    PathStep step;
+    uint32_t child;
+  };
+  /// Per-thread scratch reused across the nodes of a build and across
+  /// extractions: the dedup tables and buffers are generation-cleared /
+  /// assigned at each use, so retained capacity cannot affect results — it
+  /// only avoids reallocating multi-hundred-KB tables per build.
+  struct BuildScratch {
+    std::vector<EdgeMap> maps;
+    std::vector<LiveStep> steps;  ///< one node's live steps
+    DedupTable dedup;  ///< reg-sig dedup of one node's classes
+    PruneScratch prune;  ///< node-level precedence prune
+  };
+  static BuildScratch& scratch() {
+    static thread_local BuildScratch sc;
+    return sc;
+  }
+
+  bool is_output_node(uint32_t node) const {
+    return output_load_[static_cast<size_t>(node / 2)] >= 0.0;
+  }
+
+  /// Fills sc.steps with the steps from `node` whose child slot in `memo`
+  /// is non-empty, in successor order, and returns the exact bound on the
+  /// node's class attempts: one terminal class plus one attempt per
+  /// (step, child class) pair.
+  template <typename Memo>
+  size_t live_steps(Phase phase, uint32_t node, const Memo& memo,
+                    BuildScratch& sc) const {
+    sc.steps.clear();
+    size_t bound = is_output_node(node) ? 1 : 0;
+    for_each_successor(
+        nl_, phase, node, sc.maps,
+        [&](size_t ai, const Arc& a, const EdgeMap& em, uint32_t child) {
+          if (memo[child].empty()) return;
+          bound += memo[child].size();
+          const PathStep step{
+              .arc = a,
+              .in_rise = em.in_rise,
+              .out_rise = em.out_rise,
+              .pin_depth = pin_depth_[node / 2][ai],
+              .comp_depth = comp_depth_[static_cast<size_t>(a.comp)],
+              .fanout = static_cast<int>(nl_.arcs_from(a.to).size())};
+          sc.steps.push_back(LiveStep{step, child});
+        });
+    return bound;
+  }
+
+  /// A step's digest over component signature `comp_sig`: arc kind,
+  /// edges, port load and, without regularity, the net identities.
+  Hash step_base(const PathStep& step, uint64_t comp_sig) const {
+    Hash h;
+    h.mix(comp_sig);
+    h.mix(static_cast<uint64_t>(step.arc.kind) + 17);
+    h.mix(static_cast<uint64_t>(step.in_rise) * 2 +
+          static_cast<uint64_t>(step.out_rise));
+    const double load = output_load_[static_cast<size_t>(step.arc.to)];
+    if (load >= 0.0) h.mix_double(load);  // port loads differentiate
+    if (!opt_.regularity) {
+      // Without regularity every net identity is distinct: no collapsing.
+      h.mix(static_cast<uint64_t>(step.arc.from) + 0x9e3779b9ULL);
+      h.mix(static_cast<uint64_t>(step.arc.to) + 0x85ebca6bULL);
+    }
+    return h;
+  }
+
+  /// The regularity signature: the full-structure base plus pin depth and
+  /// fanout.
+  static uint64_t reg_of(Hash fine, const PathStep& step) {
+    fine.mix(static_cast<uint64_t>(step.pin_depth) + 29);
+    fine.mix(static_cast<uint64_t>(step.fanout) + 31);
+    return fine.h;
+  }
+
   StepSigs step_sigs(const PathStep& step) const {
     // Full-structure base: exact stack shape + labels (regularity level).
-    Hash fine;
-    fine.mix(comp_sigs_[static_cast<size_t>(step.arc.comp)]);
+    const Hash fine =
+        step_base(step, comp_sigs_[static_cast<size_t>(step.arc.comp)]);
     // Labels-only base: worst-case node model level (precedence/dominance).
-    Hash label_base;
-    label_base.mix(comp_label_sigs_[static_cast<size_t>(step.arc.comp)]);
-    for (Hash* h : {&fine, &label_base}) {
-      h->mix(static_cast<uint64_t>(step.arc.kind) + 17);
-      h->mix(static_cast<uint64_t>(step.in_rise) * 2 +
-             static_cast<uint64_t>(step.out_rise));
-      const double load = output_load_[static_cast<size_t>(step.arc.to)];
-      if (load >= 0.0) h->mix_double(load);  // port loads differentiate
-      if (!opt_.regularity) {
-        // Without regularity every net identity is distinct: no collapsing.
-        h->mix(static_cast<uint64_t>(step.arc.from) + 0x9e3779b9ULL);
-        h->mix(static_cast<uint64_t>(step.arc.to) + 0x85ebca6bULL);
-      }
-    }
+    const Hash label_base =
+        step_base(step, comp_label_sigs_[static_cast<size_t>(step.arc.comp)]);
     StepSigs s;
-    Hash h_reg = fine;
-    h_reg.mix(static_cast<uint64_t>(step.pin_depth) + 29);
-    h_reg.mix(static_cast<uint64_t>(step.fanout) + 31);
-    s.reg = h_reg.h;
+    s.reg = reg_of(fine, step);
     Hash h_nd = label_base;
     h_nd.mix(static_cast<uint64_t>(step.fanout) + 31);
     s.no_depth = h_nd.h;
@@ -545,91 +672,16 @@ class Extractor {
     return s;
   }
 
- private:
-  /// Per-thread scratch reused across the nodes of a build.
-  struct BuildScratch {
-    std::vector<EdgeMap> maps;
-    DedupTable dedup;        ///< reg-sig dedup of the stored classes
-    DedupTable count_dedup;  ///< reg-sig dedup of the unpruned universe
-    PruneScratch prune;      ///< node-level precedence prune
-  };
-
-  /// Stepwise domination of two suffix classes of the same node (see the
-  /// candidate-level `dominates` in extract(): a may replace b only when a
-  /// is at least as slow at every step).
-  bool suffix_dominates(Phase phase, const Suffix& a, const Suffix& b) const {
-    if (a.len != b.len) return false;
-    if (a.sum_depth < b.sum_depth || a.sum_fanout < b.sum_fanout)
-      return false;
-    const Suffix* sa = &a;
-    const Suffix* sb = &b;
-    while (sa->len > 0) {
-      if (sa->step.comp_depth < sb->step.comp_depth ||
-          sa->step.pin_depth < sb->step.pin_depth ||
-          sa->step.fanout < sb->step.fanout)
-        return false;
-      sa = next_suffix(phase, sa);
-      sb = next_suffix(phase, sb);
-    }
-    return true;
-  }
-
-  /// Node-level precedence prune: collapse this node's classes to the
-  /// per-bucket (no-depth signature) Pareto fronts before any parent
-  /// extends them. Sound because stepwise domination is transitive and
-  /// preserved under prefix extension — a class dominated here would have
-  /// produced only globally-dominated candidates — so the global stages see
-  /// exactly the same survivors while the per-node class lists (and every
-  /// downstream stage) stay near the final-front size instead of the full
-  /// regularity universe.
-  void prune_node(Phase phase, std::vector<Suffix>& classes,
-                  BuildScratch& sc) {
-    pareto_prune(
-        classes, [](const Suffix& c) { return c.sigs.no_depth; },
-        [&](const Suffix& a, const Suffix& b) {
-          return suffix_dominates(phase, a, b);
-        },
-        sc.prune);
-  }
-
   /// Computes the suffix classes of one (net, edge) node. Children are
   /// finished (earlier in the post-order); only this node's slot is written.
   void build_node(Phase phase, uint32_t node, BuildScratch& sc) {
-    auto& memo = memo_of(phase);
+    auto& memo = memo_[phase_index(phase)];
     auto& classes = memo[node];
-    auto& maps = sc.maps;
-    const NetId net = static_cast<NetId>(node / 2);
-    const bool rise = (node & 1u) != 0;
-    const bool is_output = output_load_[static_cast<size_t>(net)] >= 0.0;
-    const auto& arcs = nl_.arcs_from(net);
-    auto& sig_memo = sig_memo_of(phase);
-
-    // Exact attempt bounds: one terminal class plus one attempt per
-    // (arc, edge-map, child class) triple — size the dedup tables and the
-    // class vectors in one shot.
-    size_t bound = is_output ? 1 : 0;
-    size_t count_bound = count_universe_ ? bound : 0;
-    for (const Arc& a : arcs) {
-      bool footed = true;
-      if (const auto* dg = nl_.comp(a.comp).as_domino())
-        footed = dg->evaluate_label >= 0;
-      netlist::arc_edge_maps(a.kind, phase, footed, maps);
-      for (const EdgeMap& em : maps) {
-        if (em.in_rise != rise) continue;
-        const uint32_t child = node_key(a.to, em.out_rise);
-        bound += memo[child].size();
-        if (count_universe_) count_bound += sig_memo[child].size();
-      }
-    }
-    if (bound == 0 && count_bound == 0) return;
+    // Size the dedup table and the class vector in one shot.
+    const size_t bound = live_steps(phase, node, memo, sc);
+    if (bound == 0) return;
     sc.dedup.begin(bound);
     classes.reserve(std::min(bound, kMaxClassesPerNode));
-    std::vector<uint64_t>* all_sigs = nullptr;
-    if (count_universe_) {
-      all_sigs = &sig_memo[node];
-      sc.count_dedup.begin(count_bound);
-      all_sigs->reserve(std::min(count_bound, kMaxClassesPerNode));
-    }
 
     auto add_class = [&](Suffix&& s) {
       ++attempts_;
@@ -641,98 +693,75 @@ class Extractor {
         classes.push_back(std::move(s));
       }
     };
-    auto add_count_sig = [&](uint64_t sig) {
-      if (sc.count_dedup.insert(sig)) {
-        if (all_sigs->size() >= kMaxClassesPerNode) {
-          overflowed_ = true;
-          return;
-        }
-        all_sigs->push_back(sig);
-      }
-    };
 
-    if (is_output) {
+    if (is_output_node(node)) {
       Suffix terminal;
       terminal.sigs = ChainSigs{terminal_sig_, terminal_sig_, terminal_sig_};
       add_class(std::move(terminal));
-      if (count_universe_) add_count_sig(terminal_sig_);
     }
 
-    for (size_t ai = 0; ai < arcs.size(); ++ai) {
-      const Arc& a = arcs[ai];
-      bool footed = true;
-      if (const auto* dg = nl_.comp(a.comp).as_domino())
-        footed = dg->evaluate_label >= 0;
-      netlist::arc_edge_maps(a.kind, phase, footed, maps);
-      for (const EdgeMap& em : maps) {
-        if (em.in_rise != rise) continue;
-        const uint32_t child_node = node_key(a.to, em.out_rise);
-        const auto& child = memo[child_node];
-        PathStep step;
-        step.arc = a;
-        step.in_rise = em.in_rise;
-        step.out_rise = em.out_rise;
-        step.pin_depth = pin_depth_[static_cast<size_t>(net)][ai];
-        step.comp_depth = comp_depth_[static_cast<size_t>(a.comp)];
-        step.fanout = static_cast<int>(nl_.arcs_from(a.to).size());
-        const StepSigs ssig = step_sigs(step);
-        const long depth_add = step.pin_depth + 16L * step.comp_depth;
-        for (size_t ci = 0; ci < child.size(); ++ci) {
-          const Suffix& cs = child[ci];
-          Suffix s;
-          s.sigs = ChainSigs{mix2(ssig.reg, cs.sigs.reg),
-                             mix2(ssig.no_depth, cs.sigs.no_depth),
-                             mix2(ssig.coarse, cs.sigs.coarse)};
-          s.step = step;
-          s.child_node = child_node;
-          s.child_index = static_cast<int32_t>(ci);
-          s.len = cs.len + 1;
-          s.sum_depth = cs.sum_depth + depth_add;
-          s.sum_fanout = cs.sum_fanout + step.fanout;
-          add_class(std::move(s));
-        }
-        if (count_universe_)
-          for (const uint64_t csig : sig_memo[child_node])
-            add_count_sig(mix2(ssig.reg, csig));
+    for (const LiveStep& ls : sc.steps) {
+      const auto& child = memo[ls.child];
+      const StepSigs ssig = step_sigs(ls.step);
+      const long depth_add = ls.step.pin_depth + 16L * ls.step.comp_depth;
+      for (size_t ci = 0; ci < child.size(); ++ci) {
+        const Suffix& cs = child[ci];
+        Suffix s;
+        s.sigs = ChainSigs{extend(cs.sigs.reg, ssig.reg),
+                           extend(cs.sigs.no_depth, ssig.no_depth),
+                           extend(cs.sigs.coarse, ssig.coarse)};
+        s.step = ls.step;
+        s.child_node = ls.child;
+        s.child_index = static_cast<int32_t>(ci);
+        s.len = cs.len + 1;
+        s.sum_depth = cs.sum_depth + depth_add;
+        s.sum_fanout = cs.sum_fanout + ls.step.fanout;
+        add_class(std::move(s));
       }
     }
     stored_ += static_cast<long>(classes.size());
+    // Node-level precedence prune: collapse this node's classes to the
+    // per-bucket (no-depth signature) Pareto fronts before any parent
+    // extends them. Sound because stepwise domination is transitive and
+    // preserved under prefix extension — a class dominated here would have
+    // produced only globally-dominated candidates — so the global stages
+    // see exactly the same survivors while the per-node class lists (and
+    // every downstream stage) stay near the final-front size instead of
+    // the full regularity universe.
     if (opt_.precedence && classes.size() > 1)
-      prune_node(phase, classes, sc);
-  }
-
-  std::vector<std::vector<Suffix>>& memo_of(Phase phase) {
-    return phase == Phase::kEvaluate ? memo_eval_ : memo_pre_;
-  }
-  const std::vector<std::vector<Suffix>>& memo_of(Phase phase) const {
-    return phase == Phase::kEvaluate ? memo_eval_ : memo_pre_;
-  }
-  std::vector<std::vector<uint64_t>>& sig_memo_of(Phase phase) {
-    return phase == Phase::kEvaluate ? sig_memo_eval_ : sig_memo_pre_;
-  }
-  const std::vector<std::vector<uint64_t>>& sig_memo_of(Phase phase) const {
-    return phase == Phase::kEvaluate ? sig_memo_eval_ : sig_memo_pre_;
+      pareto_prune(
+          classes, [](const Suffix& c) { return c.sigs.no_depth; },
+          [&](const Suffix& a, const Suffix& b) {
+            return dominates(phase, a, phase, b);
+          },
+          sc.prune);
   }
 
   const Netlist& nl_;
   const PruneOptions& opt_;
-  bool count_universe_ = false;
   uint64_t terminal_sig_ = 0;
   std::vector<uint64_t> comp_sigs_;
   std::vector<uint64_t> comp_label_sigs_;
   std::vector<int> comp_depth_;
   std::vector<std::vector<int>> pin_depth_;
   std::vector<double> output_load_;
-  std::vector<std::vector<Suffix>> memo_eval_;
-  std::vector<std::vector<Suffix>> memo_pre_;
-  std::vector<std::vector<uint64_t>> sig_memo_eval_;
-  std::vector<std::vector<uint64_t>> sig_memo_pre_;
+  std::vector<std::vector<Suffix>> memo_[2];  ///< per phase, per node
+  std::vector<uint32_t> order_[2];  ///< build()'s post-order per phase
   bool overflowed_ = false;
   long attempts_ = 0;
   long stored_ = 0;
 };
 
 }  // namespace
+
+int Path::domino_stages() const {
+  int n = 0;
+  for (const auto& s : steps)
+    if (s.arc.kind == ArcKind::kDominoEval ||
+        s.arc.kind == ArcKind::kDominoClkEval)
+      ++n;
+  return n;
+}
 
 std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
                                          PathStats* stats) const {
@@ -744,13 +773,9 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
   // caller did not ask for them.
   PathStats local_stats;
   if (stats == nullptr && tel.enabled()) stats = &local_stats;
-  // Node-level precedence pruning collapses the class memo as it builds, so
-  // the regularity-universe size must be tracked on the side when stats ask
-  // for it.
-  const bool count_universe = stats != nullptr && opt.precedence;
   std::optional<obs::Span> prep_span;
   if (tel.enabled()) prep_span.emplace("timing.extract.prepare");
-  Extractor ex(*nl_, opt, count_universe);
+  Extractor ex(*nl_, opt);
   prep_span.reset();
 
   // Stage 1: regularity classes (always computed; with regularity disabled
@@ -761,141 +786,81 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
   struct Candidate {
     uint64_t no_depth_sig;
     uint64_t coarse_sig;
-    long sum_depth;
-    long sum_fanout;
     uint32_t node;  ///< suffix-class reference
     uint32_t cls;
-    int32_t len;
     uint32_t source;  ///< index into the phase's source list
     Phase phase;
   };
   std::vector<Candidate> candidates;
   std::vector<Source> sources_by_phase[2];
-  auto src_hash = [&](const Source& src, Phase phase) {
-    Hash src_h;
-    src_h.mix(static_cast<uint64_t>(src.rise));
-    src_h.mix(static_cast<uint64_t>(phase));
-    src_h.mix_double(src.arrival);
-    src_h.mix_double(src.slope);
-    return src_h.h;
+  auto source_of = [&](const Candidate& c) -> const Source& {
+    return sources_by_phase[phase_index(c.phase)][c.source];
   };
   // Reused across extract() calls on this thread; begin() generation-clears
   // the tables, so retained capacity only saves repeated large allocations.
   static thread_local DedupTable seen;
   static thread_local PruneScratch prune_scratch;
-  bool has_domino = false;
+  // The precharge phase only exists for dynamic logic.
+  std::vector<Phase> phases = {Phase::kEvaluate};
   for (const auto& comp : nl_->comps())
-    if (comp.as_domino() != nullptr) has_domino = true;
-  for (Phase phase : {Phase::kEvaluate, Phase::kPrecharge}) {
-    // The precharge phase only exists for dynamic logic.
-    if (phase == Phase::kPrecharge && !has_domino) continue;
+    if (comp.as_domino() != nullptr) {
+      phases.push_back(Phase::kPrecharge);
+      break;
+    }
+  for (const Phase phase : phases) {
     if (util::deadline_expired(opt.deadline))
       throw util::TimeoutError("path extraction deadline exceeded (phase)");
+    auto& sources = sources_by_phase[phase_index(phase)];
+    sources = phase_sources(*nl_, phase);
     {
       obs::Span build_span("timing.extract.build");
-      ex.build(phase);
+      ex.build(phase, sources);
     }
     obs::Span collect_span("timing.extract.collect");
-    const size_t phase_idx = phase == Phase::kEvaluate ? 0 : 1;
-    sources_by_phase[phase_idx] = phase_sources(*nl_, phase);
-    const auto& sources = sources_by_phase[phase_idx];
     size_t total = 0;
     for (const Source& src : sources)
-      total += ex.classes(phase, Extractor::node_key(src.net, src.rise)).size();
+      total += ex.classes(phase, node_key(src.net, src.rise)).size();
     candidates.reserve(candidates.size() + total);
-    seen.begin(candidates.size() + total);
-    // Re-seed the dedup set with earlier phases' winners (begin() clears).
-    for (const auto& c : candidates) {
-      const auto& src =
-          sources_by_phase[c.phase == Phase::kEvaluate ? 0 : 1][c.source];
-      seen.insert(mix2(ex.suffix_at(c.phase, c.node, c.cls)->sigs.reg,
-                       src_hash(src, c.phase)));
-    }
+    // A candidate's digest mixes in the source hash, which mixes in the
+    // phase, so the phases never share a candidate: dedup within a phase.
+    seen.begin(total);
     for (size_t si = 0; si < sources.size(); ++si) {
       const Source& src = sources[si];
-      // Source attributes (edge, phase, arrival, slope) distinguish
-      // classes at every granularity.
-      const uint64_t sh = src_hash(src, phase);
-      const uint32_t node = Extractor::node_key(src.net, src.rise);
+      const uint64_t sh = source_hash(src, phase);
+      const uint32_t node = node_key(src.net, src.rise);
       const auto& classes = ex.classes(phase, node);
       for (size_t ci = 0; ci < classes.size(); ++ci) {
         const Suffix& s = classes[ci];
         if (s.len == 0) continue;  // input wired straight to output
-        if (!seen.insert(mix2(s.sigs.reg, sh))) continue;
+        if (!seen.insert(util::mix64(s.sigs.reg, sh))) continue;
         candidates.push_back(Candidate{
-            mix2(s.sigs.no_depth, sh), mix2(s.sigs.coarse, sh), s.sum_depth,
-            s.sum_fanout, node, static_cast<uint32_t>(ci), s.len,
-            static_cast<uint32_t>(si), phase});
+            util::mix64(s.sigs.no_depth, sh), util::mix64(s.sigs.coarse, sh),
+            node, static_cast<uint32_t>(ci), static_cast<uint32_t>(si),
+            phase});
       }
     }
+  }
+
+  if (stats) {
+    obs::Span stats_span("timing.extract.stats");
+    stats->raw_topological = count_topological_paths();
+    stats->raw_edge_paths = 0.0;
+    for (const Phase phase : phases)
+      stats->raw_edge_paths += count_edge_paths(phase);
+    // Without node-level precedence pruning the class memo is the whole
+    // regularity universe, and the candidates are its (source, class)
+    // pairs.
+    stats->after_regularity = opt.precedence
+                                  ? ex.count_regularity_classes(phases, seen)
+                                  : candidates.size();
   }
   if (ex.overflowed())
     util::log_warn("path extraction hit the per-node class cap; "
                    "constraint set is a subset");
 
-  if (stats) {
-    obs::Span stats_span("timing.extract.stats");
-    stats->raw_topological = count_topological_paths();
-    stats->raw_edge_paths =
-        count_edge_paths(Phase::kEvaluate) +
-        (has_domino ? count_edge_paths(Phase::kPrecharge) : 0.0);
-    if (count_universe) {
-      // Distinct (source, regularity class) pairs of the unpruned universe:
-      // the same dedup candidate collection applies, replayed over the
-      // side-tracked signature memo. A set's size is insertion-order
-      // independent, so one pass over both phases matches the per-phase
-      // collection above.
-      size_t total = 0;
-      for (Phase phase : {Phase::kEvaluate, Phase::kPrecharge}) {
-        const auto& sources =
-            sources_by_phase[phase == Phase::kEvaluate ? 0 : 1];
-        for (const Source& src : sources)
-          total += ex.universe_sigs(phase,
-                                    Extractor::node_key(src.net, src.rise))
-                       .size();
-      }
-      seen.begin(total);
-      size_t reg_count = 0;
-      for (Phase phase : {Phase::kEvaluate, Phase::kPrecharge}) {
-        const size_t phase_idx = phase == Phase::kEvaluate ? 0 : 1;
-        for (const Source& src : sources_by_phase[phase_idx]) {
-          const uint64_t sh = src_hash(src, phase);
-          const uint32_t node = Extractor::node_key(src.net, src.rise);
-          const auto& sigs = ex.universe_sigs(phase, node);
-          // Skip the terminal (length-0) class, as candidate collection does.
-          const size_t k0 = ex.node_has_terminal(node) ? 1 : 0;
-          for (size_t k = k0; k < sigs.size(); ++k)
-            if (seen.insert(mix2(sigs[k], sh))) ++reg_count;
-        }
-      }
-      stats->after_regularity = reg_count;
-    } else {
-      stats->after_regularity = candidates.size();
-    }
-  }
-
-  // Pairwise domination (paper §5.2: "compare the fanout space of two
-  // nodes when determining the dominance relationship"): path A may replace
-  // path B only when A is at least as slow at *every* step — deeper stack,
-  // deeper pin, and at least as much fanout — so dropping B cannot lose
-  // the binding constraint. Walks the suffix chains directly; the summed
-  // aggregates give an exact O(1) pre-filter (per-step >= implies
-  // summed >=).
   auto dominates = [&ex](const Candidate& a, const Candidate& b) {
-    if (a.len != b.len) return false;
-    if (a.sum_depth < b.sum_depth || a.sum_fanout < b.sum_fanout)
-      return false;
-    const Suffix* sa = ex.suffix_at(a.phase, a.node, a.cls);
-    const Suffix* sb = ex.suffix_at(b.phase, b.node, b.cls);
-    while (sa->len > 0) {
-      if (sa->step.comp_depth < sb->step.comp_depth ||
-          sa->step.pin_depth < sb->step.pin_depth ||
-          sa->step.fanout < sb->step.fanout)
-        return false;
-      sa = ex.next_suffix(a.phase, sa);
-      sb = ex.next_suffix(b.phase, sb);
-    }
-    return true;
+    return ex.dominates(a.phase, *ex.suffix_at(a.phase, a.node, a.cls),
+                        b.phase, *ex.suffix_at(b.phase, b.node, b.cls));
   };
   // One prune stage: the Pareto front of each bucket of candidates with
   // equal signature, survivors in arrival order.
@@ -923,12 +888,11 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
     obs::Span prune_span("timing.extract.prune_dominance");
     if (!opt.precedence) {
       for (Candidate& c : candidates) {
-        const auto& src =
-            sources_by_phase[c.phase == Phase::kEvaluate ? 0 : 1][c.source];
         // Reuse the coarse slot: precedence is off, so the stored coarse
         // signature has no further consumer.
-        c.coarse_sig = mix2(ex.chain_no_fan_sig(c.phase, c.node, c.cls),
-                            src_hash(src, c.phase));
+        c.coarse_sig =
+            util::mix64(ex.chain_no_fan_sig(c.phase, c.node, c.cls),
+                        source_hash(source_of(c), c.phase));
       }
     }
     pareto_stage(&Candidate::coarse_sig);
@@ -940,8 +904,7 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
   std::vector<Path> paths(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
     const Candidate& c = candidates[i];
-    const auto& src =
-        sources_by_phase[c.phase == Phase::kEvaluate ? 0 : 1][c.source];
+    const Source& src = source_of(c);
     Path& p = paths[i];
     p.start = src.net;
     p.start_rise = src.rise;
@@ -988,116 +951,58 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
 double PathExtractor::count_topological_paths() const {
   SMART_CHECK(nl_->finalized(), "netlist must be finalized");
   const size_t n_nets = nl_->net_count();
-  // count[n] = number of distinct net paths from n to any output port,
-  // computed in reverse topological order via memoized recursion.
-  std::vector<double> count(n_nets, -1.0);
-  std::vector<bool> is_output(n_nets, false);
-  for (const auto& p : nl_->outputs())
-    is_output[static_cast<size_t>(p.net)] = true;
+  // Sources: the input ports, then the clock nets, each net once.
+  std::vector<uint32_t> roots;
+  std::vector<uint8_t> is_root(n_nets, 0);
+  auto add_root = [&](NetId n) {
+    if (is_root[static_cast<size_t>(n)]) return;
+    is_root[static_cast<size_t>(n)] = 1;
+    roots.push_back(static_cast<uint32_t>(n));
+  };
+  for (const auto& p : nl_->inputs()) add_root(p.net);
+  for (size_t n = 0; n < n_nets; ++n)
+    if (nl_->net(static_cast<NetId>(n)).kind == netlist::NetKind::kClock)
+      add_root(static_cast<NetId>(n));
 
-  // Iterative DFS-based memoization (netlist is a DAG).
-  std::vector<int> state(n_nets, 0);
-  std::vector<NetId> order;
-  std::vector<NetId> stack;
-  for (size_t s = 0; s < n_nets; ++s) {
-    if (state[s] != 0) continue;
-    stack.push_back(static_cast<NetId>(s));
-    while (!stack.empty()) {
-      const NetId n = stack.back();
-      if (state[static_cast<size_t>(n)] == 0) {
-        state[static_cast<size_t>(n)] = 1;
-        for (const Arc& a : nl_->arcs_from(n))
-          if (state[static_cast<size_t>(a.to)] == 0) stack.push_back(a.to);
-      } else {
-        if (state[static_cast<size_t>(n)] == 1) {
-          state[static_cast<size_t>(n)] = 2;
-          order.push_back(n);
-        }
-        stack.pop_back();
-      }
-    }
-  }
-  for (const NetId n : order) {
-    double c = is_output[static_cast<size_t>(n)] ? 1.0 : 0.0;
-    for (const Arc& a : nl_->arcs_from(n)) {
-      if (count[static_cast<size_t>(a.to)] > 0.0)
-        c += count[static_cast<size_t>(a.to)];
-    }
-    count[static_cast<size_t>(n)] = c;
+  // count[n] = number of distinct net paths from n to any output port.
+  const std::vector<uint8_t> is_output = output_mask(*nl_);
+  std::vector<double> count(n_nets, 0.0);
+  const auto order = post_order(
+      n_nets, roots, [&](uint32_t n, std::vector<uint32_t>& out) {
+        for (const Arc& a : nl_->arcs_from(static_cast<NetId>(n)))
+          out.push_back(static_cast<uint32_t>(a.to));
+      });
+  for (const uint32_t n : order) {
+    double c = is_output[n] ? 1.0 : 0.0;
+    for (const Arc& a : nl_->arcs_from(static_cast<NetId>(n)))
+      c += count[static_cast<size_t>(a.to)];
+    count[n] = c;
   }
 
   double total = 0.0;
-  std::vector<bool> counted(n_nets, false);
-  for (const auto& p : nl_->inputs()) {
-    if (counted[static_cast<size_t>(p.net)]) continue;
-    counted[static_cast<size_t>(p.net)] = true;
-    total += count[static_cast<size_t>(p.net)];
-  }
-  for (size_t n = 0; n < n_nets; ++n) {
-    if (nl_->net(static_cast<NetId>(n)).kind == netlist::NetKind::kClock &&
-        !counted[n])
-      total += count[n];
-  }
+  for (const uint32_t r : roots) total += count[r];
   return total;
 }
 
 double PathExtractor::count_edge_paths(Phase phase) const {
   SMART_CHECK(nl_->finalized(), "netlist must be finalized");
-  const size_t n_nodes = nl_->net_count() * 2;
-  std::vector<double> count(n_nodes, -1.0);
-  std::vector<bool> is_output(nl_->net_count(), false);
-  for (const auto& p : nl_->outputs())
-    is_output[static_cast<size_t>(p.net)] = true;
-
+  const std::vector<Source> sources = phase_sources(*nl_, phase);
+  const std::vector<uint8_t> is_output = output_mask(*nl_);
+  // count[node] = number of edge-annotated paths from node to any output.
+  std::vector<double> count(nl_->net_count() * 2, 0.0);
   std::vector<EdgeMap> maps;
-  // Memoized recursion (explicit stack) over (net, edge) nodes.
-  struct Frame {
-    size_t node;
-    bool expanded;
-  };
-  std::vector<Frame> stack;
-  auto children = [&](size_t node, std::vector<size_t>& out) {
-    out.clear();
-    const NetId net = static_cast<NetId>(node / 2);
-    const bool rise = (node % 2) == 1;
-    for (const Arc& a : nl_->arcs_from(net)) {
-      bool footed = true;
-      if (const auto* dg = nl_->comp(a.comp).as_domino())
-        footed = dg->evaluate_label >= 0;
-      netlist::arc_edge_maps(a.kind, phase, footed, maps);
-      for (const EdgeMap& em : maps) {
-        if (em.in_rise != rise) continue;
-        out.push_back(static_cast<size_t>(a.to) * 2 + (em.out_rise ? 1 : 0));
-      }
-    }
-  };
-  std::vector<size_t> kids;
-  for (size_t start = 0; start < n_nodes; ++start) {
-    if (count[start] >= 0.0) continue;
-    stack.push_back(Frame{start, false});
-    while (!stack.empty()) {
-      Frame f = stack.back();
-      stack.pop_back();
-      if (count[f.node] >= 0.0) continue;
-      children(f.node, kids);
-      if (!f.expanded) {
-        stack.push_back(Frame{f.node, true});
-        for (size_t k : kids)
-          if (count[k] < 0.0) stack.push_back(Frame{k, false});
-        continue;
-      }
-      double c = is_output[f.node / 2] ? 1.0 : 0.0;
-      for (size_t k : kids) c += std::max(count[k], 0.0);
-      count[f.node] = c;
-    }
+  for (const uint32_t node : phase_order(*nl_, phase, sources)) {
+    double c = is_output[node / 2] ? 1.0 : 0.0;
+    for_each_successor(
+        *nl_, phase, node, maps,
+        [&](size_t, const Arc&, const EdgeMap&, uint32_t child) {
+          c += count[child];
+        });
+    count[node] = c;
   }
 
   double total = 0.0;
-  for (const Source& src : phase_sources(*nl_, phase)) {
-    const size_t node =
-        static_cast<size_t>(src.net) * 2 + (src.rise ? 1 : 0);
-    total += std::max(count[node], 0.0);
-  }
+  for (const Source& src : sources) total += count[node_key(src.net, src.rise)];
   return total;
 }
 

@@ -79,6 +79,9 @@ class PathExtractor {
 
   /// Extracts evaluate- and precharge-phase paths from every primary input
   /// and clock source to every output port, applying the enabled prunes.
+  /// The §5.2 statistics are computed only when `stats` is given or
+  /// telemetry is on (for its gauges): they cost the two DP counts and a
+  /// count-only pass over the unpruned class universe.
   std::vector<Path> extract(const PruneOptions& opt = {},
                             PathStats* stats = nullptr) const;
 

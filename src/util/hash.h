@@ -1,12 +1,13 @@
 #pragma once
 
 /// \file hash.h
-/// FNV-1a 64-bit hashing for content-addressed keys. The serving layer's
-/// result cache fingerprints a request's constraint set with it, and frame
-/// payloads carry an FNV checksum so corruption (a flaky client, an
-/// injected fault) is detected at the protocol layer instead of surfacing
-/// as a garbage solve. Not cryptographic — collision resistance here only
-/// has to beat accidental corruption and near-identical requests.
+/// 64-bit hashing. FNV-1a hashes content-addressed keys: the serving
+/// layer's result cache fingerprints a request's constraint set with it,
+/// and frame payloads carry an FNV checksum so corruption (a flaky client,
+/// an injected fault) is detected at the protocol layer instead of
+/// surfacing as a garbage solve. mix64 builds in-process digests. Neither
+/// is cryptographic — collision resistance here only has to beat
+/// accidental corruption and near-identical requests.
 
 #include <cstdint>
 #include <cstring>
@@ -55,5 +56,26 @@ inline uint64_t fnv1a(const void* data, size_t len) {
 }
 
 inline uint64_t fnv1a(std::string_view s) { return fnv1a(s.data(), s.size()); }
+
+/// One step of the murmur-style mixer that in-process digests over small
+/// integer streams are built with (path-class signatures, constraint
+/// keys): folds `v` into `h`. Non-commutative. Only digest equality is
+/// ever consulted, so the mixer needs good avalanche, not a stable format.
+inline uint64_t mix64(uint64_t h, uint64_t v) {
+  v *= 0xff51afd7ed558ccdULL;
+  v ^= v >> 33;
+  h = (h ^ v) * 0x2545f4914f6cdd1dULL;
+  return h ^ (h >> 29);
+}
+
+/// Seed of a mix64 chain.
+constexpr uint64_t kMix64Seed = 0x9e3779b97f4a7c15ULL;
+
+/// Bit pattern of a double, for mixing.
+inline uint64_t bits_of(double d) {
+  uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
 
 }  // namespace smart::util

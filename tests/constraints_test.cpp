@@ -201,9 +201,14 @@ TEST_F(ConstraintsTest, PathStatsPopulated) {
   spec.n = 8;
   const auto nl = test::generate("incrementor", "ks_prefix", spec);
   const auto gen = generate_problem(nl, options(400.0), lib_, tech_);
-  EXPECT_GT(gen.path_stats.raw_topological, 0.0);
-  EXPECT_GT(gen.path_stats.final_paths, 0u);
-  EXPECT_EQ(gen.timing_constraints, gen.path_stats.final_paths);
+  // The problem is built from the extractor's final paths; the statistics
+  // come from the extractor itself.
+  timing::PathStats stats;
+  timing::PathExtractor(nl).extract({}, &stats);
+  EXPECT_GT(stats.raw_topological, 0.0);
+  EXPECT_GT(stats.final_paths, 0u);
+  EXPECT_EQ(gen.paths.size(), stats.final_paths);
+  EXPECT_EQ(gen.timing_constraints, stats.final_paths);
 }
 
 TEST_F(ConstraintsTest, ExpiredDeadlineThrowsTimeout) {

@@ -166,8 +166,8 @@ TEST_F(SizerTest, ReportsPathAndConstraintStatistics) {
   opt.delay_spec_ps = 200.0;
   const auto r = sizer_.size(nl, opt);
   ASSERT_TRUE(r.ok);
-  EXPECT_GT(r.path_stats.final_paths, 0u);
-  EXPECT_GT(r.constraint_count, r.path_stats.final_paths);
+  EXPECT_GT(r.path_count, 0u);
+  EXPECT_GT(r.constraint_count, r.path_count);
   EXPECT_GT(r.gp_newton_iterations, 0);
 }
 
@@ -209,18 +209,31 @@ TEST_F(SizerTest, RespecTraceRecordsEveryIteration) {
 
     ASSERT_FALSE(r.respec_trace.empty());
     size_t accepted = 0;
+    size_t rejected = 0;
     for (size_t i = 0; i < r.respec_trace.size(); ++i) {
       const auto& it = r.respec_trace[i];
-      // A pre-solve rejection leaves no record, so only the spec that
-      // solves from the first iteration numbers its records 0, 1, ...
-      if (converges) {
-        EXPECT_EQ(it.iter, static_cast<int>(i));
-      }
-      if (i > 0) {
-        EXPECT_GT(it.iter, r.respec_trace[i - 1].iter);
-      }
+      // Every iteration leaves a record, pre-solve rejections included.
+      EXPECT_EQ(it.iter, static_cast<int>(i));
       EXPECT_GT(it.model_spec_ps, 0.0);
+      EXPECT_GT(it.slope_budget_ps, 0.0);
+      if (it.rejected_pre_solve) {
+        // Rejected before any solve: a status and no measurement.
+        ++rejected;
+        EXPECT_EQ(it.gp_status, gp::SolveStatus::kInfeasible);
+        EXPECT_GT(it.constraint_count, 0u);
+        EXPECT_EQ(it.measured_delay_ps, 0.0);
+        EXPECT_EQ(it.total_width_um, 0.0);
+        EXPECT_FALSE(it.meets);
+        EXPECT_FALSE(it.accepted);
+      }
       if (it.accepted) ++accepted;
+    }
+    // The spec below reach is box-infeasible at first: the gate rejects
+    // it (and relaxes) before a solve succeeds.
+    if (converges) {
+      EXPECT_EQ(rejected, 0u);
+    } else {
+      EXPECT_GT(rejected, 0u);
     }
     // Exactly one accepted record, and it is the returned result: its
     // verdict, measurement and width.
@@ -240,6 +253,39 @@ TEST_F(SizerTest, RespecTraceRecordsEveryIteration) {
     // No snapshot unless asked for: the default result stays lean.
     EXPECT_EQ(r.snapshot, nullptr);
   }
+}
+
+TEST_F(SizerTest, InputCapLimitsOfTheWrongLengthAreInvalidInput) {
+  const auto nl = test::inverter_chain(3, 30.0);  // one input port
+  SizerOptions opt;
+  opt.delay_spec_ps = 120.0;
+  opt.input_cap_limits_ff = {10.0, 10.0};
+  const auto r = sizer_.size(nl, opt);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.status.reason, util::FailureReason::kInvalidInput);
+  EXPECT_NE(r.message.find("input_cap_limits_ff has 2 entries"),
+            std::string::npos)
+      << r.message;
+  EXPECT_NE(r.message.find("1 inputs"), std::string::npos) << r.message;
+  // No rung was tried.
+  EXPECT_TRUE(r.respec_trace.empty());
+  EXPECT_EQ(r.gp_newton_iterations, 0);
+}
+
+TEST_F(SizerTest, RequiredTimesOfTheWrongLengthAreInvalidInput) {
+  const auto nl = test::inverter_chain(3, 30.0);  // one output port
+  SizerOptions opt;
+  opt.delay_spec_ps = 120.0;
+  opt.output_required_ps = {100.0, 100.0, 100.0};
+  const auto r = sizer_.size(nl, opt);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.status.reason, util::FailureReason::kInvalidInput);
+  EXPECT_NE(r.message.find("output_required_ps has 3 entries"),
+            std::string::npos)
+      << r.message;
+  EXPECT_NE(r.message.find("1 outputs"), std::string::npos) << r.message;
+  EXPECT_TRUE(r.respec_trace.empty());
+  EXPECT_EQ(r.gp_newton_iterations, 0);
 }
 
 TEST_F(SizerTest, SnapshotAlignsWithSolveDiagnostics) {

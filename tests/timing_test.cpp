@@ -209,6 +209,81 @@ TEST(PathExtractorTest, AdderProblemSizeReduction) {
             stats.raw_topological / 50.0);
 }
 
+TEST(PathExtractorTest, Sec52CountsOnTheDominoAdderArePinned) {
+  // The §5.2 table on the domino adder, per prune setting: every stage
+  // count is pinned, so a refactor of extraction cannot move one unseen.
+  struct Row {
+    int bits;
+    bool regularity, precedence, dominance;
+    double raw_topological, raw_edge;
+    size_t after_regularity, after_precedence, after_dominance;
+  };
+  const Row rows[] = {
+      {32, true, true, true, 36512, 28566, 6886, 1405, 273},
+      {32, true, false, true, 36512, 28566, 6886, 6886, 5980},
+      {32, true, true, false, 36512, 28566, 6886, 1405, 1405},
+      {32, false, true, true, 36512, 28566, 28566, 28566, 28566},
+      {64, true, true, true, 154748, 121126, 31066, 3293, 273},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(testing::Message()
+                 << row.bits << " bits, regularity " << row.regularity
+                 << ", precedence " << row.precedence << ", dominance "
+                 << row.dominance);
+    core::MacroSpec spec;
+    spec.type = "adder";
+    spec.n = row.bits;
+    const auto nl = test::generate("adder", "domino_cla", spec);
+    PruneOptions opt;
+    opt.regularity = row.regularity;
+    opt.precedence = row.precedence;
+    opt.dominance = row.dominance;
+    PathStats stats;
+    const auto paths = PathExtractor(nl).extract(opt, &stats);
+    EXPECT_EQ(stats.raw_topological, row.raw_topological);
+    EXPECT_EQ(stats.raw_edge_paths, row.raw_edge);
+    EXPECT_EQ(stats.after_regularity, row.after_regularity);
+    EXPECT_EQ(stats.after_precedence, row.after_precedence);
+    EXPECT_EQ(stats.after_dominance, row.after_dominance);
+    EXPECT_EQ(stats.final_paths, row.after_dominance);
+    EXPECT_EQ(paths.size(), row.after_dominance);
+  }
+}
+
+TEST(PathExtractorTest, RegularityCountIsThePathCountWithoutTheOtherPrunes) {
+  // after_regularity counts the unpruned class universe, which node-level
+  // precedence pruning never stores: it must equal the path count of an
+  // extraction with precedence and dominance off.
+  struct Case {
+    const char* type;
+    const char* topology;
+    int n;
+    int bits;
+  };
+  const Case cases[] = {{"adder", "domino_cla", 32, 0},
+                        {"incrementor", "ks_prefix", 13, 0},
+                        {"incrementor", "ks_prefix", 27, 0},
+                        {"mux", "domino_split", 16, 0},
+                        {"mux", "strong_pass", 8, 8},
+                        {"zero_detect", "static_tree", 16, 0}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.type << "/" << c.topology << "/"
+                                    << c.n);
+    core::MacroSpec spec;
+    spec.type = c.type;
+    spec.n = c.n;
+    if (c.bits > 0) spec.params["bits"] = c.bits;
+    const auto nl = test::generate(c.type, c.topology, spec);
+    PathExtractor ex(nl);
+    PathStats stats;
+    ex.extract({}, &stats);
+    PruneOptions regularity_only;
+    regularity_only.precedence = false;
+    regularity_only.dominance = false;
+    EXPECT_EQ(stats.after_regularity, ex.extract(regularity_only).size());
+  }
+}
+
 TEST(PathExtractorTest, RepresentativesEndAtOutputs) {
   core::MacroSpec spec;
   spec.type = "comparator";
