@@ -1,6 +1,7 @@
 #include "core/constraints.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <unordered_map>
 
@@ -134,6 +135,153 @@ uint32_t find_or_add(std::unordered_multimap<uint64_t, uint32_t>& index,
   return fresh;
 }
 
+/// Exact equality of two posynomials as stored: the same terms in the same
+/// order, bit for bit. Stricter than same_posy, and what makes two
+/// products with them bit-identical.
+bool same_terms(const Posynomial& a, const Posynomial& b) {
+  if (a.num_terms() != b.num_terms()) return false;
+  for (size_t k = 0; k < a.num_terms(); ++k) {
+    const Monomial& ma = a.terms()[k];
+    const Monomial& mb = b.terms()[k];
+    if (bits_of(ma.coeff()) != bits_of(mb.coeff()) ||
+        !(ma.factors() == mb.factors()))
+      return false;
+  }
+  return true;
+}
+
+/// Load class of every net: nets whose capacitance posynomials are
+/// same_terms share one, so arcs into them build bit-identical RC
+/// posynomials. Classes number in first-net order.
+std::vector<int32_t> load_classes(const std::vector<Posynomial>& caps) {
+  std::vector<int32_t> cls(caps.size());
+  std::vector<size_t> first;  ///< first net of each class
+  std::unordered_multimap<uint64_t, uint32_t> index;
+  for (size_t n = 0; n < caps.size(); ++n) {
+    uint64_t h = mix64(util::kMix64Seed, caps[n].num_terms());
+    for (const Monomial& t : caps[n].terms()) {
+      h = mix64(h, bits_of(t.coeff()));
+      for (const auto& f : t.factors()) {
+        h = mix64(h, static_cast<uint32_t>(f.var));
+        h = mix64(h, bits_of(f.exp));
+      }
+    }
+    const auto fresh = static_cast<uint32_t>(first.size());
+    const uint32_t c = find_or_add(index, h, fresh, [&](uint32_t k) {
+      return same_terms(caps[first[k]], caps[n]);
+    });
+    if (c == fresh) first.push_back(n);
+    cls[n] = static_cast<int32_t>(c);
+  }
+  return cls;
+}
+
+/// Arc models keyed by what their posynomials are built from: the class
+/// coefficients as read through their fault sites, the series RC path as
+/// its (resistance, label) sequence, the destination's load class and the
+/// input slope. Equal keys build bit-identical posynomials, so each
+/// distinct key builds once however many arc transitions share it: the
+/// bit slices of a regular macro repeat the same devices into the same
+/// loads.
+class ArcModelMemo {
+ public:
+  struct Slot {
+    /// The delay is built only for path steps, which all come before the
+    /// slope bounds; a slope bound's output slope moves into its static
+    /// class on first use.
+    models::ArcPosy posy;
+    int32_t slope_class = -1;  ///< static class of its slope bound, once added
+  };
+
+  ArcModelMemo(const Netlist& nl, const std::vector<Posynomial>& caps,
+               const models::LabelVarMap& labels,
+               const models::ModelLibrary& lib, const tech::Tech& tech)
+      : nl_(nl), caps_(caps), loads_(load_classes(caps)), labels_(labels),
+        lib_(lib), tech_(tech) {}
+
+  /// The slot of one arc transition at `in_slope`, built on first sight of
+  /// its key (with the delay template when `with_delay`). Reads the
+  /// coefficients, and so hits their fault sites, once per call.
+  uint32_t find_or_build(const netlist::Arc& arc, bool out_rise,
+                         netlist::Phase phase, double in_slope,
+                         bool with_delay) {
+    const models::ModelCoeffs m = models::arc_coeffs(nl_, arc, lib_, phase);
+    models::arc_rc_path(nl_, arc, out_rise, tech_, path_, phase);
+    Key k;
+    k.coeff_bits = {bits_of(m.a_int),   bits_of(m.a_rc),
+                    bits_of(m.a_slope), bits_of(m.b_int),
+                    bits_of(m.b_rc),    bits_of(m.b_slope),
+                    m.saturating_slope ? 1u : 0u};
+    k.load = loads_[static_cast<size_t>(arc.to)];
+    k.slope_bits = bits_of(in_slope);
+    uint64_t h = util::kMix64Seed;
+    for (const uint64_t b : k.coeff_bits) h = mix64(h, b);
+    h = mix64(h, static_cast<uint32_t>(k.load));
+    h = mix64(h, k.slope_bits);
+    for (const auto& d : path_) {
+      h = mix64(h, bits_of(d.r));
+      h = mix64(h, static_cast<uint32_t>(d.label));
+    }
+    const auto fresh = static_cast<uint32_t>(slots_.size());
+    const uint32_t s = find_or_add(index_, h, fresh, [&](uint32_t c) {
+      return same_key(keys_[c], k);
+    });
+    if (s != fresh) return s;
+    k.path_begin = static_cast<uint32_t>(arena_.size());
+    k.path_len = static_cast<uint32_t>(path_.size());
+    arena_.insert(arena_.end(), path_.begin(), path_.end());
+    const Posynomial rc = models::rc_path_posy(
+        path_, caps_[static_cast<size_t>(arc.to)], labels_, tech_);
+    const Posynomial slope(in_slope);
+    Slot& slot = slots_.emplace_back();
+    if (with_delay)
+      slot.posy = models::model_posy(m, rc, slope, tech_);
+    else
+      slot.posy.out_slope = models::out_slope_posy(m, rc, slope);
+    keys_.push_back(k);
+    return s;
+  }
+
+  Slot& operator[](uint32_t s) { return slots_[s]; }
+  /// Distinct keys seen, i.e. arc models built.
+  size_t size() const { return slots_.size(); }
+
+ private:
+  struct Key {
+    /// The coefficients' bits, then saturating_slope.
+    std::array<uint64_t, 7> coeff_bits{};
+    int32_t load = 0;
+    uint64_t slope_bits = 0;
+    uint32_t path_begin = 0;  ///< the path, in arena_
+    uint32_t path_len = 0;
+  };
+
+  /// Whether stored key `a` equals `b`, whose path is in path_.
+  bool same_key(const Key& a, const Key& b) const {
+    if (a.coeff_bits != b.coeff_bits || a.load != b.load ||
+        a.slope_bits != b.slope_bits || a.path_len != path_.size())
+      return false;
+    for (size_t i = 0; i < path_.size(); ++i) {
+      const auto& d = arena_[a.path_begin + i];
+      if (bits_of(d.r) != bits_of(path_[i].r) || d.label != path_[i].label)
+        return false;
+    }
+    return true;
+  }
+
+  const Netlist& nl_;
+  const std::vector<Posynomial>& caps_;
+  const std::vector<int32_t> loads_;
+  const models::LabelVarMap& labels_;
+  const models::ModelLibrary& lib_;
+  const tech::Tech& tech_;
+  std::vector<Key> keys_;
+  std::vector<Slot> slots_;
+  std::vector<models::RcDevice> arena_;  ///< every stored key's path
+  std::vector<models::RcDevice> path_;   ///< the key being looked up
+  std::unordered_multimap<uint64_t, uint32_t> index_;
+};
+
 }  // namespace
 
 posy::Posynomial cost_posy(const Netlist& nl, CostMetric cost,
@@ -212,19 +360,17 @@ GeneratedProblem generate_problem(const Netlist& nl,
     return caps[static_cast<size_t>(n)];
   };
 
-  const Posynomial slope_budget(opt.slope_budget_ps);
-
   // ---- timing constraint templates from representative paths ----
   timing::PathExtractor extractor(nl);
   timing::PruneOptions prune = opt.prune;
   if (opt.deadline != nullptr) prune.deadline = opt.deadline;
   gen.paths = extractor.extract(prune);
 
-  // The same arc transition at the same input slope appears on many paths;
-  // model it once. Keys collect in path order, each distinct model builds
-  // into its own slot, and the emission stage below only reads the
-  // finished memo — so the produced posynomials are the ones per-step
-  // calls would produce, at a fraction of the calls.
+  // Path steps and slope bounds draw on one memo of arc models. A path
+  // step's arc transition at its input slope is looked up once, in path
+  // order, and step_slot keeps that arc identity's memo slot: the template
+  // and slope stages below reuse it without reading the coefficients (and
+  // hitting their fault sites) again.
   struct StepKey {
     int32_t comp;
     int32_t from;
@@ -250,50 +396,41 @@ GeneratedProblem generate_problem(const Netlist& nl,
       return static_cast<size_t>(mix64(h, k.slope_bits));
     }
   };
-  auto step_key = [&](const timing::PathStep& step, netlist::Phase phase,
-                      double slope) {
+  auto step_key = [](const netlist::Arc& arc, bool out_rise,
+                     netlist::Phase phase, double slope) {
     StepKey k;
-    k.comp = static_cast<int32_t>(step.arc.comp);
-    k.from = static_cast<int32_t>(step.arc.from);
-    k.to = static_cast<int32_t>(step.arc.to);
-    k.kind = static_cast<int8_t>(step.arc.kind);
-    k.out_rise = step.out_rise ? 1 : 0;
+    k.comp = static_cast<int32_t>(arc.comp);
+    k.from = static_cast<int32_t>(arc.from);
+    k.to = static_cast<int32_t>(arc.to);
+    k.kind = static_cast<int8_t>(arc.kind);
+    k.out_rise = out_rise ? 1 : 0;
     k.phase = static_cast<int8_t>(phase);
     k.slope_bits = bits_of(slope);
     return k;
   };
-  std::unordered_map<StepKey, uint32_t, StepKeyHash> model_index;
-  std::vector<std::pair<StepKey, double>> model_keys;
+  ArcModelMemo memo(nl, caps, gen.labels, lib, tech);
+  std::unordered_map<StepKey, uint32_t, StepKeyHash> step_slot;
+  std::vector<uint32_t> path_slots;  ///< memo slot of every path step
   {
-    obs::Span keys_span("core.congen.model_keys");
+    obs::Span models_span("core.congen.arc_models");
     for (const auto& path : gen.paths) {
       const double in_slope = path.start_slope >= 0.0
                                   ? path.start_slope
                                   : tech.default_input_slope;
       for (size_t si = 0; si < path.steps.size(); ++si) {
+        const auto& step = path.steps[si];
         const double slope = si == 0 ? in_slope : opt.slope_budget_ps;
-        const StepKey k = step_key(path.steps[si], path.phase, slope);
-        if (model_index.emplace(k, model_keys.size()).second)
-          model_keys.emplace_back(k, slope);
+        const auto [it, fresh] = step_slot.try_emplace(
+            step_key(step.arc, step.out_rise, path.phase, slope), 0u);
+        if (fresh) {
+          if (util::deadline_expired(opt.deadline))
+            throw util::TimeoutError(
+                "constraint generation deadline exceeded (arc models)");
+          it->second = memo.find_or_build(step.arc, step.out_rise,
+                                          path.phase, slope, true);
+        }
+        path_slots.push_back(it->second);
       }
-    }
-  }
-  std::vector<models::ArcPosy> models_memo(model_keys.size());
-  {
-    obs::Span models_span("core.congen.arc_models");
-    for (size_t i = 0; i < model_keys.size(); ++i) {
-      if (util::deadline_expired(opt.deadline))
-        throw util::TimeoutError(
-            "constraint generation deadline exceeded (arc models)");
-      const auto& [k, slope] = model_keys[i];
-      netlist::Arc arc;
-      arc.from = static_cast<netlist::NetId>(k.from);
-      arc.to = static_cast<netlist::NetId>(k.to);
-      arc.comp = static_cast<netlist::CompId>(k.comp);
-      arc.kind = static_cast<netlist::ArcKind>(k.kind);
-      models_memo[i] = models::arc_model_posy(
-          nl, arc, k.out_rise != 0, Posynomial(slope), net_cap(arc.to),
-          gen.labels, lib, tech, static_cast<netlist::Phase>(k.phase));
     }
   }
 
@@ -302,14 +439,12 @@ GeneratedProblem generate_problem(const Netlist& nl,
     gen.path_templates.reserve(gen.paths.size());
     std::vector<CanonTemplate> class_keys;
     std::unordered_multimap<uint64_t, uint32_t> class_index;
+    size_t next_step = 0;
     for (size_t pi = 0; pi < gen.paths.size(); ++pi) {
       if (util::deadline_expired(opt.deadline))
         throw util::TimeoutError(
             "constraint generation deadline exceeded (templates)");
       const auto& path = gen.paths[pi];
-      const double in_slope = path.start_slope >= 0.0
-                                  ? path.start_slope
-                                  : tech.default_input_slope;
       PathConstraintTemplate tmpl;
       tmpl.phase = path.phase;
       tmpl.end = path.end();
@@ -317,11 +452,8 @@ GeneratedProblem generate_problem(const Netlist& nl,
       PosyAccum total;
       total.add(path.start_arrival);
       int stages_seen = 0;
-      for (size_t si = 0; si < path.steps.size(); ++si) {
-        const auto& step = path.steps[si];
-        const double slope = si == 0 ? in_slope : opt.slope_budget_ps;
-        const auto& arc_posy = models_memo[model_index.find(
-            step_key(step, path.phase, slope))->second];
+      for (const auto& step : path.steps) {
+        const Posynomial& delay = memo[path_slots[next_step++]].posy.delay;
 
         const bool enters_domino =
             step.arc.kind == netlist::ArcKind::kDominoEval ||
@@ -338,7 +470,7 @@ GeneratedProblem generate_problem(const Netlist& nl,
           if (stages_seen >= 2 && path.phase == netlist::Phase::kEvaluate)
             tmpl.stage_prefixes.emplace_back(stages_seen, total.snapshot());
         }
-        total.add(arc_posy.delay);
+        total.add(delay);
       }
       tmpl.total = total.take();
       gen.path_templates.push_back(std::move(tmpl));
@@ -364,8 +496,9 @@ GeneratedProblem generate_problem(const Netlist& nl,
   // normalized posynomial.
   std::vector<CanonPosy> static_keys;
   std::unordered_multimap<uint64_t, uint32_t> static_index;
-  // Returns true when the constraint opened a new class.
-  auto add_static = [&](Posynomial lhs, std::string tag, std::string member) {
+  // Returns the constraint's class, and whether it opened it.
+  auto add_static = [&](Posynomial lhs, std::string tag,
+                        std::string member) -> std::pair<uint32_t, bool> {
     CanonPosy key = canonical(lhs);
     const auto fresh = static_cast<uint32_t>(gen.static_classes.size());
     const uint32_t cls =
@@ -379,7 +512,7 @@ GeneratedProblem generate_problem(const Netlist& nl,
       static_keys.push_back(std::move(key));
     }
     gen.static_classes[cls].members.push_back(std::move(member));
-    return cls == fresh;
+    return {cls, cls == fresh};
   };
 
   // ---- input pin capacitance (load) constraints ----
@@ -398,10 +531,13 @@ GeneratedProblem generate_problem(const Netlist& nl,
   }
 
   // ---- per-arc slope (reliability) constraints ----
+  size_t slope_bounds = 0;  ///< arc transitions given a slope bound
   if (opt.enforce_slopes) {
     obs::Span slopes_span("core.congen.slopes");
-    // Reuses the memoized model when a timing path already evaluated the
-    // same transition at the slope budget.
+    // A transition whose arc model is already in the memo (from a path
+    // step, or from an earlier transition with the same key) builds
+    // nothing: its member name joins the slope class that model's bound
+    // went to.
     std::vector<netlist::EdgeMap> maps;
     for (const auto& arc : nl.arcs()) {
       if (util::deadline_expired(opt.deadline))
@@ -413,32 +549,51 @@ GeneratedProblem generate_problem(const Netlist& nl,
       for (const auto& em : maps) {
         if (em.out_rise ? done_rise : done_fall) continue;
         (em.out_rise ? done_rise : done_fall) = true;
-        timing::PathStep step;
-        step.arc = arc;
-        step.out_rise = em.out_rise;
-        const auto it = model_index.find(step_key(
-            step, netlist::Phase::kEvaluate, opt.slope_budget_ps));
-        // Each (arc, transition) maps to a distinct memo index and the path
-        // templates above only read .delay, so the memoized slope
-        // posynomial can be stolen instead of copied.
-        Posynomial out_slope =
-            it != model_index.end()
-                ? std::move(models_memo[it->second].out_slope)
-                : models::arc_out_slope_posy(nl, arc, em.out_rise,
-                                             slope_budget, net_cap(arc.to),
-                                             gen.labels, lib, tech);
+        ++slope_bounds;
+        const auto it = step_slot.find(step_key(
+            arc, em.out_rise, netlist::Phase::kEvaluate, opt.slope_budget_ps));
+        auto& slot = memo[it != step_slot.end()
+                              ? it->second
+                              : memo.find_or_build(arc, em.out_rise,
+                                                   netlist::Phase::kEvaluate,
+                                                   opt.slope_budget_ps,
+                                                   false)];
+        std::string member;
+        member.reserve(nl.net(arc.to).name.size() +
+                       nl.net(arc.from).name.size() +
+                       nl.comp(arc.comp).name.size() + 17);
+        member += "slope_";
+        member += nl.net(arc.to).name;
+        member += em.out_rise ? "_r" : "_f";
+        const size_t tag_len = member.size();
+        member += " from ";
+        member += nl.net(arc.from).name;
+        member += " (";
+        member += nl.comp(arc.comp).name;
+        member += ')';
+        if (slot.slope_class >= 0) {
+          gen.static_classes[static_cast<size_t>(slot.slope_class)]
+              .members.push_back(std::move(member));
+          continue;
+        }
+        // Path templates only read the delay, so the slot's output slope
+        // moves into the constraint.
+        Posynomial out_slope = std::move(slot.posy.out_slope);
         out_slope *= 1.0 / opt.slope_budget_ps;
-        std::string tag = "slope_";
-        tag += nl.net(arc.to).name;
-        tag += em.out_rise ? "_r" : "_f";
-        std::string member = util::strfmt(
-            "%s from %s (%s)", tag.c_str(), nl.net(arc.from).name.c_str(),
-            nl.comp(arc.comp).name.c_str());
-        if (add_static(std::move(out_slope), std::move(tag),
-                       std::move(member)))
-          ++gen.slope_constraints;
+        std::string tag = member.substr(0, tag_len);
+        const auto [cls, fresh] =
+            add_static(std::move(out_slope), std::move(tag), std::move(member));
+        slot.slope_class = static_cast<int32_t>(cls);
+        if (fresh) ++gen.slope_constraints;
       }
     }
+  }
+  auto& tel = obs::Telemetry::instance();
+  if (tel.enabled()) {
+    tel.counter_add("core.congen.slope_bounds",
+                    static_cast<double>(slope_bounds));
+    tel.counter_add("core.congen.arc_models_built",
+                    static_cast<double>(memo.size()));
   }
 
   assemble_problem(gen, opt.delay_spec_ps, opt.precharge_spec_ps, opt.otb,

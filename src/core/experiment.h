@@ -18,11 +18,26 @@
 
 namespace smart::core {
 
+/// The original (baseline-sized) design as the reference timer measures
+/// it: the fields of a SizerResult a measurement fills, and no more.
+struct BaselineMeasurement {
+  bool ok = false;
+  netlist::Sizing sizing;
+  double measured_delay_ps = 0.0;
+  double measured_precharge_ps = 0.0;
+  double total_width_um = 0.0;
+  double clock_width_um = 0.0;
+};
+
 /// Result of one iso-performance comparison.
 struct IsoDelayComparison {
-  bool ok = false;             ///< SMART produced a spec-meeting design
-  SizerResult baseline;        ///< measured original design
-  SizerResult smart;           ///< SMART solution
+  bool ok = false;               ///< SMART produced a spec-meeting design
+  BaselineMeasurement baseline;  ///< measured original design
+  /// SMART solution: its sizing, measurements, verdict and work counts.
+  /// Sweeps keep thousands of comparisons, so the solve's own diagnostics
+  /// (respec_trace, binding_constraints, solution_x) are released here;
+  /// Sizer::size returns them for inspecting one solve.
+  SizerResult smart;
   power::PowerReport baseline_power;
   power::PowerReport smart_power;
 

@@ -91,11 +91,37 @@ SizerResult Sizer::measure(const netlist::Netlist& nl,
 
 std::vector<double> Sizer::input_caps(const netlist::Netlist& nl,
                                       const netlist::Sizing& sizing) const {
-  const refsim::RcTimer timer(*tech_);
+  // One pass over the components, summing each input net's terms in
+  // RcTimer::net_cap's order (components ascending, gate before diffusion,
+  // then the fixed wire and port loads). Components that do not touch a
+  // net only add zeros there, so skipping them keeps the sums
+  // bit-identical to net_cap's.
+  const auto& t = *tech_;
+  std::vector<double> net_caps(nl.net_count(), 0.0);
+  std::vector<char> is_input(nl.net_count(), 0);
+  for (const auto& p : nl.inputs()) is_input[static_cast<size_t>(p.net)] = 1;
+  for (size_t c = 0; c < nl.comp_count(); ++c) {
+    const auto id = static_cast<netlist::CompId>(c);
+    for (const netlist::NetId n : nl.touched_nets(id)) {
+      const auto i = static_cast<size_t>(n);
+      if (!is_input[i]) continue;
+      net_caps[i] +=
+          t.c_gate * nl.resolve_width(nl.gate_width_on_net(id, n), sizing);
+      net_caps[i] +=
+          t.c_diff * nl.resolve_width(nl.diffusion_width_on_net(id, n), sizing);
+    }
+  }
   std::vector<double> caps;
   caps.reserve(nl.inputs().size());
-  for (const auto& p : nl.inputs())
-    caps.push_back(timer.net_cap(nl, sizing, p.net));
+  for (const auto& p : nl.inputs()) {
+    double cap = net_caps[static_cast<size_t>(p.net)];
+    cap += t.c_wire + nl.net(p.net).extra_wire_ff +
+           t.c_wire_per_fanout *
+               static_cast<double>(nl.arcs_from(p.net).size());
+    for (const auto& port : nl.outputs())
+      if (port.net == p.net) cap += port.load_ff;
+    caps.push_back(cap);
+  }
   return caps;
 }
 
@@ -126,6 +152,8 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
   // (infeasibility relaxation); otherwise each iteration just re-normalizes
   // them for the new model-facing specs.
   GeneratedProblem gen;
+  size_t path_count = 0;  // of the last problem built: a function of the
+                          // netlist and pruning
   double built_slope_budget = -1.0;
   double prev_width = -1.0;
   int total_newton = 0;
@@ -216,8 +244,12 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
         ConstraintOptions copt =
             constraint_options(model_spec, model_pre_spec, slope_budget);
         copt.deadline = deadline.enabled ? &deadline : nullptr;
+        // Free the previous problem before building its replacement, so a
+        // relaxation never holds two at once.
+        gen = GeneratedProblem();
         try {
           gen = generate_problem(nl, copt, *lib_, *tech_);
+          path_count = gen.paths.size();
         } catch (const util::TimeoutError& e) {
           // Extraction/congen ran out of budget: report kTimeout and let
           // the ladder produce a valid (if unoptimized) point.
@@ -398,7 +430,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
 
   SizerResult r;
   r.gp_newton_iterations = total_newton;
-  r.path_count = gen.paths.size();  // a function of the netlist and pruning
+  r.path_count = path_count;
   r.respec_trace = std::move(respec_trace);
   for (const auto& it : r.respec_trace)
     if (it.meets && r.converged_iteration < 0)

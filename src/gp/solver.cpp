@@ -487,6 +487,7 @@ RoundOutcome barrier_solve(const CompiledGp& gp,
     Vec ys = y;
     ys.push_back(s0);
     const double want = -2.0 * kFeasMargin;
+    const double m1 = static_cast<double>(ws.size() + 2 * (n + 1));
     auto feasible_now = [&](const Vec& yy) {
       return max_constraint(gp, ws, yy, scratch.p) < want;
     };
@@ -504,6 +505,11 @@ RoundOutcome barrier_solve(const CompiledGp& gp,
         break;
       }
       if (feasible_now(ys)) break;
+      // A centered phase-I point is within m/t of the least reachable s,
+      // m counting every barrier term (the working set and both box sides
+      // of y and s). Once s exceeds twice that gap, the least s is
+      // positive: the working set, and so the GP, is infeasible.
+      if (outcome.converged && ys[n] - 2.0 * m1 / t > 0.0) break;
       if (static_cast<double>(ws.size()) / t < options.tolerance) break;
       t *= kBarrierMu;
     }

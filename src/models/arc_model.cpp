@@ -159,48 +159,16 @@ std::vector<Posynomial> net_cap_posy_all(const Netlist& nl,
   return caps;
 }
 
-namespace {
-
-/// Builds RCsum = sum_j (r_j / W_j) * C_out + internal stack-node terms for
-/// a series path given as (resistance-per-um, width-monomial) from the
-/// output node down to the supply.
-Posynomial path_rc_posy(
-    const std::vector<std::pair<double, Monomial>>& path_from_out,
-    const Posynomial& c_out, const tech::Tech& tech) {
-  SMART_CHECK(!path_from_out.empty(), "empty RC path");
-  // R_total * C_out
-  Posynomial r_total;
-  for (const auto& [r, w] : path_from_out)
-    r_total += w.inverse() * r;
-  Posynomial rc = r_total * c_out;
-  // Internal node between devices k and k+1: cap c_diff*(W_k + W_{k+1}),
-  // resistance to supply = sum of device resistances below the node.
-  for (size_t k = 0; k + 1 < path_from_out.size(); ++k) {
-    Posynomial r_below;
-    for (size_t j = k + 1; j < path_from_out.size(); ++j)
-      r_below += path_from_out[j].second.inverse() * path_from_out[j].first;
-    Posynomial c_node(path_from_out[k].second * tech.c_diff);
-    c_node += path_from_out[k + 1].second * tech.c_diff;
-    rc += r_below * c_node;
-  }
-  return rc;
-}
-
-}  // namespace
-
-Posynomial arc_rc_posy(const Netlist& nl, const Arc& arc, bool out_rising,
-                       const Posynomial& c_out, const LabelVarMap& labels,
-                       const tech::Tech& tech, netlist::Phase phase) {
+void arc_rc_path(const Netlist& nl, const Arc& arc, bool out_rising,
+                 const tech::Tech& tech, std::vector<RcDevice>& out,
+                 netlist::Phase phase) {
   const Component& comp = nl.comp(arc.comp);
-  auto width = [&](LabelId l) { return labels.at(static_cast<size_t>(l)); };
-
-  // Reused per-thread scratch: arc models are evaluated for every arc
-  // transition of the netlist, and the per-call vector churn showed up in
+  out.clear();
+  // Reused per-thread scratch: paths are derived for every arc transition
+  // of the netlist, and the per-call vector churn showed up in
   // constraint-generation profiles.
-  static thread_local std::vector<std::pair<NetId, LabelId>> path;
-  static thread_local std::vector<std::pair<double, Monomial>> rw;
-  path.clear();
-  rw.clear();
+  static thread_local std::vector<std::pair<NetId, LabelId>> stack_path;
+  stack_path.clear();
 
   if (const auto* g = comp.as_static()) {
     if (out_rising) {
@@ -208,14 +176,14 @@ Posynomial arc_rc_posy(const Netlist& nl, const Arc& arc, bool out_rising,
       // worst dual-path length matters — computed without copying the tree.
       const int len = g->pulldown.dual_worst_len_through(arc.from);
       SMART_CHECK(len >= 0, "static arc input not in pull-up network");
-      rw.assign(static_cast<size_t>(len), {tech.r_pmos, width(g->pmos_label)});
+      out.assign(static_cast<size_t>(len), {tech.r_pmos, g->pmos_label});
     } else {
-      const bool found = g->pulldown.worst_path_through(arc.from, path);
+      const bool found = g->pulldown.worst_path_through(arc.from, stack_path);
       SMART_CHECK(found, "static arc input not in pull-down network");
-      for (const auto& [net, label] : path)
-        rw.emplace_back(tech.r_nmos, width(label));
+      for (const auto& [net, label] : stack_path)
+        out.push_back({tech.r_nmos, label});
     }
-    return path_rc_posy(rw, c_out, tech);
+    return;
   }
 
   if (const auto* tg = comp.as_transgate()) {
@@ -224,14 +192,15 @@ Posynomial arc_rc_posy(const Netlist& nl, const Arc& arc, bool out_rising,
     // Data and control arcs share the conduction RC; the control arc's
     // local-inverter delay is near width-independent and is absorbed into
     // the class's fitted intrinsic term.
-    return path_rc_posy({{r_eff, width(tg->label)}}, c_out, tech);
+    out.push_back({r_eff, tg->label});
+    return;
   }
 
   if (const auto* t3 = comp.as_tristate()) {
     const double r = out_rising ? tech.r_pmos : tech.r_nmos;
-    const Monomial w =
-        out_rising ? width(t3->pmos_label) : width(t3->nmos_label);
-    return path_rc_posy({{r, w}, {r, w}}, c_out, tech);
+    const LabelId w = out_rising ? t3->pmos_label : t3->nmos_label;
+    out.assign(2, {r, w});
+    return;
   }
 
   const auto* d = comp.as_domino();
@@ -243,27 +212,56 @@ Posynomial arc_rc_posy(const Netlist& nl, const Arc& arc, bool out_rising,
     // Precharge through P1 — including the unfooted reset ripple, where
     // the gating event is the input falling but the RC is the precharge
     // device charging the dynamic node.
-    return path_rc_posy({{tech.r_pmos, width(d->precharge_label)}}, c_out,
-                        tech);
+    out.push_back({tech.r_pmos, d->precharge_label});
+    return;
   }
 
   if (arc.kind == ArcKind::kDominoClkEval) {
-    path = d->pulldown.worst_path();
+    stack_path = d->pulldown.worst_path();
   } else {
-    const bool found = d->pulldown.worst_path_through(arc.from, path);
+    const bool found = d->pulldown.worst_path_through(arc.from, stack_path);
     SMART_CHECK(found, "domino arc input not in pull-down network");
   }
-  for (const auto& [net, label] : path)
-    rw.emplace_back(tech.r_nmos, width(label));
-  if (d->evaluate_label >= 0)
-    rw.emplace_back(tech.r_nmos, width(d->evaluate_label));
-  return path_rc_posy(rw, c_out, tech);
+  for (const auto& [net, label] : stack_path)
+    out.push_back({tech.r_nmos, label});
+  if (d->evaluate_label >= 0) out.push_back({tech.r_nmos, d->evaluate_label});
 }
 
-ArcPosy arc_model_posy(const Netlist& nl, const Arc& arc, bool out_rising,
-                       const Posynomial& in_slope, const Posynomial& c_out,
-                       const LabelVarMap& labels, const ModelLibrary& lib,
+Posynomial rc_path_posy(const std::vector<RcDevice>& path,
+                        const Posynomial& c_out, const LabelVarMap& labels,
+                        const tech::Tech& tech) {
+  SMART_CHECK(!path.empty(), "empty RC path");
+  auto width = [&](size_t k) -> const Monomial& {
+    return labels.at(static_cast<size_t>(path[k].label));
+  };
+  // R_total * C_out
+  Posynomial r_total;
+  for (size_t k = 0; k < path.size(); ++k)
+    r_total += width(k).inverse() * path[k].r;
+  Posynomial rc = r_total * c_out;
+  // Internal node between devices k and k+1: cap c_diff*(W_k + W_{k+1}),
+  // resistance to supply = sum of device resistances below the node.
+  for (size_t k = 0; k + 1 < path.size(); ++k) {
+    Posynomial r_below;
+    for (size_t j = k + 1; j < path.size(); ++j)
+      r_below += width(j).inverse() * path[j].r;
+    Posynomial c_node(width(k) * tech.c_diff);
+    c_node += width(k + 1) * tech.c_diff;
+    rc += r_below * c_node;
+  }
+  return rc;
+}
+
+Posynomial arc_rc_posy(const Netlist& nl, const Arc& arc, bool out_rising,
+                       const Posynomial& c_out, const LabelVarMap& labels,
                        const tech::Tech& tech, netlist::Phase phase) {
+  static thread_local std::vector<RcDevice> path;
+  arc_rc_path(nl, arc, out_rising, tech, path, phase);
+  return rc_path_posy(path, c_out, labels, tech);
+}
+
+ModelCoeffs arc_coeffs(const Netlist& nl, const Arc& arc,
+                       const ModelLibrary& lib, netlist::Phase phase) {
   ModelCoeffs m = lib.coeffs(classify_arc(nl, arc, phase));
   // Fault-injection sites: chaos tests corrupt the calibrated coefficients
   // here — a perturbation models a bad fit, NaN models a poisoned library —
@@ -272,8 +270,11 @@ ArcPosy arc_model_posy(const Netlist& nl, const Arc& arc, bool out_rising,
                                "model.coeff.a_rc", m.a_rc);
   m.a_int = util::fault_corrupt(util::FaultClass::kModelNonFinite,
                                 "model.coeff.a_int", m.a_int);
-  const Posynomial rc =
-      arc_rc_posy(nl, arc, out_rising, c_out, labels, tech, phase);
+  return m;
+}
+
+ArcPosy model_posy(const ModelCoeffs& m, const Posynomial& rc,
+                   const Posynomial& in_slope, const tech::Tech& tech) {
   ArcPosy out;
   out.delay = Posynomial(m.a_int);
   out.delay.add_scaled(rc, m.a_rc);
@@ -283,34 +284,30 @@ ArcPosy arc_model_posy(const Netlist& nl, const Arc& arc, bool out_rising,
   } else {
     out.delay.add_scaled(in_slope, m.a_slope);
   }
-  out.out_slope = Posynomial(m.b_int);
-  out.out_slope.add_scaled(rc, m.b_rc);
-  out.out_slope.add_scaled(in_slope, m.b_slope);
+  out.out_slope = out_slope_posy(m, rc, in_slope);
   return out;
 }
 
-Posynomial arc_out_slope_posy(const Netlist& nl, const Arc& arc,
-                              bool out_rising, const Posynomial& in_slope,
-                              const Posynomial& c_out,
-                              const LabelVarMap& labels,
-                              const ModelLibrary& lib, const tech::Tech& tech,
-                              netlist::Phase phase) {
-  ModelCoeffs m = lib.coeffs(classify_arc(nl, arc, phase));
-  // Same fault sites as arc_model_posy so chaos-test hit/fire sequences are
-  // unchanged; the delay coefficients feed the same validity guards the
-  // delay composition would apply, then go unused.
-  m.a_rc = util::fault_corrupt(util::FaultClass::kModelCoeffPerturb,
-                               "model.coeff.a_rc", m.a_rc);
-  m.a_int = util::fault_corrupt(util::FaultClass::kModelNonFinite,
-                                "model.coeff.a_int", m.a_int);
+Posynomial out_slope_posy(const ModelCoeffs& m, const Posynomial& rc,
+                          const Posynomial& in_slope) {
+  // The guards the delay composition applies, so that a slope-only build
+  // rejects a poisoned delay coefficient the same way.
   SMART_CHECK(m.a_int >= 0.0, "posynomial constant must be non-negative");
   SMART_CHECK(m.a_rc >= 0.0, "posynomial scaling must be non-negative");
-  const Posynomial rc =
-      arc_rc_posy(nl, arc, out_rising, c_out, labels, tech, phase);
   Posynomial out(m.b_int);
   out.add_scaled(rc, m.b_rc);
   out.add_scaled(in_slope, m.b_slope);
   return out;
+}
+
+ArcPosy arc_model_posy(const Netlist& nl, const Arc& arc, bool out_rising,
+                       const Posynomial& in_slope, const Posynomial& c_out,
+                       const LabelVarMap& labels, const ModelLibrary& lib,
+                       const tech::Tech& tech, netlist::Phase phase) {
+  const ModelCoeffs m = arc_coeffs(nl, arc, lib, phase);
+  return model_posy(m, arc_rc_posy(nl, arc, out_rising, c_out, labels, tech,
+                                   phase),
+                    in_slope, tech);
 }
 
 }  // namespace smart::models

@@ -96,11 +96,34 @@ std::vector<posy::Posynomial> net_cap_posy_all(const netlist::Netlist& nl,
                                                const LabelVarMap& labels,
                                                const tech::Tech& tech);
 
-/// The Elmore RC sum of an arc as a posynomial (kOhm * fF = ps units):
-/// R_path * C_out + internal stack-node terms. `c_out` is the destination
-/// net capacitance (posynomial, typically from net_cap_posy). In the
+/// One series device of an RC path: its on-resistance per um of width
+/// (kOhm*um) and the size label whose width it has.
+struct RcDevice {
+  double r = 0.0;
+  netlist::LabelId label = -1;
+};
+
+/// The series path an arc transition charges or discharges its output
+/// through, from the output node down to the supply, written into `out`.
+/// With the destination capacitance it is everything arc_rc_posy reads, so
+/// equal paths into equal loads give bit-identical RC posynomials. In the
 /// precharge phase, unfooted-domino data arcs charge through the precharge
 /// device (the reset ripple), not the pull-down stack.
+void arc_rc_path(const netlist::Netlist& nl, const netlist::Arc& arc,
+                 bool out_rising, const tech::Tech& tech,
+                 std::vector<RcDevice>& out,
+                 netlist::Phase phase = netlist::Phase::kEvaluate);
+
+/// The Elmore RC sum of a series path into `c_out` (kOhm * fF = ps units):
+/// R_path * C_out + internal stack-node terms.
+posy::Posynomial rc_path_posy(const std::vector<RcDevice>& path,
+                              const posy::Posynomial& c_out,
+                              const LabelVarMap& labels,
+                              const tech::Tech& tech);
+
+/// The Elmore RC sum of an arc as a posynomial: rc_path_posy over
+/// arc_rc_path. `c_out` is the destination net capacitance (posynomial,
+/// typically from net_cap_posy).
 posy::Posynomial arc_rc_posy(const netlist::Netlist& nl,
                              const netlist::Arc& arc, bool out_rising,
                              const posy::Posynomial& c_out,
@@ -108,32 +131,39 @@ posy::Posynomial arc_rc_posy(const netlist::Netlist& nl,
                              const tech::Tech& tech,
                              netlist::Phase phase = netlist::Phase::kEvaluate);
 
+/// The class coefficients of an arc, read through the model-coefficient
+/// fault sites (chaos tests corrupt them there: a perturbation models a
+/// bad fit, NaN a poisoned library). Each call is one hit of each site.
+ModelCoeffs arc_coeffs(const netlist::Netlist& nl, const netlist::Arc& arc,
+                       const ModelLibrary& lib,
+                       netlist::Phase phase = netlist::Phase::kEvaluate);
+
 /// Delay and output-slope posynomials of one arc transition.
 struct ArcPosy {
   posy::Posynomial delay;
   posy::Posynomial out_slope;
 };
 
-/// Evaluates the model templates for an arc: picks the class coefficients
-/// and composes them with arc_rc_posy. `in_slope` is a posynomial (usually
-/// a constant slope budget; see core::ConstraintGenerator).
+/// The model templates composed from coefficients and an RC sum. `in_slope`
+/// is a posynomial (usually a constant slope budget; see
+/// core::generate_problem).
+ArcPosy model_posy(const ModelCoeffs& m, const posy::Posynomial& rc,
+                   const posy::Posynomial& in_slope, const tech::Tech& tech);
+
+/// The output-slope template alone, bit-identical to model_posy(...)
+/// .out_slope: slope bounds discard the delay, so they skip composing it.
+/// Invalid delay coefficients fail here as they would in the delay.
+posy::Posynomial out_slope_posy(const ModelCoeffs& m,
+                                const posy::Posynomial& rc,
+                                const posy::Posynomial& in_slope);
+
+/// Evaluates the model templates for an arc: model_posy over arc_coeffs
+/// and arc_rc_posy.
 ArcPosy arc_model_posy(const netlist::Netlist& nl, const netlist::Arc& arc,
                        bool out_rising, const posy::Posynomial& in_slope,
                        const posy::Posynomial& c_out,
                        const LabelVarMap& labels, const ModelLibrary& lib,
                        const tech::Tech& tech,
                        netlist::Phase phase = netlist::Phase::kEvaluate);
-
-/// Output-slope posynomial only, bit-identical to arc_model_posy(...)
-/// .out_slope but without composing the delay model. The slope-constraint
-/// generator evaluates every arc transition and discards the delay, so
-/// skipping the delay composition roughly halves its model cost. The
-/// fault-injection sites and coefficient guards of the full build are kept
-/// so chaos-test firing sequences and failure behavior are unchanged.
-posy::Posynomial arc_out_slope_posy(
-    const netlist::Netlist& nl, const netlist::Arc& arc, bool out_rising,
-    const posy::Posynomial& in_slope, const posy::Posynomial& c_out,
-    const LabelVarMap& labels, const ModelLibrary& lib,
-    const tech::Tech& tech, netlist::Phase phase = netlist::Phase::kEvaluate);
 
 }  // namespace smart::models

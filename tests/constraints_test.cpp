@@ -7,12 +7,15 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <map>
 #include <set>
+#include <tuple>
 
 #include "core/constraints.h"
 #include "gp/solver.h"
 #include "helpers.h"
 #include "models/fitter.h"
+#include "obs/obs.h"
 #include "util/strfmt.h"
 
 namespace smart::core {
@@ -315,6 +318,133 @@ TEST_F(ConstraintsTest, CanonicalTimingConstraintsMatchPerPathConstraints) {
       EXPECT_NEAR(canonical, per_path, 1e-12 * per_path)
           << nl.name() << " trial " << trial;
     }
+  }
+}
+
+netlist::Netlist mux4x32() {
+  core::MacroSpec spec;
+  spec.type = "mux";
+  spec.n = 4;
+  spec.params["bits"] = 32;
+  return test::generate("mux", "strong_pass", spec);
+}
+
+TEST_F(ConstraintsTest, EverySlopeMemberMatchesItsClassConstraint) {
+  // Each distinct arc model is built once and every transition with the
+  // same key joins the class it went to. Each member's bound recomputed
+  // the direct way, from its own arc model, must be its class constraint
+  // term for term.
+  for (const auto& nl : {adder64(), mux4x32(), incrementor16()}) {
+    ConstraintOptions opt = options(600.0);
+    opt.precharge_spec_ps = 400.0;
+    const auto gen = generate_problem(nl, opt, lib_, tech_);
+    // A name can stand for two arcs (a domino gate's clock reaches its
+    // output through its precharge and its evaluate arc), so each
+    // recomputed bound consumes one matching entry.
+    std::multimap<std::string, size_t> owners;
+    for (size_t c = 0; c < gen.static_classes.size(); ++c)
+      for (const auto& m : gen.static_classes[c].members) owners.emplace(m, c);
+    const auto caps = models::net_cap_posy_all(nl, gen.labels, tech_);
+    std::vector<netlist::EdgeMap> maps;
+    size_t checked = 0;
+    for (const auto& arc : nl.arcs()) {
+      netlist::arc_edge_maps(nl, arc, netlist::Phase::kEvaluate, maps);
+      bool done[2] = {false, false};
+      for (const auto& em : maps) {
+        if (done[em.out_rise]) continue;
+        done[em.out_rise] = true;
+        posy::Posynomial direct =
+            models::arc_model_posy(nl, arc, em.out_rise,
+                                   posy::Posynomial(opt.slope_budget_ps),
+                                   caps[static_cast<size_t>(arc.to)],
+                                   gen.labels, lib_, tech_)
+                .out_slope;
+        direct *= 1.0 / opt.slope_budget_ps;
+        const std::string name = util::strfmt(
+            "slope_%s_%s from %s (%s)", nl.net(arc.to).name.c_str(),
+            em.out_rise ? "r" : "f", nl.net(arc.from).name.c_str(),
+            nl.comp(arc.comp).name.c_str());
+        const auto want = term_key(direct);
+        const auto [lo, hi] = owners.equal_range(name);
+        auto it = lo;
+        while (it != hi &&
+               term_key(gen.static_classes[it->second].constraint.lhs) !=
+                   want)
+          ++it;
+        ASSERT_NE(it, hi) << nl.name() << ": " << name;
+        owners.erase(it);
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, gen.slope_constraints) << nl.name();
+    for (const auto& [name, c] : owners)
+      EXPECT_EQ(name.rfind("incap_", 0), 0u) << nl.name() << ": " << name;
+  }
+}
+
+TEST_F(ConstraintsTest, ArcModelsBuildOncePerDistinctKey) {
+  // Work count: the generator builds at most one arc model per distinct
+  // (coefficients, RC path, load, input slope) key, counted here
+  // independently over every path step and slope transition.
+  using Key =
+      std::tuple<std::vector<double>, std::vector<std::pair<double, int>>,
+                 std::vector<TermKey>, double>;
+  auto& tel = obs::Telemetry::instance();
+  for (const auto& nl : {adder64(), mux4x32()}) {
+    ConstraintOptions opt = options(600.0);
+    opt.precharge_spec_ps = 400.0;
+    tel.reset();
+    tel.enable(true);
+    const auto gen = generate_problem(nl, opt, lib_, tech_);
+    tel.enable(false);
+    const double bounds = tel.counter("core.congen.slope_bounds");
+    const double built = tel.counter("core.congen.arc_models_built");
+
+    const auto caps = models::net_cap_posy_all(nl, gen.labels, tech_);
+    std::set<Key> keys;
+    std::vector<models::RcDevice> path;
+    auto add_key = [&](const netlist::Arc& arc, bool out_rise,
+                       netlist::Phase phase, double slope) {
+      const auto& m = lib_.coeffs(models::classify_arc(nl, arc, phase));
+      models::arc_rc_path(nl, arc, out_rise, tech_, path, phase);
+      std::vector<std::pair<double, int>> rc;
+      for (const auto& d : path) rc.emplace_back(d.r, d.label);
+      // The load exactly as built, in term order.
+      std::vector<TermKey> load;
+      for (const auto& t : caps[static_cast<size_t>(arc.to)].terms()) {
+        TermKey k;
+        for (const auto& f : t.factors()) k.first.emplace_back(f.var, f.exp);
+        k.second = t.coeff();
+        load.push_back(std::move(k));
+      }
+      keys.emplace(std::vector<double>{m.a_int, m.a_rc, m.a_slope, m.b_int,
+                                       m.b_rc, m.b_slope,
+                                       m.saturating_slope ? 1.0 : 0.0},
+                   std::move(rc), std::move(load), slope);
+    };
+    for (const auto& p : gen.paths)
+      for (size_t si = 0; si < p.steps.size(); ++si)
+        add_key(p.steps[si].arc, p.steps[si].out_rise, p.phase,
+                si > 0 ? opt.slope_budget_ps
+                : p.start_slope >= 0.0 ? p.start_slope
+                                       : tech_.default_input_slope);
+    double transitions = 0;
+    std::vector<netlist::EdgeMap> maps;
+    for (const auto& arc : nl.arcs()) {
+      netlist::arc_edge_maps(nl, arc, netlist::Phase::kEvaluate, maps);
+      bool done[2] = {false, false};
+      for (const auto& em : maps) {
+        if (done[em.out_rise]) continue;
+        done[em.out_rise] = true;
+        ++transitions;
+        add_key(arc, em.out_rise, netlist::Phase::kEvaluate,
+                opt.slope_budget_ps);
+      }
+    }
+    EXPECT_EQ(bounds, transitions) << nl.name();
+    EXPECT_GT(built, 0.0) << nl.name();
+    EXPECT_LE(built, static_cast<double>(keys.size())) << nl.name();
+    EXPECT_LT(built * 10.0, bounds) << nl.name();
   }
 }
 

@@ -9,6 +9,7 @@
 #include "gp/solver.h"
 #include "helpers.h"
 #include "util/rng.h"
+#include "util/strfmt.h"
 
 namespace smart::gp {
 namespace {
@@ -80,6 +81,54 @@ TEST(GpSolverTest, BoundsInfeasibilityViaConstraint) {
                    "x>=5");
   const GpResult r = GpSolver().solve(p);
   EXPECT_EQ(r.status, SolveStatus::kInfeasible);
+}
+
+TEST(GpSolverTest, PhaseOneStopsOnceInfeasibilityIsCertified) {
+  // x0 >= 1 and x_i >= 1.5 x_(i-1) force x11 >= 1.5^11 ~ 86.5, against
+  // x11 <= 50. Phase I stops at the first centered point whose s exceeds
+  // twice its barrier gap: 38 Newton iterations, where running on until the
+  // gap falls under the tolerance took 58.
+  VarTable vars;
+  std::vector<VarId> x;
+  for (int i = 0; i < 12; ++i)
+    x.push_back(vars.add(util::strfmt("x%d", i), 1e-2, 1e4));
+  GpProblem p(vars);
+  Posynomial cost;
+  for (const VarId v : x) cost += Posynomial::variable(v);
+  p.set_objective(cost);
+  p.add_constraint(Posynomial::variable(x[0], -1.0), "x0>=1");
+  for (size_t i = 1; i < x.size(); ++i)
+    p.add_constraint(Posynomial(Monomial(1.5) * Monomial::variable(x[i - 1]) *
+                                Monomial::variable(x[i], -1.0)),
+                     util::strfmt("grow%zu", i));
+  p.add_constraint(Posynomial(Monomial(1.0 / 50.0) * Monomial::variable(x[11])),
+                   "x11<=50");
+  const GpResult r = GpSolver().solve(p);
+  EXPECT_EQ(r.status, SolveStatus::kInfeasible);
+  EXPECT_LE(r.newton_iterations, 45);
+  ASSERT_FALSE(r.diag.trace.empty());
+  const StageTrace& last = r.diag.trace.back();
+  EXPECT_TRUE(last.phase1);
+  // Stopped before the barrier gap closed (13 / t < tolerance).
+  EXPECT_LT(last.t, 13.0 / SolverOptions().tolerance);
+}
+
+TEST(GpSolverTest, BarelyFeasibleGpStillSolves) {
+  // 0.4999 <= x <= 0.5: phase I's least s is just below 0, so no
+  // certificate of infeasibility may fire.
+  VarTable vars;
+  const VarId x = vars.add("x", 1e-3, 1e3);
+  GpProblem p(vars);
+  p.set_objective(Posynomial::variable(x));
+  p.add_constraint(Posynomial(Monomial(2.0) * Monomial::variable(x)),
+                   "x<=0.5");
+  p.add_constraint(
+      Posynomial(Monomial(0.4999) * Monomial::variable(x, -1.0)),
+      "x>=0.4999");
+  const GpResult r = GpSolver().solve(p);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal) << r.message;
+  EXPECT_GE(r.x[0], 0.4999 * (1 - 1e-9));
+  EXPECT_LE(r.x[0], 0.5 * (1 + 1e-9));
 }
 
 TEST(GpSolverTest, EqualityPinnedOptimum) {

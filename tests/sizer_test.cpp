@@ -157,6 +157,54 @@ TEST_F(SizerTest, IsoDelayDropInConstraintsHold) {
     EXPECT_LE(smart_caps[i], base_caps[i] * 1.06) << "port " << i;
 }
 
+TEST_F(SizerTest, IsoDelayComparisonKeepsMeasurementsNotDiagnostics) {
+  core::MacroSpec spec;
+  spec.type = "mux";
+  spec.n = 4;
+  spec.params["bits"] = 4;
+  const auto nl = test::generate("mux", "domino_unsplit", spec);
+  const auto cmp = run_iso_delay(nl, tech_, lib_);
+  const auto measured = sizer_.measure(nl, BaselineSizer(tech_).size(nl));
+  EXPECT_TRUE(cmp.baseline.ok);
+  EXPECT_EQ(cmp.baseline.sizing, measured.sizing);
+  EXPECT_EQ(cmp.baseline.measured_delay_ps, measured.measured_delay_ps);
+  EXPECT_EQ(cmp.baseline.measured_precharge_ps,
+            measured.measured_precharge_ps);
+  EXPECT_GT(cmp.baseline.measured_precharge_ps, 0.0);
+  EXPECT_EQ(cmp.baseline.total_width_um, measured.total_width_um);
+  EXPECT_EQ(cmp.baseline.clock_width_um, measured.clock_width_um);
+  // The comparison keeps the SMART run's verdict and work counts, not its
+  // solve diagnostics.
+  EXPECT_GT(cmp.smart.respec_iterations, 0);
+  EXPECT_GT(cmp.smart.gp_newton_iterations, 0);
+  EXPECT_TRUE(cmp.smart.respec_trace.empty());
+  EXPECT_TRUE(cmp.smart.binding_constraints.empty());
+  EXPECT_TRUE(cmp.smart.solution_x.empty());
+}
+
+TEST_F(SizerTest, InputCapsMatchTheReferenceTimerBitForBit) {
+  // The pin-cap limits of an iso-delay run come from input_caps; summed
+  // in one component pass, they must equal RcTimer::net_cap exactly.
+  core::MacroSpec adder;
+  adder.type = "adder";
+  adder.n = 32;
+  core::MacroSpec mux;
+  mux.type = "mux";
+  mux.n = 8;
+  mux.params["bits"] = 4;
+  const refsim::RcTimer timer(tech_);
+  for (const auto& nl : {test::generate("adder", "domino_cla", adder),
+                         test::generate("mux", "tristate", mux),
+                         test::inverter_chain(3, 25.0)}) {
+    const auto sizing = BaselineSizer(tech_).size(nl);
+    const auto caps = sizer_.input_caps(nl, sizing);
+    ASSERT_EQ(caps.size(), nl.inputs().size());
+    for (size_t i = 0; i < caps.size(); ++i)
+      EXPECT_EQ(caps[i], timer.net_cap(nl, sizing, nl.inputs()[i].net))
+          << nl.name() << " input " << i;
+  }
+}
+
 TEST_F(SizerTest, ReportsPathAndConstraintStatistics) {
   core::MacroSpec spec;
   spec.type = "zero_detect";
