@@ -38,6 +38,17 @@ struct CanonPosy {
   std::vector<uint32_t> order;  ///< term indices in canonical order
 };
 
+/// Mixes monomial `t`, its coefficient and factors, into hash `h`.
+uint64_t mix_term(uint64_t h, const Monomial& t) {
+  h = mix64(h, bits_of(t.coeff()));
+  h = mix64(h, t.factors().size());
+  for (const auto& f : t.factors()) {
+    h = mix64(h, static_cast<uint32_t>(f.var));
+    h = mix64(h, bits_of(f.exp));
+  }
+  return h;
+}
+
 CanonPosy canonical(const Posynomial& p) {
   const auto& terms = p.terms();
   CanonPosy c;
@@ -53,17 +64,15 @@ CanonPosy canonical(const Posynomial& p) {
           return x.var != y.var ? x.var < y.var : x.exp < y.exp;
         });
   });
-  uint64_t h = mix64(util::kMix64Seed, terms.size());
-  for (const uint32_t i : c.order) {
-    h = mix64(h, bits_of(terms[i].coeff()));
-    h = mix64(h, terms[i].factors().size());
-    for (const auto& f : terms[i].factors()) {
-      h = mix64(h, static_cast<uint32_t>(f.var));
-      h = mix64(h, bits_of(f.exp));
-    }
-  }
-  c.hash = h;
+  c.hash = mix64(util::kMix64Seed, terms.size());
+  for (const uint32_t i : c.order) c.hash = mix_term(c.hash, terms[i]);
   return c;
+}
+
+/// Bit-for-bit equality of two monomials.
+bool same_term(const Monomial& a, const Monomial& b) {
+  return bits_of(a.coeff()) == bits_of(b.coeff()) &&
+         a.factors() == b.factors();
 }
 
 /// Exact equality of two canonicalized posynomials (the hash only picks
@@ -71,55 +80,58 @@ CanonPosy canonical(const Posynomial& p) {
 bool same_posy(const Posynomial& a, const CanonPosy& ca, const Posynomial& b,
                const CanonPosy& cb) {
   if (ca.hash != cb.hash || ca.order.size() != cb.order.size()) return false;
-  for (size_t k = 0; k < ca.order.size(); ++k) {
-    const Monomial& ma = a.terms()[ca.order[k]];
-    const Monomial& mb = b.terms()[cb.order[k]];
-    if (bits_of(ma.coeff()) != bits_of(mb.coeff()) ||
-        !(ma.factors() == mb.factors()))
+  for (size_t k = 0; k < ca.order.size(); ++k)
+    if (!same_term(a.terms()[ca.order[k]], b.terms()[cb.order[k]]))
       return false;
-  }
   return true;
 }
 
-/// Canonical key of a path template: phase, stages_total, total and the
-/// stage prefixes. stages_total only enters the constraints through the
-/// stage deadlines, so it is part of the key only when there are prefixes.
-struct CanonTemplate {
+/// A path's timing bound before normalization: its delay posynomial and,
+/// without OTB, the domino stage prefixes its stage deadlines bound.
+struct PathDelay {
+  netlist::Phase phase = netlist::Phase::kEvaluate;
+  int stages_total = 0;
+  Posynomial total;  ///< arrival + sum of arc delays
+  /// (stage index k >= 2, prefix delay before entering stage k).
+  std::vector<std::pair<int, Posynomial>> stage_prefixes;
+};
+
+/// Canonical key of a path delay: phase, stages_total, total and the stage
+/// prefixes. stages_total only enters the constraints through the stage
+/// deadlines, so it is part of the key only when there are prefixes.
+struct CanonDelay {
   uint64_t hash = 0;
   CanonPosy total;
   std::vector<CanonPosy> prefixes;  ///< aligned with stage_prefixes
 };
 
-CanonTemplate canonical(const PathConstraintTemplate& t) {
-  CanonTemplate c;
-  c.total = canonical(t.total);
-  const int stages = t.stage_prefixes.empty() ? 0 : t.stages_total;
-  uint64_t h =
-      mix64(static_cast<uint64_t>(t.phase), static_cast<uint64_t>(stages));
-  h = mix64(h, c.total.hash);
-  c.prefixes.reserve(t.stage_prefixes.size());
-  for (const auto& [stage, prefix] : t.stage_prefixes) {
+CanonDelay canonical(const PathDelay& d) {
+  CanonDelay c;
+  c.total = canonical(d.total);
+  const int stages = d.stage_prefixes.empty() ? 0 : d.stages_total;
+  c.hash = mix64(
+      mix64(static_cast<uint64_t>(d.phase), static_cast<uint64_t>(stages)),
+      c.total.hash);
+  for (const auto& [stage, prefix] : d.stage_prefixes) {
     c.prefixes.push_back(canonical(prefix));
-    h = mix64(h, static_cast<uint64_t>(stage));
-    h = mix64(h, c.prefixes.back().hash);
+    c.hash = mix64(mix64(c.hash, static_cast<uint64_t>(stage)),
+                   c.prefixes.back().hash);
   }
-  c.hash = h;
   return c;
 }
 
-bool same_template(const PathConstraintTemplate& a, const CanonTemplate& ca,
-                   const PathConstraintTemplate& b, const CanonTemplate& cb) {
+bool same_delay(const PathDelay& a, const CanonDelay& ca, const PathDelay& b,
+                const CanonDelay& cb) {
   if (ca.hash != cb.hash || a.phase != b.phase ||
       a.stage_prefixes.size() != b.stage_prefixes.size() ||
       (!a.stage_prefixes.empty() && a.stages_total != b.stages_total) ||
       !same_posy(a.total, ca.total, b.total, cb.total))
     return false;
-  for (size_t k = 0; k < a.stage_prefixes.size(); ++k) {
+  for (size_t k = 0; k < a.stage_prefixes.size(); ++k)
     if (a.stage_prefixes[k].first != b.stage_prefixes[k].first ||
         !same_posy(a.stage_prefixes[k].second, ca.prefixes[k],
                    b.stage_prefixes[k].second, cb.prefixes[k]))
       return false;
-  }
   return true;
 }
 
@@ -139,15 +151,8 @@ uint32_t find_or_add(std::unordered_multimap<uint64_t, uint32_t>& index,
 /// order, bit for bit. Stricter than same_posy, and what makes two
 /// products with them bit-identical.
 bool same_terms(const Posynomial& a, const Posynomial& b) {
-  if (a.num_terms() != b.num_terms()) return false;
-  for (size_t k = 0; k < a.num_terms(); ++k) {
-    const Monomial& ma = a.terms()[k];
-    const Monomial& mb = b.terms()[k];
-    if (bits_of(ma.coeff()) != bits_of(mb.coeff()) ||
-        !(ma.factors() == mb.factors()))
-      return false;
-  }
-  return true;
+  return std::equal(a.terms().begin(), a.terms().end(), b.terms().begin(),
+                    b.terms().end(), same_term);
 }
 
 /// Load class of every net: nets whose capacitance posynomials are
@@ -159,13 +164,7 @@ std::vector<int32_t> load_classes(const std::vector<Posynomial>& caps) {
   std::unordered_multimap<uint64_t, uint32_t> index;
   for (size_t n = 0; n < caps.size(); ++n) {
     uint64_t h = mix64(util::kMix64Seed, caps[n].num_terms());
-    for (const Monomial& t : caps[n].terms()) {
-      h = mix64(h, bits_of(t.coeff()));
-      for (const auto& f : t.factors()) {
-        h = mix64(h, static_cast<uint32_t>(f.var));
-        h = mix64(h, bits_of(f.exp));
-      }
-    }
+    for (const Monomial& t : caps[n].terms()) h = mix_term(h, t);
     const auto fresh = static_cast<uint32_t>(first.size());
     const uint32_t c = find_or_add(index, h, fresh, [&](uint32_t k) {
       return same_terms(caps[first[k]], caps[n]);
@@ -200,36 +199,33 @@ class ArcModelMemo {
         lib_(lib), tech_(tech) {}
 
   /// The slot of one arc transition at `in_slope`, built on first sight of
-  /// its key (with the delay template when `with_delay`). Reads the
+  /// its key (with the delay when `with_delay`). Reads the
   /// coefficients, and so hits their fault sites, once per call.
   uint32_t find_or_build(const netlist::Arc& arc, bool out_rise,
                          netlist::Phase phase, double in_slope,
                          bool with_delay) {
     const models::ModelCoeffs m = models::arc_coeffs(nl_, arc, lib_, phase);
     models::arc_rc_path(nl_, arc, out_rise, tech_, path_, phase);
-    Key k;
-    k.coeff_bits = {bits_of(m.a_int),   bits_of(m.a_rc),
-                    bits_of(m.a_slope), bits_of(m.b_int),
-                    bits_of(m.b_rc),    bits_of(m.b_slope),
-                    m.saturating_slope ? 1u : 0u};
-    k.load = loads_[static_cast<size_t>(arc.to)];
-    k.slope_bits = bits_of(in_slope);
-    uint64_t h = util::kMix64Seed;
-    for (const uint64_t b : k.coeff_bits) h = mix64(h, b);
-    h = mix64(h, static_cast<uint32_t>(k.load));
-    h = mix64(h, k.slope_bits);
+    key_.assign({bits_of(m.a_int), bits_of(m.a_rc), bits_of(m.a_slope),
+                 bits_of(m.b_int), bits_of(m.b_rc), bits_of(m.b_slope),
+                 m.saturating_slope ? 1u : 0u,
+                 static_cast<uint32_t>(loads_[static_cast<size_t>(arc.to)]),
+                 bits_of(in_slope)});
     for (const auto& d : path_) {
-      h = mix64(h, bits_of(d.r));
-      h = mix64(h, static_cast<uint32_t>(d.label));
+      key_.push_back(bits_of(d.r));
+      key_.push_back(static_cast<uint32_t>(d.label));
     }
+    uint64_t h = util::kMix64Seed;
+    for (const uint64_t w : key_) h = mix64(h, w);
     const auto fresh = static_cast<uint32_t>(slots_.size());
     const uint32_t s = find_or_add(index_, h, fresh, [&](uint32_t c) {
-      return same_key(keys_[c], k);
+      return std::equal(key_.begin(), key_.end(),
+                        keys_.begin() + key_begin_[c],
+                        keys_.begin() + key_begin_[c + 1]);
     });
     if (s != fresh) return s;
-    k.path_begin = static_cast<uint32_t>(arena_.size());
-    k.path_len = static_cast<uint32_t>(path_.size());
-    arena_.insert(arena_.end(), path_.begin(), path_.end());
+    keys_.insert(keys_.end(), key_.begin(), key_.end());
+    key_begin_.push_back(static_cast<uint32_t>(keys_.size()));
     const Posynomial rc = models::rc_path_posy(
         path_, caps_[static_cast<size_t>(arc.to)], labels_, tech_);
     const Posynomial slope(in_slope);
@@ -238,7 +234,6 @@ class ArcModelMemo {
       slot.posy = models::model_posy(m, rc, slope, tech_);
     else
       slot.posy.out_slope = models::out_slope_posy(m, rc, slope);
-    keys_.push_back(k);
     return s;
   }
 
@@ -247,40 +242,67 @@ class ArcModelMemo {
   size_t size() const { return slots_.size(); }
 
  private:
-  struct Key {
-    /// The coefficients' bits, then saturating_slope.
-    std::array<uint64_t, 7> coeff_bits{};
-    int32_t load = 0;
-    uint64_t slope_bits = 0;
-    uint32_t path_begin = 0;  ///< the path, in arena_
-    uint32_t path_len = 0;
-  };
-
-  /// Whether stored key `a` equals `b`, whose path is in path_.
-  bool same_key(const Key& a, const Key& b) const {
-    if (a.coeff_bits != b.coeff_bits || a.load != b.load ||
-        a.slope_bits != b.slope_bits || a.path_len != path_.size())
-      return false;
-    for (size_t i = 0; i < path_.size(); ++i) {
-      const auto& d = arena_[a.path_begin + i];
-      if (bits_of(d.r) != bits_of(path_[i].r) || d.label != path_[i].label)
-        return false;
-    }
-    return true;
-  }
-
   const Netlist& nl_;
   const std::vector<Posynomial>& caps_;
   const std::vector<int32_t> loads_;
   const models::LabelVarMap& labels_;
   const models::ModelLibrary& lib_;
   const tech::Tech& tech_;
-  std::vector<Key> keys_;
   std::vector<Slot> slots_;
-  std::vector<models::RcDevice> arena_;  ///< every stored key's path
-  std::vector<models::RcDevice> path_;   ///< the key being looked up
+  /// Every slot's key, concatenated; slot s's is keys_[key_begin_[s],
+  /// key_begin_[s + 1]).
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> key_begin_{0};
+  std::vector<uint64_t> key_;            ///< the key being looked up
+  std::vector<models::RcDevice> path_;   ///< its RC path
   std::unordered_multimap<uint64_t, uint32_t> index_;
 };
+
+/// The kPower objective: every net's capacitance times its activity.
+Posynomial power_posy(const Netlist& nl, const std::vector<Posynomial>& caps,
+                      const power::PowerOptions& activity) {
+  const auto act = power::net_activities(nl, activity);
+  PosyAccum obj;
+  for (size_t n = 0; n < nl.net_count(); ++n) obj.add(caps[n] * act[n]);
+  Posynomial out = obj.take();
+  SMART_CHECK(!out.is_zero(), "cost objective is zero — empty netlist?");
+  return out;
+}
+
+/// Tag of path `pi`'s end-to-end bound (stage 0) or its stage-k deadline.
+std::string path_tag(const GeneratedProblem& gen, int stage, size_t pi) {
+  if (stage > 0) return util::strfmt("stage%d_of_path%zu", stage, pi);
+  const bool eval = gen.paths[pi].phase == netlist::Phase::kEvaluate;
+  return util::strfmt("%s_path%zu", eval ? "eval" : "pre", pi);
+}
+
+/// A class bound's limit (ps): the class spec, or its stage-k share.
+double bound_limit(const GeneratedProblem& gen, const PathClass& cls,
+                   int stage) {
+  if (stage == 0) return cls.spec;
+  return cls.spec * static_cast<double>(stage - 1) /
+         static_cast<double>(gen.paths[cls.paths.front()].domino_stages());
+}
+
+/// Adds path class `c`'s stage-k deadline (or, for stage 0, its end-to-end
+/// bound) on the raw delay `delay`, normalized later by assemble_problem.
+/// A constant delay adds no constraint; the class keeps its value.
+void add_path_bound(GeneratedProblem& gen, uint32_t c, int stage,
+                    Posynomial delay) {
+  PathClass& cls = gen.path_classes[c];
+  if (delay.is_constant()) {
+    cls.constants.emplace_back(stage, delay.constant_value());
+    return;
+  }
+  using Kind = ConstraintOrigin::Kind;
+  if (stage == 0)
+    for (const size_t pi : cls.paths)
+      gen.path_constraint[pi] = gen.origins.size();
+  ++(stage > 0 ? gen.stage_constraints : gen.timing_constraints);
+  gen.origins.push_back({stage > 0 ? Kind::kStage : Kind::kPath, c, stage});
+  gen.problem->add_constraint(std::move(delay),
+                              path_tag(gen, stage, cls.paths.front()));
+}
 
 }  // namespace
 
@@ -301,13 +323,9 @@ posy::Posynomial cost_posy(const Netlist& nl, CostMetric cost,
       }
       break;
     }
-    case CostMetric::kPower: {
-      const auto act = power::net_activities(nl, activity);
-      const auto caps = models::net_cap_posy_all(nl, labels, tech);
-      for (size_t n = 0; n < nl.net_count(); ++n)
-        obj.add(caps[n] * act[n]);
-      break;
-    }
+    case CostMetric::kPower:
+      return power_posy(nl, models::net_cap_posy_all(nl, labels, tech),
+                        activity);
     case CostMetric::kClockLoad: {
       for (size_t n = 0; n < nl.net_count(); ++n) {
         if (nl.net(static_cast<netlist::NetId>(n)).kind !=
@@ -340,73 +358,62 @@ GeneratedProblem generate_problem(const Netlist& nl,
                                   const ConstraintOptions& opt,
                                   const models::ModelLibrary& lib,
                                   const tech::Tech& tech) {
+  GeneratedProblem gen;
+  build_problem(gen, nl, opt, lib, tech);
+  return gen;
+}
+
+void build_problem(GeneratedProblem& gen, const Netlist& nl,
+                   const ConstraintOptions& opt,
+                   const models::ModelLibrary& lib, const tech::Tech& tech) {
   SMART_CHECK(nl.finalized(), "netlist must be finalized");
   SMART_CHECK(opt.delay_spec_ps > 0.0, "delay spec must be positive");
-
-  GeneratedProblem gen;
+  // Free the previous problem before building its replacement.
+  std::vector<timing::Path> paths = std::move(gen.paths);
+  gen = GeneratedProblem();
+  if (paths.empty()) {
+    timing::PruneOptions prune = opt.prune;
+    if (opt.deadline != nullptr) prune.deadline = opt.deadline;
+    paths = timing::PathExtractor(nl).extract(prune);
+  }
+  gen.paths = std::move(paths);
   gen.vars = std::make_unique<posy::VarTable>();
   gen.labels = models::make_label_vars(nl, *gen.vars);
 
-  gen.objective = cost_posy(nl, opt.cost, gen.labels, opt.activity, tech);
-
-  // Net capacitances are shared across many arc models; precompute them all
-  // in one scatter pass instead of a lazy per-net cache, which was
-  // O(nets * comps).
+  // Net capacitances are shared across many arc models (and the power
+  // objective); precompute them all in one scatter pass instead of a lazy
+  // per-net cache, which was O(nets * comps).
   const std::vector<Posynomial> caps = [&] {
     obs::Span caps_span("core.congen.net_caps");
     return models::net_cap_posy_all(nl, gen.labels, tech);
   }();
-  auto net_cap = [&](netlist::NetId n) -> const Posynomial& {
-    return caps[static_cast<size_t>(n)];
-  };
-
-  // ---- timing constraint templates from representative paths ----
-  timing::PathExtractor extractor(nl);
-  timing::PruneOptions prune = opt.prune;
-  if (opt.deadline != nullptr) prune.deadline = opt.deadline;
-  gen.paths = extractor.extract(prune);
+  gen.problem = std::make_unique<gp::GpProblem>(*gen.vars);
+  gen.problem->set_objective(
+      opt.cost == CostMetric::kPower
+          ? power_posy(nl, caps, opt.activity)
+          : cost_posy(nl, opt.cost, gen.labels, opt.activity, tech));
 
   // Path steps and slope bounds draw on one memo of arc models. A path
   // step's arc transition at its input slope is looked up once, in path
-  // order, and step_slot keeps that arc identity's memo slot: the template
+  // order, and step_slot keeps that arc identity's memo slot: the delay
   // and slope stages below reuse it without reading the coefficients (and
   // hitting their fault sites) again.
-  struct StepKey {
-    int32_t comp;
-    int32_t from;
-    int32_t to;
-    int8_t kind;
-    int8_t out_rise;
-    int8_t phase;
-    uint64_t slope_bits;
-    bool operator==(const StepKey&) const = default;
-  };
+  using StepKey = std::array<uint64_t, 3>;
   struct StepKeyHash {
     size_t operator()(const StepKey& k) const {
-      uint64_t h =
-          mix64(util::kMix64Seed, static_cast<uint32_t>(k.comp));
-      h = mix64(h,
-                (static_cast<uint64_t>(static_cast<uint32_t>(k.from)) << 32) |
-                    static_cast<uint64_t>(static_cast<uint32_t>(k.to)));
-      h = mix64(h,
-                (static_cast<uint64_t>(static_cast<uint8_t>(k.kind)) << 16) |
-                    (static_cast<uint64_t>(static_cast<uint8_t>(k.out_rise))
-                     << 8) |
-                    static_cast<uint64_t>(static_cast<uint8_t>(k.phase)));
-      return static_cast<size_t>(mix64(h, k.slope_bits));
+      return static_cast<size_t>(
+          mix64(mix64(mix64(util::kMix64Seed, k[0]), k[1]), k[2]));
     }
   };
   auto step_key = [](const netlist::Arc& arc, bool out_rise,
                      netlist::Phase phase, double slope) {
-    StepKey k;
-    k.comp = static_cast<int32_t>(arc.comp);
-    k.from = static_cast<int32_t>(arc.from);
-    k.to = static_cast<int32_t>(arc.to);
-    k.kind = static_cast<int8_t>(arc.kind);
-    k.out_rise = out_rise ? 1 : 0;
-    k.phase = static_cast<int8_t>(phase);
-    k.slope_bits = bits_of(slope);
-    return k;
+    const auto u = [](auto v) {
+      return static_cast<uint64_t>(static_cast<uint32_t>(v));
+    };
+    return StepKey{(u(arc.comp) << 32) | u(arc.from),
+                   (u(arc.to) << 32) | (u(arc.kind) << 16) |
+                       (u(out_rise) << 8) | u(phase),
+                   bits_of(slope)};
   };
   ArcModelMemo memo(nl, caps, gen.labels, lib, tech);
   std::unordered_map<StepKey, uint32_t, StepKeyHash> step_slot;
@@ -434,10 +441,13 @@ GeneratedProblem generate_problem(const Netlist& nl,
     }
   }
 
+  // ---- timing constraints from representative paths ----
+  // Only the first path of each class keeps its delay, until the class is
+  // emitted.
+  std::vector<PathDelay> class_delays;
   {
     obs::Span templates_span("core.congen.templates");
-    gen.path_templates.reserve(gen.paths.size());
-    std::vector<CanonTemplate> class_keys;
+    std::vector<CanonDelay> class_keys;
     std::unordered_multimap<uint64_t, uint32_t> class_index;
     size_t next_step = 0;
     for (size_t pi = 0; pi < gen.paths.size(); ++pi) {
@@ -445,10 +455,9 @@ GeneratedProblem generate_problem(const Netlist& nl,
         throw util::TimeoutError(
             "constraint generation deadline exceeded (templates)");
       const auto& path = gen.paths[pi];
-      PathConstraintTemplate tmpl;
-      tmpl.phase = path.phase;
-      tmpl.end = path.end();
-      tmpl.stages_total = path.domino_stages();
+      PathDelay d;
+      d.phase = path.phase;
+      d.stages_total = path.domino_stages();
       PosyAccum total;
       total.add(path.start_arrival);
       int stages_seen = 0;
@@ -465,56 +474,60 @@ GeneratedProblem generate_problem(const Netlist& nl,
           // phase edge: everything upstream of domino stage k must settle
           // within the first (k-1)/S of the spec. With OTB ([12])
           // evaluation simply begins when the data arrives and only the
-          // end-to-end constraint remains. Recorded as a prefix template
-          // here; normalized by the current spec in assemble_problem.
-          if (stages_seen >= 2 && path.phase == netlist::Phase::kEvaluate)
-            tmpl.stage_prefixes.emplace_back(stages_seen, total.snapshot());
+          // end-to-end constraint remains, so no prefix is kept.
+          if (!opt.otb && stages_seen >= 2 &&
+              path.phase == netlist::Phase::kEvaluate)
+            d.stage_prefixes.emplace_back(stages_seen, total.snapshot());
         }
         total.add(delay);
       }
-      tmpl.total = total.take();
-      gen.path_templates.push_back(std::move(tmpl));
+      d.total = total.take();
 
-      // Group the template into its canonical class.
-      CanonTemplate key = canonical(gen.path_templates.back());
+      // Group the path into its canonical class.
+      CanonDelay key = canonical(d);
       const auto fresh = static_cast<uint32_t>(gen.path_classes.size());
       const uint32_t cls =
           find_or_add(class_index, key.hash, fresh, [&](uint32_t c) {
-            return same_template(
-                gen.path_templates[gen.path_classes[c].paths.front()],
-                class_keys[c], gen.path_templates.back(), key);
+            return same_delay(class_delays[c], class_keys[c], d, key);
           });
       if (cls == fresh) {
         gen.path_classes.emplace_back();
+        class_delays.push_back(std::move(d));
         class_keys.push_back(std::move(key));
       }
       gen.path_classes[cls].paths.push_back(pi);
     }
   }
+  gen.path_constraint.assign(gen.paths.size(), kNoConstraint);
+  for (uint32_t c = 0; c < class_delays.size(); ++c) {
+    for (auto& [stage, prefix] : class_delays[c].stage_prefixes)
+      add_path_bound(gen, c, stage, std::move(prefix));
+    add_path_bound(gen, c, 0, std::move(class_delays[c].total));
+  }
 
   // Slope and input-cap constraints are grouped the same way, by their
-  // normalized posynomial.
+  // normalized posynomial. Each class's constraint is held here until the
+  // path constraints before it are emitted.
+  std::vector<gp::Constraint> static_bounds;
   std::vector<CanonPosy> static_keys;
   std::unordered_multimap<uint64_t, uint32_t> static_index;
-  // Returns the constraint's class, and whether it opened it.
+  // Returns the constraint's class.
   auto add_static = [&](Posynomial lhs, std::string tag,
-                        std::string member) -> std::pair<uint32_t, bool> {
+                        std::string member) -> uint32_t {
     CanonPosy key = canonical(lhs);
     const auto fresh = static_cast<uint32_t>(gen.static_classes.size());
     const uint32_t cls =
         find_or_add(static_index, key.hash, fresh, [&](uint32_t c) {
-          return same_posy(gen.static_classes[c].constraint.lhs,
-                           static_keys[c], lhs, key);
+          return same_posy(static_bounds[c].lhs, static_keys[c], lhs, key);
         });
     if (cls == fresh) {
-      gen.static_classes.push_back(
-          {gp::Constraint{std::move(lhs), std::move(tag)}, {}});
+      gen.static_classes.emplace_back();
+      static_bounds.push_back({std::move(lhs), std::move(tag)});
       static_keys.push_back(std::move(key));
     }
     gen.static_classes[cls].members.push_back(std::move(member));
-    return {cls, cls == fresh};
+    return cls;
   };
-
   // ---- input pin capacitance (load) constraints ----
   const auto& per_port = opt.input_cap_limits_ff;
   SMART_CHECK(per_port.empty() || per_port.size() == nl.inputs().size(),
@@ -526,9 +539,11 @@ GeneratedProblem generate_problem(const Netlist& nl,
     const netlist::NetId in = nl.inputs()[ii].net;
     std::string tag = util::strfmt("incap_%s", nl.net(in).name.c_str());
     std::string member = tag;
-    add_static(net_cap(in) * (1.0 / (limit * kInputCapSlack)),
+    add_static(caps[static_cast<size_t>(in)] *
+                   (1.0 / (limit * kInputCapSlack)),
                std::move(tag), std::move(member));
   }
+  const size_t first_slope_class = gen.static_classes.size();
 
   // ---- per-arc slope (reliability) constraints ----
   size_t slope_bounds = 0;  ///< arc transitions given a slope bound
@@ -576,15 +591,13 @@ GeneratedProblem generate_problem(const Netlist& nl,
               .members.push_back(std::move(member));
           continue;
         }
-        // Path templates only read the delay, so the slot's output slope
+        // Path bounds only read the delay, so the slot's output slope
         // moves into the constraint.
         Posynomial out_slope = std::move(slot.posy.out_slope);
         out_slope *= 1.0 / opt.slope_budget_ps;
         std::string tag = member.substr(0, tag_len);
-        const auto [cls, fresh] =
-            add_static(std::move(out_slope), std::move(tag), std::move(member));
-        slot.slope_class = static_cast<int32_t>(cls);
-        if (fresh) ++gen.slope_constraints;
+        slot.slope_class = static_cast<int32_t>(
+            add_static(std::move(out_slope), std::move(tag), std::move(member)));
       }
     }
   }
@@ -596,81 +609,65 @@ GeneratedProblem generate_problem(const Netlist& nl,
                     static_cast<double>(memo.size()));
   }
 
-  assemble_problem(gen, opt.delay_spec_ps, opt.precharge_spec_ps, opt.otb,
+  for (size_t c = 0; c < static_bounds.size(); ++c) {
+    // A constant bound is checked and dropped, and leaves no origin.
+    const size_t index = gen.problem->constraints().size();
+    gen.problem->add_constraint(std::move(static_bounds[c].lhs),
+                                std::move(static_bounds[c].tag));
+    if (gen.problem->constraints().size() == index) continue;
+    gen.origins.push_back(
+        {ConstraintOrigin::Kind::kStatic, static_cast<uint32_t>(c), 0});
+    if (c >= first_slope_class) ++gen.slope_constraints;
+  }
+  assemble_problem(gen, opt.delay_spec_ps, opt.precharge_spec_ps,
                    opt.output_required_ps, nl);
-  return gen;
 }
 
 void assemble_problem(GeneratedProblem& gen, double delay_spec_ps,
-                      double precharge_spec_ps, bool otb,
+                      double precharge_spec_ps,
                       const std::vector<double>& output_required_ps,
                       const Netlist& nl) {
   SMART_CHECK(delay_spec_ps > 0.0, "delay spec must be positive");
   const double pre_spec =
       precharge_spec_ps > 0.0 ? precharge_spec_ps : delay_spec_ps;
-
   SMART_CHECK(output_required_ps.empty() ||
                   output_required_ps.size() == nl.outputs().size(),
               "output required-time list must match the output port count");
-  std::vector<double> required(nl.net_count(), -1.0);
-  for (size_t oi = 0; oi < output_required_ps.size(); ++oi) {
-    if (output_required_ps[oi] > 0.0)
-      required[static_cast<size_t>(nl.outputs()[oi].net)] =
-          output_required_ps[oi];
-  }
-
-  gen.path_specs.assign(gen.path_templates.size(), 0.0);
-  for (size_t pi = 0; pi < gen.path_templates.size(); ++pi) {
-    const auto& tmpl = gen.path_templates[pi];
-    double spec =
-        tmpl.phase == netlist::Phase::kEvaluate ? delay_spec_ps : pre_spec;
-    if (tmpl.phase == netlist::Phase::kEvaluate &&
-        required[static_cast<size_t>(tmpl.end)] > 0.0) {
-      spec = required[static_cast<size_t>(tmpl.end)];
-    }
+  gen.path_specs.resize(gen.paths.size());
+  for (size_t pi = 0; pi < gen.paths.size(); ++pi) {
+    const timing::Path& path = gen.paths[pi];
+    const bool eval = path.phase == netlist::Phase::kEvaluate;
+    double spec = eval ? delay_spec_ps : pre_spec;
+    for (size_t oi = 0; eval && oi < output_required_ps.size(); ++oi)
+      if (output_required_ps[oi] > 0.0 && nl.outputs()[oi].net == path.end())
+        spec = output_required_ps[oi];
     gen.path_specs[pi] = spec;
   }
 
-  gen.problem = std::make_unique<gp::GpProblem>(*gen.vars);
-  gen.problem->set_objective(gen.objective);
-  gen.timing_constraints = 0;
-  gen.stage_constraints = 0;
-  gen.origins.clear();
-  gen.path_constraint.assign(gen.path_templates.size(), 0);
-  using Kind = ConstraintOrigin::Kind;
+  // A class's constraints normalized by its old spec s0 are normalized by
+  // the new one s1 once scaled by s0/s1; fresh from build_problem they are
+  // raw (spec 0) and scale by one over their limit.
+  std::vector<double> old_spec(gen.path_classes.size());
   for (size_t c = 0; c < gen.path_classes.size(); ++c) {
-    const auto& members = gen.path_classes[c].paths;
-    const size_t rep = members.front();
-    const auto& tmpl = gen.path_templates[rep];
+    PathClass& cls = gen.path_classes[c];
+    old_spec[c] = cls.spec;
     // Every member's T/s_i <= 1 holds exactly when T/min(s_i) <= 1.
-    double spec = gen.path_specs[rep];
-    for (const size_t pi : members) spec = std::min(spec, gen.path_specs[pi]);
-    const auto cls = static_cast<uint32_t>(c);
-    if (!otb) {
-      for (const auto& [stage, prefix] : tmpl.stage_prefixes) {
-        const double deadline = spec * static_cast<double>(stage - 1) /
-                                static_cast<double>(tmpl.stages_total);
-        gen.problem->add_constraint(
-            prefix * (1.0 / deadline),
-            util::strfmt("stage%d_of_path%zu", stage, rep));
-        gen.origins.push_back({Kind::kStage, cls, stage});
-        ++gen.stage_constraints;
-      }
-    }
-    const size_t index = gen.problem->constraints().size();
-    gen.problem->add_constraint(
-        tmpl.total * (1.0 / spec),
-        util::strfmt("%s_path%zu",
-                     tmpl.phase == netlist::Phase::kEvaluate ? "eval" : "pre",
-                     rep));
-    gen.origins.push_back({Kind::kPath, cls, 0});
-    for (const size_t pi : members) gen.path_constraint[pi] = index;
-    ++gen.timing_constraints;
+    cls.spec = gen.path_specs[cls.paths.front()];
+    for (const size_t pi : cls.paths)
+      cls.spec = std::min(cls.spec, gen.path_specs[pi]);
+    // A constant bound holds at one spec and may not at a tighter one.
+    for (const auto& [stage, delay] : cls.constants)
+      gen.problem->add_constraint(
+          Posynomial(delay) * (1.0 / bound_limit(gen, cls, stage)),
+          path_tag(gen, stage, cls.paths.front()));
   }
-  for (size_t c = 0; c < gen.static_classes.size(); ++c) {
-    const auto& con = gen.static_classes[c].constraint;
-    gen.problem->add_constraint(con.lhs, con.tag);
-    gen.origins.push_back({Kind::kStatic, static_cast<uint32_t>(c), 0});
+  for (size_t j = 0; j < gen.origins.size(); ++j) {
+    const ConstraintOrigin& o = gen.origins[j];
+    if (o.kind == ConstraintOrigin::Kind::kStatic) continue;
+    const PathClass& cls = gen.path_classes[o.cls];
+    gen.problem->scale_constraint(
+        j, old_spec[o.cls] > 0.0 ? old_spec[o.cls] / cls.spec
+                                 : 1.0 / bound_limit(gen, cls, o.stage));
   }
 }
 
@@ -680,16 +677,23 @@ std::vector<std::string> constraint_members(const GeneratedProblem& gen,
   if (origin.kind == ConstraintOrigin::Kind::kStatic)
     return gen.static_classes[origin.cls].members;
   std::vector<std::string> out;
-  for (const size_t pi : gen.path_classes[origin.cls].paths) {
-    if (origin.kind == ConstraintOrigin::Kind::kStage) {
-      out.push_back(util::strfmt("stage%d_of_path%zu", origin.stage, pi));
-    } else {
-      const bool eval =
-          gen.path_templates[pi].phase == netlist::Phase::kEvaluate;
-      out.push_back(util::strfmt("%s_path%zu", eval ? "eval" : "pre", pi));
-    }
-  }
+  for (const size_t pi : gen.path_classes[origin.cls].paths)
+    out.push_back(path_tag(gen, origin.stage, pi));
   return out;
+}
+
+double path_model_delay(const GeneratedProblem& gen, size_t path,
+                        const util::Vec& x) {
+  const size_t j = gen.path_constraint.at(path);
+  if (j != kNoConstraint)
+    return gen.problem->constraints()[j].lhs.eval(x) *
+           gen.path_classes[gen.origins[j].cls].spec;
+  // A constant delay emitted no constraint; its class keeps the value.
+  for (const auto& cls : gen.path_classes)
+    if (std::binary_search(cls.paths.begin(), cls.paths.end(), path))
+      for (const auto& [stage, delay] : cls.constants)
+        if (stage == 0) return delay;
+  return 0.0;
 }
 
 lint::Report verify_generated(const GeneratedProblem& gen,

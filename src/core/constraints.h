@@ -64,40 +64,33 @@ struct ConstraintOptions {
   std::vector<double> input_cap_limits_ff;  ///< overrides the uniform limit
 
   /// Optional wall-clock budget for generate_problem, polled per arc model,
-  /// path template and slope arc, and forwarded to path extraction
+  /// path and slope arc, and forwarded to path extraction
   /// (prune.deadline is overridden when this is set). Expiry throws
   /// util::TimeoutError; the sizer maps it to FailureReason::kTimeout.
   /// Non-owning; may be nullptr.
   const util::Deadline* deadline = nullptr;
 };
 
-/// Spec-independent template of one path's timing constraint: the raw
-/// (unnormalized) delay posynomial plus the domino stage prefixes. The
-/// re-specification loop rescales these instead of regenerating them.
-struct PathConstraintTemplate {
-  posy::Posynomial total;          ///< arrival + sum of arc delays
-  netlist::Phase phase = netlist::Phase::kEvaluate;
-  netlist::NetId end = -1;
-  int stages_total = 0;
-  /// (stage index k >= 2, prefix delay before entering stage k).
-  std::vector<std::pair<int, posy::Posynomial>> stage_prefixes;
-};
-
-/// A canonical timing class: path templates with the same phase, total and
-/// stage_prefixes (and stages_total when there are prefixes, since it only
-/// enters through their deadlines). Members differ at most in their
-/// spec, and T/s_i <= 1 for every member i is the same constraint as
-/// T/min(s_i) <= 1, so the class is emitted once, at its smallest spec.
+/// A canonical timing class: paths with the same phase and delay
+/// posynomial and, without OTB, the same domino stage prefixes and count.
+/// Members differ at most in their spec, and T/s_i <= 1 for every member i
+/// is the same constraint as T/min(s_i) <= 1, so the class is emitted
+/// once, at its smallest spec.
 struct PathClass {
-  std::vector<size_t> paths;  ///< member templates, ascending; [0] emits
+  std::vector<size_t> paths;  ///< member paths, ascending; [0] emits
+  /// The smallest member spec (ps), which the class's constraints are
+  /// normalized by; 0 while build_problem() holds them raw.
+  double spec = 0.0;
+  /// (stage k, or 0 end to end; delay in ps) of each bound whose delay is
+  /// constant: emitted as no constraint, checked at every new spec.
+  std::vector<std::pair<int, double>> constants;
 };
 
 /// A canonical static class: slope or input-cap constraints whose
 /// posynomials are identical (e.g. two inputs of one gate driving the same
 /// output transition through the same devices).
 struct StaticClass {
-  gp::Constraint constraint;          ///< emitted as is; first member's tag
-  std::vector<std::string> members;   ///< one name per arc / input port
+  std::vector<std::string> members;  ///< one name per arc / input port
 };
 
 /// Which class an emitted constraint stands for.
@@ -108,11 +101,13 @@ struct ConstraintOrigin {
   int stage = 0;     ///< domino stage k of a kStage constraint
 };
 
+/// path_constraint entry of a path whose class emitted no constraint.
+inline constexpr size_t kNoConstraint = static_cast<size_t>(-1);
+
 /// A generated geometric program, owning its variable table. Movable; the
 /// GpProblem keeps a pointer to the VarTable held by unique_ptr.
-/// The spec-independent parts (objective, path templates, slope and
-/// input-cap constraints) are kept so assemble_problem() can re-normalize
-/// for a new delay/precharge spec without re-extracting anything.
+/// Each posynomial lives once, in `problem`; the classes record which paths
+/// and arcs each constraint stands for.
 struct GeneratedProblem {
   std::unique_ptr<posy::VarTable> vars;
   models::LabelVarMap labels;  ///< label -> monomial over *vars
@@ -122,29 +117,24 @@ struct GeneratedProblem {
   size_t stage_constraints = 0;
   size_t slope_constraints = 0;
 
-  // Spec-independent templates (see assemble_problem).
-  posy::Posynomial objective;
-  std::vector<PathConstraintTemplate> path_templates;
   std::vector<PathClass> path_classes;      ///< in first-member order
   std::vector<StaticClass> static_classes;  ///< input caps, then slopes
 
-  /// The representative paths the templates were generated from, aligned
-  /// with path_templates (path i produced template i). Kept so report
+  /// The representative paths (after §5.2 pruning) the timing constraints
+  /// were built from, kept for rebuilds (build_problem()) and so report
   /// layers can map a binding constraint back to concrete netlist arcs.
   std::vector<timing::Path> paths;
-  /// Per-template spec (ps) the last assemble_problem() computed — the
-  /// denominator that turns a template's delay posynomial into its own
-  /// <= 1 constraint. Aligned with path_templates; a class is emitted at
-  /// the smallest spec of its members.
+  /// Per-path spec (ps) of the last build or assemble_problem(), aligned
+  /// with paths; a class is emitted at the smallest spec of its members.
   std::vector<double> path_specs;
 
   /// Aligned with problem->constraints(): the class each emitted
   /// constraint stands for (see constraint_members()).
   std::vector<ConstraintOrigin> origins;
   /// Path i's end-to-end timing constraint is problem->constraints()
-  /// [path_constraint[i]]. Its tag is "eval_path<j>"/"pre_path<j>" where j
-  /// is the first member of i's class; stage constraints are
-  /// "stage<k>_of_path<j>".
+  /// [path_constraint[i]], or kNoConstraint when its delay is constant.
+  /// Its tag is "eval_path<j>"/"pre_path<j>" where j is the first member
+  /// of i's class; stage constraints are "stage<k>_of_path<j>".
   std::vector<size_t> path_constraint;
 };
 
@@ -161,15 +151,21 @@ lint::Report verify_generated(const GeneratedProblem& gen,
                               const lint::Options& options,
                               const std::string& name);
 
-/// Rebuilds gen.problem for new delay/precharge specs (and OTB setting)
-/// from the stored templates. Much cheaper than generate_problem: no path
-/// extraction, no model evaluation — only re-normalization. The slope
-/// budget and pruning options must match the ones the templates were
-/// generated with (callers regenerate when those change).
+/// Re-normalizes gen.problem for new delay/precharge specs by rescaling
+/// each timing constraint in place by (old class spec / new class spec):
+/// no extraction, no model evaluation, no new GpProblem. The slope budget,
+/// pruning and OTB stay those of the build (build_problem()).
 void assemble_problem(GeneratedProblem& gen, double delay_spec_ps,
-                      double precharge_spec_ps, bool otb,
+                      double precharge_spec_ps,
                       const std::vector<double>& output_required_ps,
                       const netlist::Netlist& nl);
+
+/// Rebuilds everything of `gen` but its paths, which depend only on the
+/// netlist and opt.prune and are extracted (bounded by opt.deadline) only
+/// when gen has none. The old problem is freed first.
+void build_problem(GeneratedProblem& gen, const netlist::Netlist& nl,
+                   const ConstraintOptions& opt,
+                   const models::ModelLibrary& lib, const tech::Tech& tech);
 
 /// Builds the GP for a finalized netlist. The model library supplies the
 /// posynomial coefficients; tech supplies R/C parameters.
@@ -177,6 +173,11 @@ GeneratedProblem generate_problem(const netlist::Netlist& nl,
                                   const ConstraintOptions& opt,
                                   const models::ModelLibrary& lib,
                                   const tech::Tech& tech);
+
+/// Path `path`'s modeled delay (ps) at x: its class constraint's lhs times
+/// the class spec, or the class's constant delay when it emitted none.
+double path_model_delay(const GeneratedProblem& gen, size_t path,
+                        const util::Vec& x);
 
 /// Converts a GP solution vector into a label sizing for the netlist.
 netlist::Sizing sizing_from_solution(const netlist::Netlist& nl,

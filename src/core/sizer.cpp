@@ -148,13 +148,11 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
   double slope_budget = opt.slope_budget_ps;
 
   util::Vec warm_start;  // previous iteration's solution
-  // Constraint templates are rebuilt only when the slope budget moves
-  // (infeasibility relaxation); otherwise each iteration just re-normalizes
-  // them for the new model-facing specs.
+  // One problem per sizing: its paths are extracted once, the rest is
+  // rebuilt from them only when the slope budget moves (infeasibility
+  // relaxation), and otherwise rescaled to the new model-facing specs.
   GeneratedProblem gen;
-  size_t path_count = 0;  // of the last problem built: a function of the
-                          // netlist and pruning
-  double built_slope_budget = -1.0;
+  double built_slope_budget = -1.0;  // of gen; -1 while none is complete
   double prev_width = -1.0;
   int total_newton = 0;
 
@@ -244,12 +242,9 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
         ConstraintOptions copt =
             constraint_options(model_spec, model_pre_spec, slope_budget);
         copt.deadline = deadline.enabled ? &deadline : nullptr;
-        // Free the previous problem before building its replacement, so a
-        // relaxation never holds two at once.
-        gen = GeneratedProblem();
+        built_slope_budget = -1.0;
         try {
-          gen = generate_problem(nl, copt, *lib_, *tech_);
-          path_count = gen.paths.size();
+          build_problem(gen, nl, copt, *lib_, *tech_);
         } catch (const util::TimeoutError& e) {
           // Extraction/congen ran out of budget: report kTimeout and let
           // the ladder produce a valid (if unoptimized) point.
@@ -285,7 +280,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
           break;
         }
       } else {
-        assemble_problem(gen, model_spec, model_pre_spec, opt.otb,
+        assemble_problem(gen, model_spec, model_pre_spec,
                          scaled_required(model_spec), nl);
       }
     }
@@ -430,7 +425,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
 
   SizerResult r;
   r.gp_newton_iterations = total_newton;
-  r.path_count = path_count;
+  r.path_count = gen.paths.size();
   r.respec_trace = std::move(respec_trace);
   for (const auto& it : r.respec_trace)
     if (it.meets && r.converged_iteration < 0)
@@ -457,26 +452,23 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
   r.binding_constraints = accepted_sol.binding;
   r.solution_x = accepted_sol.x;
 
-  // Optional snapshot: regenerate the problem at the accepted record's
-  // specs and slope budget. generate_problem is deterministic in its
-  // options, so the constraint order matches the accepted solve's
-  // diagnostics without copying a move-only GeneratedProblem mid-loop.
+  // Optional snapshot: the loop's own problem at the accepted record's
+  // specs, rebuilt from the kept paths if the slope budget moved since.
   if (opt.keep_solve_snapshot) {
     try {
-      auto snap = std::make_shared<SolveSnapshot>();
-      snap->gen = generate_problem(
-          nl,
-          constraint_options(rec.model_spec_ps, rec.model_pre_spec_ps,
-                             rec.slope_budget_ps),
-          *lib_, *tech_);
-      snap->gp = std::move(accepted_sol);
-      snap->target_delay_ps = target_delay;
-      snap->target_precharge_ps = target_pre;
-      r.snapshot = std::move(snap);
+      const ConstraintOptions copt = constraint_options(
+          rec.model_spec_ps, rec.model_pre_spec_ps, rec.slope_budget_ps);
+      if (built_slope_budget == rec.slope_budget_ps)
+        assemble_problem(gen, copt.delay_spec_ps, copt.precharge_spec_ps,
+                         copt.output_required_ps, nl);
+      else
+        build_problem(gen, nl, copt, *lib_, *tech_);
+      r.snapshot = std::make_shared<SolveSnapshot>(SolveSnapshot{
+          std::move(gen), std::move(accepted_sol), target_delay, target_pre});
     } catch (const std::exception& e) {
       // A snapshot is an introspection extra; failing to build one must
       // not fail a sizing that already verified.
-      util::log_warn(util::strfmt("sizer: snapshot regeneration failed: %s",
+      util::log_warn(util::strfmt("sizer: snapshot build failed: %s",
                                   e.what()));
     }
   }

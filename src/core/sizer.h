@@ -64,8 +64,8 @@ struct SizerOptions {
 
   /// Keep the accepted iteration's generated problem + GP solve in
   /// SizerResult::snapshot so report layers (scope) can map binding
-  /// constraints back to paths. Costs one extra generate_problem() after
-  /// the loop; off by default.
+  /// constraints back to paths: the loop's own problem, at the accepted
+  /// specs; off by default.
   bool keep_solve_snapshot = false;
 
   /// Warm start: seed the first GP solve from this point instead of the
@@ -97,10 +97,9 @@ enum class SizingRung {
 const char* to_string(SizingRung rung);
 
 /// The GP problem and solve behind an accepted sizing, kept only when
-/// SizerOptions::keep_solve_snapshot is set. `gen` is regenerated after the
-/// loop at the specs and slope budget of SizerResult::accepted_record(), so
-/// its constraint order matches `gp.diag.constraints` index-for-index (both
-/// are deterministic functions of the options).
+/// SizerOptions::keep_solve_snapshot is set. `gen` is the sizing's own
+/// problem at the specs and slope budget of SizerResult::accepted_record(),
+/// so its constraint order matches `gp.diag.constraints` index-for-index.
 struct SolveSnapshot {
   GeneratedProblem gen;
   gp::GpResult gp;                    ///< accepted solve incl. diagnostics

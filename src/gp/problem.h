@@ -44,6 +44,12 @@ class GpProblem {
 
   const std::vector<Constraint>& constraints() const { return constraints_; }
 
+  /// Multiplies constraint `index`'s lhs by `factor` > 0 in place, e.g.
+  /// s0/s1 to turn lhs/s0 <= 1 into lhs/s1 <= 1.
+  void scale_constraint(size_t index, double factor) {
+    constraints_.at(index).lhs *= factor;
+  }
+
  private:
   const posy::VarTable* vars_;
   posy::Posynomial objective_;

@@ -195,25 +195,21 @@ ScopeReport build_report(const netlist::Netlist& nl,
     std::vector<PathReport> all;
     all.reserve(gen.paths.size());
     for (size_t pi = 0; pi < gen.paths.size(); ++pi) {
-      if (pi >= gen.path_templates.size()) break;
       const auto& path = gen.paths[pi];
-      const auto& tmpl = gen.path_templates[pi];
       PathReport pr;
       pr.path_index = pi;
-      const bool eval = tmpl.phase == netlist::Phase::kEvaluate;
+      const bool eval = path.phase == netlist::Phase::kEvaluate;
       pr.tag = util::strfmt("%s_path%zu", eval ? "eval" : "pre", pi);
       pr.phase = eval ? "evaluate" : "precharge";
       pr.startpoint = edge_name(nl, path.start, path.start_rise);
       pr.endpoint =
           edge_name(nl, path.end(), path.steps.back().out_rise);
-      pr.spec_ps =
-          pi < gen.path_specs.size() ? gen.path_specs[pi] : 0.0;
+      pr.spec_ps = gen.path_specs[pi];
       pr.target_ps =
           eval ? snap.target_delay_ps : snap.target_precharge_ps;
-      pr.model_delay_ps = tmpl.total.eval(snap.gp.x);
+      pr.model_delay_ps = core::path_model_delay(gen, pi, snap.gp.x);
       pr.model_slack_ps = pr.spec_ps - pr.model_delay_ps;
-      if (pi < gen.path_constraint.size() &&
-          gen.path_constraint[pi] < diag.constraints.size()) {
+      if (gen.path_constraint[pi] < diag.constraints.size()) {
         const auto& cd = diag.constraints[gen.path_constraint[pi]];
         pr.constraint = cd.tag;
         pr.gp_slack = cd.slack;

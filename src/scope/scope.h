@@ -12,10 +12,10 @@
 /// and the sizer's model-vs-STA retargeting trace — in text and JSON.
 ///
 /// The mapping relies on the constraint-generation invariant that path i of
-/// GeneratedProblem::paths produced template i, whose end-to-end timing
-/// constraint is GeneratedProblem::path_constraint[i]. One constraint can
-/// stand for several paths or arcs (canonical classes); the binding set
-/// names every member.
+/// GeneratedProblem::paths is bounded end to end by the constraint
+/// GeneratedProblem::path_constraint[i] (none when its delay is constant).
+/// One constraint can stand for several paths or arcs (canonical classes);
+/// the binding set names every member.
 
 #include <string>
 #include <vector>

@@ -927,21 +927,21 @@ std::vector<Path> PathExtractor::extract(const PruneOptions& opt,
     const double pre = static_cast<double>(stats->after_precedence);
     const double dom = static_cast<double>(stats->after_dominance);
     const double fin = static_cast<double>(stats->final_paths);
-    tel.gauge_set("timing.paths.raw_topological", raw);
-    tel.gauge_set("timing.paths.raw_edge", stats->raw_edge_paths);
-    tel.gauge_set("timing.paths.after_regularity", reg);
-    tel.gauge_set("timing.paths.after_precedence", pre);
-    tel.gauge_set("timing.paths.after_dominance", dom);
-    tel.gauge_set("timing.paths.final", fin);
+    tel.counter_add("timing.paths.raw_topological", raw);
+    tel.counter_add("timing.paths.raw_edge", stats->raw_edge_paths);
+    tel.counter_add("timing.paths.after_regularity", reg);
+    tel.counter_add("timing.paths.after_precedence", pre);
+    tel.counter_add("timing.paths.after_dominance", dom);
+    tel.counter_add("timing.paths.final", fin);
     tel.gauge_set("timing.prune.regularity.reduction", ratio(raw, reg));
     tel.gauge_set("timing.prune.precedence.reduction", ratio(reg, pre));
     tel.gauge_set("timing.prune.dominance.reduction", ratio(pre, dom));
     tel.gauge_set("timing.prune.reduction", ratio(raw, fin));
     tel.counter_add("timing.extract.calls");
-    tel.gauge_set("timing.extract.class_attempts",
-                  static_cast<double>(ex.class_attempts()));
-    tel.gauge_set("timing.extract.classes_stored",
-                  static_cast<double>(ex.classes_stored()));
+    tel.counter_add("timing.extract.class_attempts",
+                    static_cast<double>(ex.class_attempts()));
+    tel.counter_add("timing.extract.classes_stored",
+                    static_cast<double>(ex.classes_stored()));
     span.arg("raw_topological", raw);
     span.arg("final_paths", fin);
   }

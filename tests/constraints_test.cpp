@@ -16,6 +16,7 @@
 #include "helpers.h"
 #include "models/fitter.h"
 #include "obs/obs.h"
+#include "power/power.h"
 #include "util/strfmt.h"
 
 namespace smart::core {
@@ -30,6 +31,33 @@ class ConstraintsTest : public ::testing::Test {
     ConstraintOptions opt;
     opt.delay_spec_ps = spec_ps;
     return opt;
+  }
+
+  /// Every path's delay posynomial recomputed the direct way, from each
+  /// step's own arc model: the start arrival plus every arc delay, each at
+  /// its input slope (the path's start slope, then the slope budget).
+  std::vector<posy::Posynomial> path_delays(const netlist::Netlist& nl,
+                                            const GeneratedProblem& gen,
+                                            double slope_budget) const {
+    const auto caps = models::net_cap_posy_all(nl, gen.labels, tech_);
+    std::vector<posy::Posynomial> out;
+    for (const auto& p : gen.paths) {
+      posy::Posynomial total(p.start_arrival);
+      for (size_t si = 0; si < p.steps.size(); ++si) {
+        const auto& step = p.steps[si];
+        const double slope = si > 0 ? slope_budget
+                             : p.start_slope >= 0.0
+                                 ? p.start_slope
+                                 : tech_.default_input_slope;
+        total += models::arc_model_posy(nl, step.arc, step.out_rise,
+                                        posy::Posynomial(slope),
+                                        caps[static_cast<size_t>(step.arc.to)],
+                                        gen.labels, lib_, tech_, p.phase)
+                     .delay;
+      }
+      out.push_back(std::move(total));
+    }
+    return out;
   }
 };
 
@@ -280,7 +308,7 @@ TEST_F(ConstraintsTest, NoTwoEmittedConstraintsShareACanonicalKey) {
       ASSERT_LT(j, cons.size());
       const auto members = constraint_members(gen, j);
       const bool eval =
-          gen.path_templates[pi].phase == netlist::Phase::kEvaluate;
+          gen.paths[pi].phase == netlist::Phase::kEvaluate;
       const std::string tag =
           util::strfmt("%s_path%zu", eval ? "eval" : "pre", pi);
       EXPECT_NE(std::find(members.begin(), members.end(), tag),
@@ -296,6 +324,7 @@ TEST_F(ConstraintsTest, CanonicalTimingConstraintsMatchPerPathConstraints) {
     opt.precharge_spec_ps = 400.0;
     const auto gen = generate_problem(nl, opt, lib_, tech_);
     const auto& cons = gen.problem->constraints();
+    const auto delays = path_delays(nl, gen, opt.slope_budget_ps);
     std::mt19937 rng(2024);
     for (int trial = 0; trial < 50; ++trial) {
       util::Vec x(gen.vars->size());
@@ -306,11 +335,11 @@ TEST_F(ConstraintsTest, CanonicalTimingConstraintsMatchPerPathConstraints) {
                                                  std::log(info.upper));
         x[v] = std::exp(u(rng));
       }
-      // Each template at its own spec, as per-path emission would have it.
+      // Each path at its own spec, as per-path emission would have it.
       double per_path = 0.0;
-      for (size_t pi = 0; pi < gen.path_templates.size(); ++pi)
-        per_path = std::max(per_path, gen.path_templates[pi].total.eval(x) /
-                                          gen.path_specs[pi]);
+      for (size_t pi = 0; pi < gen.paths.size(); ++pi)
+        per_path =
+            std::max(per_path, delays[pi].eval(x) / gen.path_specs[pi]);
       double canonical = 0.0;
       for (size_t j = 0; j < cons.size(); ++j)
         if (gen.origins[j].kind == ConstraintOrigin::Kind::kPath)
@@ -344,6 +373,16 @@ TEST_F(ConstraintsTest, EverySlopeMemberMatchesItsClassConstraint) {
     std::multimap<std::string, size_t> owners;
     for (size_t c = 0; c < gen.static_classes.size(); ++c)
       for (const auto& m : gen.static_classes[c].members) owners.emplace(m, c);
+    // Each static class's constraint, found through its origin.
+    std::vector<std::vector<TermKey>> class_key(gen.static_classes.size());
+    size_t static_constraints = 0;
+    for (size_t j = 0; j < gen.origins.size(); ++j) {
+      if (gen.origins[j].kind != ConstraintOrigin::Kind::kStatic) continue;
+      class_key[gen.origins[j].cls] =
+          term_key(gen.problem->constraints()[j].lhs);
+      ++static_constraints;
+    }
+    ASSERT_EQ(static_constraints, gen.static_classes.size()) << nl.name();
     const auto caps = models::net_cap_posy_all(nl, gen.labels, tech_);
     std::vector<netlist::EdgeMap> maps;
     size_t checked = 0;
@@ -367,10 +406,7 @@ TEST_F(ConstraintsTest, EverySlopeMemberMatchesItsClassConstraint) {
         const auto want = term_key(direct);
         const auto [lo, hi] = owners.equal_range(name);
         auto it = lo;
-        while (it != hi &&
-               term_key(gen.static_classes[it->second].constraint.lhs) !=
-                   want)
-          ++it;
+        while (it != hi && class_key[it->second] != want) ++it;
         ASSERT_NE(it, hi) << nl.name() << ": " << name;
         owners.erase(it);
         ++checked;
@@ -470,11 +506,159 @@ TEST_F(ConstraintsTest, MergedClassesKeepTheSmallestMemberSpec) {
   ASSERT_EQ(gen.paths.size(), 4u);  // rise + fall into each output
   EXPECT_EQ(gen.timing_constraints, 2u);
   util::Vec at(gen.vars->size(), 2.0);
+  const auto delays = path_delays(nl, gen, opt.slope_budget_ps);
   for (size_t pi = 0; pi < gen.paths.size(); ++pi) {
     const auto& lhs = gen.problem->constraints()[gen.path_constraint[pi]].lhs;
-    EXPECT_NEAR(lhs.eval(at), gen.path_templates[pi].total.eval(at) / 200.0,
-                1e-12);
+    EXPECT_NEAR(lhs.eval(at), delays[pi].eval(at) / 200.0, 1e-12);
   }
+}
+
+/// Terms of every constraint plus the objective.
+size_t problem_terms(const GeneratedProblem& gen) {
+  size_t terms = gen.problem->objective().num_terms();
+  for (const auto& c : gen.problem->constraints()) terms += c.lhs.num_terms();
+  return terms;
+}
+
+TEST_F(ConstraintsTest, EachPosynomialIsHeldOnceInTheProblem) {
+  // The problem's constraints and objective are the only posynomials a
+  // GeneratedProblem holds: its classes name members, not copies. Pinned
+  // at default options and 400 ps.
+  core::MacroSpec inc;
+  inc.type = "incrementor";
+  inc.n = 27;
+  const std::pair<netlist::Netlist, size_t> cases[] = {
+      {adder64(), 8790},
+      {test::generate("incrementor", "ks_prefix", inc), 4598}};
+  for (const auto& [nl, want] : cases) {
+    const auto gen = generate_problem(nl, options(400.0), lib_, tech_);
+    EXPECT_EQ(problem_terms(gen), want) << nl.name();
+  }
+}
+
+TEST_F(ConstraintsTest, PowerObjectiveMatchesCostPosyTermForTerm) {
+  // The problem builds its net capacitances once and weighs them into the
+  // power objective itself. It and the standalone cost_posy must both be
+  // every net's capacitance times its activity, summed in net order, bit
+  // for bit.
+  for (const auto& nl : {mux4x32(), incrementor16()}) {
+    ConstraintOptions opt = options(500.0);
+    opt.cost = CostMetric::kPower;
+    const auto gen = generate_problem(nl, opt, lib_, tech_);
+    const auto caps = models::net_cap_posy_all(nl, gen.labels, tech_);
+    const auto act = power::net_activities(nl, opt.activity);
+    posy::PosyAccum sum;
+    for (size_t n = 0; n < nl.net_count(); ++n) sum.add(caps[n] * act[n]);
+    const auto want = sum.take();
+    for (const auto& got :
+         {gen.problem->objective(),
+          cost_posy(nl, CostMetric::kPower, gen.labels, opt.activity, tech_)}) {
+      ASSERT_EQ(got.num_terms(), want.num_terms()) << nl.name();
+      for (size_t k = 0; k < got.num_terms(); ++k) {
+        EXPECT_EQ(got.terms()[k].coeff(), want.terms()[k].coeff()) << k;
+        EXPECT_TRUE(got.terms()[k].factors() == want.terms()[k].factors())
+            << k;
+      }
+    }
+  }
+}
+
+TEST_F(ConstraintsTest, RescaledProblemEqualsAFreshBuildAtTheNewSpecs) {
+  // assemble_problem rescales the built constraints in place; the result
+  // is the problem a fresh build at the new specs gives, stage deadlines
+  // (no OTB) and per-output required times included.
+  core::MacroSpec cmp;
+  cmp.type = "comparator";
+  cmp.n = 16;
+  size_t stage_constraints = 0;  // the comparator's domino stages
+  for (const auto& nl : {test::generate("comparator", "xorsum2_nor4", cmp),
+                         incrementor16()}) {
+    ConstraintOptions opt = options(600.0);
+    opt.otb = false;
+    opt.precharge_spec_ps = 450.0;
+    auto gen = generate_problem(nl, opt, lib_, tech_);
+    std::vector<double> required(nl.outputs().size(), -1.0);
+    required.front() = 380.0;
+    for (const auto& [spec, pre] :
+         {std::pair{500.0, 300.0}, std::pair{420.0, -1.0}}) {
+      assemble_problem(gen, spec, pre, required, nl);
+      opt.delay_spec_ps = spec;
+      opt.precharge_spec_ps = pre;
+      opt.output_required_ps = required;
+      const auto fresh = generate_problem(nl, opt, lib_, tech_);
+      SCOPED_TRACE(nl.name() + util::strfmt(" at %.0f ps", spec));
+      test::expect_same_problem(gen, fresh);
+    }
+    stage_constraints += gen.stage_constraints;
+    // A new slope budget rebuilds everything but the kept paths.
+    opt.slope_budget_ps = 150.0;
+    const size_t paths = gen.paths.size();
+    build_problem(gen, nl, opt, lib_, tech_);
+    EXPECT_EQ(gen.paths.size(), paths);
+    SCOPED_TRACE(nl.name() + " rebuilt at a 150 ps slope budget");
+    test::expect_same_problem(gen, generate_problem(nl, opt, lib_, tech_));
+  }
+  EXPECT_GT(stage_constraints, 0u);
+}
+
+TEST_F(ConstraintsTest, ConstantBoundsLeaveTheMemberMapAligned) {
+  // Two independent chains: a -> b -> c with both labels fixed, whose
+  // delays and slopes are constants the GP drops, and d -> e free. No
+  // constraint may stand for a dropped class's members.
+  netlist::Netlist nl("fixed_and_free");
+  const auto a = nl.add_net("a"), b = nl.add_net("b"), c = nl.add_net("c");
+  const auto d = nl.add_net("d"), e = nl.add_net("e");
+  const auto n1 = nl.add_label("N1"), p1 = nl.add_label("P1");
+  const auto n2 = nl.add_label("N2"), p2 = nl.add_label("P2");
+  nl.fix_label(n1, 1.0);
+  nl.fix_label(p1, 2.0);
+  nl.add_inverter("i0", a, b, n1, p1);
+  nl.add_inverter("i1", b, c, n1, p1);
+  nl.add_inverter("i2", d, e, n2, p2);
+  nl.add_input(a);
+  nl.add_input(d);
+  nl.add_output(c, 10.0);
+  nl.add_output(e, 10.0);
+  nl.finalize();
+  const ConstraintOptions opt = options(500.0);
+  auto gen = generate_problem(nl, opt, lib_, tech_);
+  const auto& cons = gen.problem->constraints();
+  ASSERT_EQ(gen.origins.size(), cons.size());
+  EXPECT_EQ(gen.timing_constraints + gen.slope_constraints, cons.size());
+  size_t fixed = 0;
+  util::Vec x1(gen.vars->size(), 1.0), x2(gen.vars->size(), 3.0);
+  const auto delays = path_delays(nl, gen, opt.slope_budget_ps);
+  for (size_t pi = 0; pi < gen.paths.size(); ++pi) {
+    const std::string tag = util::strfmt("eval_path%zu", pi);
+    if (gen.paths[pi].start == a) {
+      // The fixed chain: no constraint, and its constant delay.
+      EXPECT_EQ(gen.path_constraint[pi], kNoConstraint) << tag;
+      ASSERT_TRUE(delays[pi].is_constant()) << tag;
+      EXPECT_NEAR(path_model_delay(gen, pi, x1), delays[pi].constant_value(),
+                  1e-12 * delays[pi].constant_value())
+          << tag;
+      ++fixed;
+      continue;
+    }
+    const size_t j = gen.path_constraint[pi];
+    ASSERT_LT(j, cons.size()) << tag;
+    const auto members = constraint_members(gen, j);
+    EXPECT_NE(std::find(members.begin(), members.end(), tag), members.end())
+        << cons[j].tag << " does not name " << tag;
+    EXPECT_NEAR(path_model_delay(gen, pi, x2), delays[pi].eval(x2),
+                1e-12 * delays[pi].eval(x2));
+  }
+  EXPECT_EQ(fixed, 2u);  // rise and fall
+  // Every constraint stands for members that carry its own tag.
+  for (size_t j = 0; j < cons.size(); ++j) {
+    const auto members = constraint_members(gen, j);
+    ASSERT_FALSE(members.empty()) << cons[j].tag;
+    EXPECT_EQ(members.front().rfind(cons[j].tag, 0), 0u)
+        << cons[j].tag << " stands for " << members.front();
+  }
+  // A constant bound is checked again at every new spec.
+  EXPECT_NO_THROW(assemble_problem(gen, 400.0, -1.0, {}, nl));
+  EXPECT_THROW(assemble_problem(gen, 1.0, -1.0, {}, nl), util::Error);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/constraints.h"
 #include "core/database.h"
 #include "gp/solver.h"
 #include "macros/registry.h"
@@ -90,6 +91,47 @@ inline void expect_working_set_certificate(const gp::GpResult& r) {
   }
   for (size_t j : r.diag.binding_set)
     EXPECT_TRUE(in_ws.at(j)) << r.diag.constraints[j].tag;
+}
+
+/// `got` is `want` constraint by constraint: the same tags, origins and
+/// term structure, coefficients within 1e-12 relative, and the same
+/// classes, path map and objective.
+inline void expect_same_problem(const core::GeneratedProblem& got,
+                                const core::GeneratedProblem& want) {
+  const auto& gc = got.problem->constraints();
+  const auto& wc = want.problem->constraints();
+  ASSERT_EQ(gc.size(), wc.size());
+  ASSERT_EQ(got.origins.size(), gc.size());
+  ASSERT_EQ(want.origins.size(), wc.size());
+  for (size_t j = 0; j < gc.size(); ++j) {
+    EXPECT_EQ(gc[j].tag, wc[j].tag) << j;
+    EXPECT_EQ(got.origins[j].kind, want.origins[j].kind) << gc[j].tag;
+    EXPECT_EQ(got.origins[j].cls, want.origins[j].cls) << gc[j].tag;
+    EXPECT_EQ(got.origins[j].stage, want.origins[j].stage) << gc[j].tag;
+    ASSERT_EQ(gc[j].lhs.num_terms(), wc[j].lhs.num_terms()) << gc[j].tag;
+    for (size_t k = 0; k < gc[j].lhs.num_terms(); ++k) {
+      const auto& a = gc[j].lhs.terms()[k];
+      const auto& b = wc[j].lhs.terms()[k];
+      EXPECT_TRUE(a.factors() == b.factors()) << gc[j].tag << " term " << k;
+      EXPECT_NEAR(a.coeff(), b.coeff(), 1e-12 * b.coeff())
+          << gc[j].tag << " term " << k;
+    }
+  }
+  EXPECT_EQ(got.path_constraint, want.path_constraint);
+  EXPECT_EQ(got.path_specs, want.path_specs);
+  ASSERT_EQ(got.path_classes.size(), want.path_classes.size());
+  for (size_t c = 0; c < got.path_classes.size(); ++c) {
+    EXPECT_EQ(got.path_classes[c].paths, want.path_classes[c].paths) << c;
+    EXPECT_EQ(got.path_classes[c].spec, want.path_classes[c].spec) << c;
+  }
+  ASSERT_EQ(got.static_classes.size(), want.static_classes.size());
+  for (size_t c = 0; c < got.static_classes.size(); ++c)
+    EXPECT_EQ(got.static_classes[c].members, want.static_classes[c].members);
+  const auto& go = got.problem->objective();
+  const auto& wo = want.problem->objective();
+  ASSERT_EQ(go.num_terms(), wo.num_terms());
+  for (size_t k = 0; k < go.num_terms(); ++k)
+    EXPECT_EQ(go.terms()[k].coeff(), wo.terms()[k].coeff()) << k;
 }
 
 /// Uniform sizing helper.

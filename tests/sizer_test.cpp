@@ -8,10 +8,13 @@
 #include <cmath>
 
 #include "blocks/block.h"
+#include "core/advisor.h"
 #include "core/experiment.h"
 #include "core/report.h"
 #include "helpers.h"
+#include "macros/registry.h"
 #include "models/fitter.h"
+#include "obs/obs.h"
 #include "refsim/rc_timer.h"
 
 namespace smart::core {
@@ -354,9 +357,13 @@ TEST_F(SizerTest, SnapshotAlignsWithSolveDiagnostics) {
   for (size_t j = 0; j < cons.size(); ++j)
     EXPECT_EQ(cons[j].tag, snap.gp.diag.constraints[j].tag) << j;
 
-  // Paths and specs ride along, aligned with the templates.
-  EXPECT_EQ(snap.gen.paths.size(), snap.gen.path_templates.size());
-  EXPECT_EQ(snap.gen.path_specs.size(), snap.gen.path_templates.size());
+  // Paths and specs ride along: every path in exactly one class, with its
+  // own spec.
+  std::vector<int> classes_of(snap.gen.paths.size(), 0);
+  for (const auto& cls : snap.gen.path_classes)
+    for (const size_t pi : cls.paths) ++classes_of.at(pi);
+  for (const int n : classes_of) EXPECT_EQ(n, 1);
+  EXPECT_EQ(snap.gen.path_specs.size(), snap.gen.paths.size());
   for (double spec : snap.gen.path_specs) EXPECT_GT(spec, 0.0);
 
   // The snapshot solve evaluates consistently: the solution vector
@@ -366,6 +373,97 @@ TEST_F(SizerTest, SnapshotAlignsWithSolveDiagnostics) {
   ASSERT_NE(r.accepted_record(), nullptr);
   EXPECT_GT(r.accepted_record()->model_spec_ps, 0.0);
   EXPECT_EQ(snap.target_delay_ps, opt.delay_spec_ps);
+}
+
+TEST_F(SizerTest, SnapshotIsTheProblemAFreshBuildGivesAtTheAcceptedSpecs) {
+  // The snapshot keeps the loop's own problem instead of generating it
+  // again, after one extraction for the whole sizing. It must equal a fresh
+  // generate_problem at the accepted record's specs and slope budget:
+  // same constraints, tags, origins and classes, coefficients within
+  // 1e-12 relative. At their iso specs mux/strong_pass/4 and the adder
+  // both relax the slope budget once and then rescale the rebuilt problem.
+  core::MacroSpec mux;
+  mux.type = "mux";
+  mux.n = 4;
+  core::MacroSpec adder;
+  adder.type = "adder";
+  adder.n = 64;
+  const netlist::Netlist cases[] = {
+      test::generate("mux", "strong_pass", mux),
+      test::generate("adder", "domino_cla", adder)};
+  auto& tel = obs::Telemetry::instance();
+  for (const auto& nl : cases) {
+    SCOPED_TRACE(nl.name());
+    // The iso-delay protocol's options (run_iso_delay).
+    const auto base = BaselineSizer(tech_).size(nl);
+    const auto rep = refsim::RcTimer(tech_).analyze(nl, base);
+    SizerOptions opt;
+    opt.delay_spec_ps = rep.worst_delay;
+    opt.precharge_spec_ps =
+        rep.worst_precharge > 0.0
+            ? std::max(rep.worst_precharge, rep.worst_delay)
+            : -1.0;
+    opt.input_cap_limits_ff = sizer_.input_caps(nl, base);
+    opt.slope_budget_ps =
+        std::max(opt.slope_budget_ps, rep.max_internal_slope * 1.02);
+    opt.keep_solve_snapshot = true;
+    tel.reset();
+    tel.enable(true);
+    const auto r = sizer_.size(nl, opt);
+    tel.enable(false);
+    EXPECT_EQ(tel.counter("timing.extract.calls"), 1.0);
+    ASSERT_EQ(r.rung, SizingRung::kGp) << r.message;
+    ASSERT_NE(r.snapshot, nullptr);
+    const RespecIteration& acc = *r.accepted_record();
+    // The sizing rebuilt its problem at a relaxed slope budget.
+    EXPECT_GT(acc.slope_budget_ps, opt.slope_budget_ps);
+
+    ConstraintOptions copt;
+    copt.delay_spec_ps = acc.model_spec_ps;
+    copt.precharge_spec_ps = acc.model_pre_spec_ps;
+    copt.slope_budget_ps = acc.slope_budget_ps;
+    copt.input_cap_limits_ff = opt.input_cap_limits_ff;
+    ASSERT_EQ(r.snapshot->gen.problem->constraints().size(),
+              r.snapshot->gp.diag.constraints.size());
+    test::expect_same_problem(r.snapshot->gen,
+                              generate_problem(nl, copt, lib_, tech_));
+  }
+}
+
+TEST_F(SizerTest, SnapshotIsRebuiltWhenTheSlopeBudgetMovedAfterAcceptance) {
+  // When an infeasible iteration after the accepted one relaxed the slope
+  // budget, the loop's problem is at the wrong budget: the snapshot is
+  // rebuilt from the kept paths, and still equals a fresh build at the
+  // accepted record's options. The advisor's pressured 2:1 mux sites
+  // (0.70x the hand design's delay, as in bench/selection_map) hit this.
+  DesignAdvisor advisor(macros::builtin_database(), tech_, lib_);
+  size_t rebuilt = 0;
+  for (const double load : {8.0, 40.0, 160.0}) {
+    AdvisorRequest request;
+    request.spec.type = "mux";
+    request.spec.n = 2;
+    request.spec.params["bits"] = 8;
+    request.spec.load_ff = load;
+    request.sizer.keep_solve_snapshot = true;
+    request.delay_spec_ps = advisor.advise(request).derived_delay_spec_ps * 0.7;
+    for (const auto& sol : advisor.advise(request).solutions) {
+      if (sol.sizing.snapshot == nullptr) continue;
+      SCOPED_TRACE(sol.netlist.name() + util::strfmt(" at %.0f fF", load));
+      const RespecIteration& acc = *sol.sizing.accepted_record();
+      if (acc.slope_budget_ps != sol.sizing.respec_trace.back().slope_budget_ps)
+        ++rebuilt;
+      ConstraintOptions copt;
+      copt.delay_spec_ps = acc.model_spec_ps;
+      copt.precharge_spec_ps = acc.model_pre_spec_ps;
+      copt.slope_budget_ps = acc.slope_budget_ps;
+      copt.input_cap_limits_ff = sizer_.input_caps(
+          sol.netlist, BaselineSizer(tech_).size(sol.netlist));
+      test::expect_same_problem(
+          sol.sizing.snapshot->gen,
+          generate_problem(sol.netlist, copt, lib_, tech_));
+    }
+  }
+  EXPECT_GT(rebuilt, 0u);
 }
 
 TEST_F(SizerTest, ReportDescribesSolution) {
