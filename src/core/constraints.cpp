@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 
 #include "gp/verify.h"
@@ -285,23 +287,19 @@ double bound_limit(const GeneratedProblem& gen, const PathClass& cls,
 }
 
 /// Adds path class `c`'s stage-k deadline (or, for stage 0, its end-to-end
-/// bound) on the raw delay `delay`, normalized later by assemble_problem.
-/// A constant delay adds no constraint; the class keeps its value.
+/// bound) as a row on the delay `delay`, constant or not; assemble_problem
+/// writes its offset.
 void add_path_bound(GeneratedProblem& gen, uint32_t c, int stage,
                     Posynomial delay) {
-  PathClass& cls = gen.path_classes[c];
-  if (delay.is_constant()) {
-    cls.constants.emplace_back(stage, delay.constant_value());
-    return;
-  }
+  const PathClass& cls = gen.path_classes[c];
   using Kind = ConstraintOrigin::Kind;
   if (stage == 0)
     for (const size_t pi : cls.paths)
       gen.path_constraint[pi] = gen.origins.size();
   ++(stage > 0 ? gen.stage_constraints : gen.timing_constraints);
   gen.origins.push_back({stage > 0 ? Kind::kStage : Kind::kPath, c, stage});
-  gen.problem->add_constraint(std::move(delay),
-                              path_tag(gen, stage, cls.paths.front()));
+  gen.problem->add_row(std::move(delay),
+                       path_tag(gen, stage, cls.paths.front()), 0.0);
 }
 
 }  // namespace
@@ -415,7 +413,8 @@ void build_problem(GeneratedProblem& gen, const Netlist& nl,
                        (u(out_rise) << 8) | u(phase),
                    bits_of(slope)};
   };
-  ArcModelMemo memo(nl, caps, gen.labels, lib, tech);
+  std::optional<ArcModelMemo> memo;
+  memo.emplace(nl, caps, gen.labels, lib, tech);
   std::unordered_map<StepKey, uint32_t, StepKeyHash> step_slot;
   std::vector<uint32_t> path_slots;  ///< memo slot of every path step
   {
@@ -433,8 +432,8 @@ void build_problem(GeneratedProblem& gen, const Netlist& nl,
           if (util::deadline_expired(opt.deadline))
             throw util::TimeoutError(
                 "constraint generation deadline exceeded (arc models)");
-          it->second = memo.find_or_build(step.arc, step.out_rise,
-                                          path.phase, slope, true);
+          it->second = memo->find_or_build(step.arc, step.out_rise,
+                                           path.phase, slope, true);
         }
         path_slots.push_back(it->second);
       }
@@ -462,7 +461,8 @@ void build_problem(GeneratedProblem& gen, const Netlist& nl,
       total.add(path.start_arrival);
       int stages_seen = 0;
       for (const auto& step : path.steps) {
-        const Posynomial& delay = memo[path_slots[next_step++]].posy.delay;
+        const Posynomial& delay =
+            (*memo)[path_slots[next_step++]].posy.delay;
 
         const bool enters_domino =
             step.arc.kind == netlist::ArcKind::kDominoEval ||
@@ -497,12 +497,6 @@ void build_problem(GeneratedProblem& gen, const Netlist& nl,
       }
       gen.path_classes[cls].paths.push_back(pi);
     }
-  }
-  gen.path_constraint.assign(gen.paths.size(), kNoConstraint);
-  for (uint32_t c = 0; c < class_delays.size(); ++c) {
-    for (auto& [stage, prefix] : class_delays[c].stage_prefixes)
-      add_path_bound(gen, c, stage, std::move(prefix));
-    add_path_bound(gen, c, 0, std::move(class_delays[c].total));
   }
 
   // Slope and input-cap constraints are grouped the same way, by their
@@ -567,12 +561,12 @@ void build_problem(GeneratedProblem& gen, const Netlist& nl,
         ++slope_bounds;
         const auto it = step_slot.find(step_key(
             arc, em.out_rise, netlist::Phase::kEvaluate, opt.slope_budget_ps));
-        auto& slot = memo[it != step_slot.end()
-                              ? it->second
-                              : memo.find_or_build(arc, em.out_rise,
-                                                   netlist::Phase::kEvaluate,
-                                                   opt.slope_budget_ps,
-                                                   false)];
+        auto& slot = (*memo)[it != step_slot.end()
+                                 ? it->second
+                                 : memo->find_or_build(
+                                       arc, em.out_rise,
+                                       netlist::Phase::kEvaluate,
+                                       opt.slope_budget_ps, false)];
         std::string member;
         member.reserve(nl.net(arc.to).name.size() +
                        nl.net(arc.from).name.size() +
@@ -606,11 +600,21 @@ void build_problem(GeneratedProblem& gen, const Netlist& nl,
     tel.counter_add("core.congen.slope_bounds",
                     static_cast<double>(slope_bounds));
     tel.counter_add("core.congen.arc_models_built",
-                    static_cast<double>(memo.size()));
+                    static_cast<double>(memo->size()));
+  }
+  // The rows compile as they are added: add them once the arc models are
+  // freed, so the two never share the heap's peak.
+  memo.reset();
+  gen.path_constraint.assign(gen.paths.size(), 0);
+  for (uint32_t c = 0; c < class_delays.size(); ++c) {
+    for (auto& [stage, prefix] : class_delays[c].stage_prefixes)
+      add_path_bound(gen, c, stage, std::move(prefix));
+    add_path_bound(gen, c, 0, std::move(class_delays[c].total));
   }
 
   for (size_t c = 0; c < static_bounds.size(); ++c) {
-    // A constant bound is checked and dropped, and leaves no origin.
+    // A constant bound that holds everywhere is dropped and leaves no
+    // origin; one above 1 stays, for GPV104 to reject.
     const size_t index = gen.problem->constraints().size();
     gen.problem->add_constraint(std::move(static_bounds[c].lhs),
                                 std::move(static_bounds[c].tag));
@@ -644,30 +648,17 @@ void assemble_problem(GeneratedProblem& gen, double delay_spec_ps,
     gen.path_specs[pi] = spec;
   }
 
-  // A class's constraints normalized by its old spec s0 are normalized by
-  // the new one s1 once scaled by s0/s1; fresh from build_problem they are
-  // raw (spec 0) and scale by one over their limit.
-  std::vector<double> old_spec(gen.path_classes.size());
-  for (size_t c = 0; c < gen.path_classes.size(); ++c) {
-    PathClass& cls = gen.path_classes[c];
-    old_spec[c] = cls.spec;
+  for (PathClass& cls : gen.path_classes) {
     // Every member's T/s_i <= 1 holds exactly when T/min(s_i) <= 1.
     cls.spec = gen.path_specs[cls.paths.front()];
     for (const size_t pi : cls.paths)
       cls.spec = std::min(cls.spec, gen.path_specs[pi]);
-    // A constant bound holds at one spec and may not at a tighter one.
-    for (const auto& [stage, delay] : cls.constants)
-      gen.problem->add_constraint(
-          Posynomial(delay) * (1.0 / bound_limit(gen, cls, stage)),
-          path_tag(gen, stage, cls.paths.front()));
   }
   for (size_t j = 0; j < gen.origins.size(); ++j) {
     const ConstraintOrigin& o = gen.origins[j];
     if (o.kind == ConstraintOrigin::Kind::kStatic) continue;
-    const PathClass& cls = gen.path_classes[o.cls];
-    gen.problem->scale_constraint(
-        j, old_spec[o.cls] > 0.0 ? old_spec[o.cls] / cls.spec
-                                 : 1.0 / bound_limit(gen, cls, o.stage));
+    gen.problem->set_offset(
+        j, -std::log(bound_limit(gen, gen.path_classes[o.cls], o.stage)));
   }
 }
 
@@ -684,16 +675,7 @@ std::vector<std::string> constraint_members(const GeneratedProblem& gen,
 
 double path_model_delay(const GeneratedProblem& gen, size_t path,
                         const util::Vec& x) {
-  const size_t j = gen.path_constraint.at(path);
-  if (j != kNoConstraint)
-    return gen.problem->constraints()[j].lhs.eval(x) *
-           gen.path_classes[gen.origins[j].cls].spec;
-  // A constant delay emitted no constraint; its class keeps the value.
-  for (const auto& cls : gen.path_classes)
-    if (std::binary_search(cls.paths.begin(), cls.paths.end(), path))
-      for (const auto& [stage, delay] : cls.constants)
-        if (stage == 0) return delay;
-  return 0.0;
+  return gen.problem->constraints()[gen.path_constraint.at(path)].lhs.eval(x);
 }
 
 lint::Report verify_generated(const GeneratedProblem& gen,

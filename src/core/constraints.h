@@ -78,12 +78,9 @@ struct ConstraintOptions {
 /// once, at its smallest spec.
 struct PathClass {
   std::vector<size_t> paths;  ///< member paths, ascending; [0] emits
-  /// The smallest member spec (ps), which the class's constraints are
-  /// normalized by; 0 while build_problem() holds them raw.
+  /// The smallest member spec (ps): the limit of the class's end-to-end
+  /// row, and the base of its stage rows' limits.
   double spec = 0.0;
-  /// (stage k, or 0 end to end; delay in ps) of each bound whose delay is
-  /// constant: emitted as no constraint, checked at every new spec.
-  std::vector<std::pair<int, double>> constants;
 };
 
 /// A canonical static class: slope or input-cap constraints whose
@@ -100,9 +97,6 @@ struct ConstraintOrigin {
   uint32_t cls = 0;  ///< index into path_classes or static_classes
   int stage = 0;     ///< domino stage k of a kStage constraint
 };
-
-/// path_constraint entry of a path whose class emitted no constraint.
-inline constexpr size_t kNoConstraint = static_cast<size_t>(-1);
 
 /// A generated geometric program, owning its variable table. Movable; the
 /// GpProblem keeps a pointer to the VarTable held by unique_ptr.
@@ -132,9 +126,9 @@ struct GeneratedProblem {
   /// constraint stands for (see constraint_members()).
   std::vector<ConstraintOrigin> origins;
   /// Path i's end-to-end timing constraint is problem->constraints()
-  /// [path_constraint[i]], or kNoConstraint when its delay is constant.
-  /// Its tag is "eval_path<j>"/"pre_path<j>" where j is the first member
-  /// of i's class; stage constraints are "stage<k>_of_path<j>".
+  /// [path_constraint[i]], a row even when its delay is constant. Its tag
+  /// is "eval_path<j>"/"pre_path<j>" where j is the first member of i's
+  /// class; stage constraints are "stage<k>_of_path<j>".
   std::vector<size_t> path_constraint;
 };
 
@@ -151,10 +145,11 @@ lint::Report verify_generated(const GeneratedProblem& gen,
                               const lint::Options& options,
                               const std::string& name);
 
-/// Re-normalizes gen.problem for new delay/precharge specs by rescaling
-/// each timing constraint in place by (old class spec / new class spec):
-/// no extraction, no model evaluation, no new GpProblem. The slope budget,
-/// pruning and OTB stay those of the build (build_problem()).
+/// Moves gen.problem to new delay/precharge specs by writing each timing
+/// and stage row's offset, -log(limit): no extraction, no model
+/// evaluation, no new GpProblem, and the result is bit-identical to a
+/// build at these specs. The slope budget, pruning and OTB stay those of
+/// the build (build_problem()).
 void assemble_problem(GeneratedProblem& gen, double delay_spec_ps,
                       double precharge_spec_ps,
                       const std::vector<double>& output_required_ps,
@@ -174,8 +169,8 @@ GeneratedProblem generate_problem(const netlist::Netlist& nl,
                                   const models::ModelLibrary& lib,
                                   const tech::Tech& tech);
 
-/// Path `path`'s modeled delay (ps) at x: its class constraint's lhs times
-/// the class spec, or the class's constant delay when it emitted none.
+/// Path `path`'s modeled delay (ps) at x: its class's end-to-end row's
+/// lhs, the delay before the row's offset.
 double path_model_delay(const GeneratedProblem& gen, size_t path,
                         const util::Vec& x);
 

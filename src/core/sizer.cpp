@@ -158,12 +158,13 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
 
   // Every iteration that built or solved a problem leaves one record in
   // respec_trace, and the accepted record is the loop's outcome. Beside
-  // its index the loop keeps only what the record lacks, the sizing and
-  // the GP solve, and fills the result from them once, after the loop.
+  // its index the loop keeps only what the record lacks (the sizing, the
+  // GP solve, its binding tags) and fills the result once, after the loop.
   std::vector<RespecIteration> respec_trace;
   int accepted = -1;
   netlist::Sizing accepted_sizing;
   gp::GpResult accepted_sol;
+  std::vector<std::string> accepted_binding;
   // The last failure: why a loop that ends without a sizing has none.
   Status last_fail = Status::Fail(FailureReason::kInfeasible,
                                   "no feasible GP solve");
@@ -310,7 +311,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
     total_newton += sol.newton_iterations;
     RespecIteration rec = record(iter);
     rec.gp_status = sol.status;
-    rec.binding_count = sol.binding.size();
+    rec.binding_count = sol.diag.binding_set.size();
     if (sol.status == gp::SolveStatus::kInfeasible) {
       respec_trace.push_back(rec);
       // The model may overestimate delay (it is conservative); relax the
@@ -382,6 +383,9 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
         (!rec.meets && !best->meets && overshoot(rec) < overshoot(*best))) {
       accepted = static_cast<int>(respec_trace.size());
       accepted_sizing = std::move(sizing);
+      accepted_binding.clear();
+      for (const size_t j : sol.diag.binding_set)
+        accepted_binding.push_back(gen.problem->constraints()[j].tag);
       accepted_sol = std::move(sol);
     }
     respec_trace.push_back(rec);
@@ -449,7 +453,7 @@ SizerResult Sizer::size_gp(const netlist::Netlist& nl,
   r.modeled_cost = accepted_sol.objective;
   r.respec_iterations = rec.iter + 1;
   r.constraint_count = rec.constraint_count;
-  r.binding_constraints = accepted_sol.binding;
+  r.binding_constraints = std::move(accepted_binding);
   r.solution_x = accepted_sol.x;
 
   // Optional snapshot: the loop's own problem at the accepted record's

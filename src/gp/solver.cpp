@@ -9,7 +9,6 @@
 
 #include "obs/obs.h"
 #include "prof/resource.h"
-#include "util/check.h"
 #include "util/deadline.h"
 #include "util/fault.h"
 #include "util/strfmt.h"
@@ -43,151 +42,70 @@ constexpr size_t kWholeSolveRatio = 4;
 constexpr size_t kMinSeed = 8;
 constexpr double kAddLhs = 0.95;
 
-/// A compiled posynomial in the log domain:
-///   F(y) = log sum_k exp(logc_k + a_k . y)
-///
-/// Evaluation is support-local: gradients are produced on the function's
-/// own variable support, and Hessian entries go straight to the caller's
-/// global matrix, so the per-function cost is O(terms x factors^2), not
-/// O(n^2).
-struct Func {
-  struct Term {
-    double logc = 0.0;
-    /// (support-local index, exponent) pairs, ascending in variable
-    /// (Monomial keeps its factors sorted and distinct).
-    std::vector<std::pair<int, double>> factors;
-  };
-  std::vector<Term> terms;
-  std::vector<int> support;  ///< global var ids, ascending
+// A compiled row F(y) = offset + log sum_k exp(logc_k + a_k . y) (problem.h)
+// is evaluated support-local: gradients on the row's own variable support,
+// Hessian entries straight into the caller's global matrix, so a row costs
+// O(terms x factors^2), not O(n^2). The offset leaves its derivatives alone.
 
-  /// Fills z[k] = logc_k + a_k . y and returns max_k z[k].
-  double exponents(const Vec& y, std::vector<double>& z) const {
-    z.resize(terms.size());
-    double zmax = -std::numeric_limits<double>::infinity();
-    for (size_t k = 0; k < terms.size(); ++k) {
-      double zk = terms[k].logc;
-      for (const auto& [li, e] : terms[k].factors)
-        zk += e * y[static_cast<size_t>(support[static_cast<size_t>(li)])];
-      z[k] = zk;
-      zmax = std::max(zmax, zk);
-    }
-    return zmax;
+/// Fills z[k] = logc_k + a_k . y and returns max_k z[k].
+double exponents(const LogPosy& f, const Vec& y, std::vector<double>& z) {
+  z.resize(f.logc.size());
+  double zmax = -std::numeric_limits<double>::infinity();
+  for (size_t k = 0, q = 0; k < f.logc.size(); ++k) {
+    double zk = f.logc[k];
+    for (; q < f.ends[k]; ++q)
+      zk += f.factors[q].second * y[f.support[f.factors[q].first]];
+    z[k] = zk;
+    zmax = std::max(zmax, zk);
   }
-
-  /// F(y); `z` is a caller-owned buffer reused across calls (the per-call
-  /// vector churn dominated small-problem solve profiles).
-  double value_at(const Vec& y, std::vector<double>& z) const {
-    const double zmax = exponents(y, z);
-    return zmax + std::log(util::sum_exp_shifted(z.data(), zmax, z.size()));
-  }
-
-  /// F(y), leaving the softmax weights p_k in `p` and the gradient
-  /// g = sum_k p_k a_k on the support in `g`.
-  double value_grad(const Vec& y, std::vector<double>& p,
-                    std::vector<double>& g) const {
-    const double zmax = exponents(y, p);
-    const double denom =
-        util::exp_shifted(p.data(), zmax, p.data(), p.size());
-    g.assign(support.size(), 0.0);
-    for (size_t k = 0; k < terms.size(); ++k) {
-      p[k] /= denom;
-      for (const auto& [li, e] : terms[k].factors)
-        g[static_cast<size_t>(li)] += p[k] * e;
-    }
-    return zmax + std::log(denom);
-  }
-
-  /// hess += w * sum_k p_k a_k a_k^T + c * g g^T on the lower triangle of
-  /// the support block, with p and g from value_grad. F's own Hessian is
-  /// sum_k p_k a_k a_k^T - g g^T, so a barrier term folds its F''/u and
-  /// F' F'^T / u^2 parts into one (w, c) pair and one rank-1 pass.
-  void add_hessian(const std::vector<double>& p, const std::vector<double>& g,
-                   double w, double c, Matrix& hess) const {
-    for (size_t k = 0; k < terms.size(); ++k) {
-      const auto& fac = terms[k].factors;
-      const double wk = w * p[k];
-      for (size_t a = 0; a < fac.size(); ++a) {
-        const double wa = wk * fac[a].second;
-        const auto ga =
-            static_cast<size_t>(support[static_cast<size_t>(fac[a].first)]);
-        for (size_t b = 0; b <= a; ++b)
-          hess(ga, static_cast<size_t>(
-                       support[static_cast<size_t>(fac[b].first)])) +=
-              wa * fac[b].second;
-      }
-    }
-    for (size_t i = 0; i < support.size(); ++i) {
-      const double ci = c * g[i];
-      if (ci == 0.0) continue;
-      const auto gi = static_cast<size_t>(support[i]);
-      for (size_t j = 0; j <= i; ++j)
-        hess(gi, static_cast<size_t>(support[j])) += ci * g[j];
-    }
-  }
-};
-
-/// Compiles a posynomial into a Func over the global log-variables.
-Func compile(const posy::Posynomial& p) {
-  Func f;
-  std::vector<int>& support = f.support;
-  for (const auto& t : p.terms())
-    for (const auto& fac : t.factors()) support.push_back(fac.var);
-  std::sort(support.begin(), support.end());
-  support.erase(std::unique(support.begin(), support.end()), support.end());
-  auto local = [&](int var) {
-    return static_cast<int>(
-        std::lower_bound(support.begin(), support.end(), var) -
-        support.begin());
-  };
-  for (const auto& t : p.terms()) {
-    SMART_CHECK(t.coeff() > 0.0, "GP terms must have positive coefficients");
-    Func::Term ct;
-    ct.logc = std::log(t.coeff());
-    for (const auto& fac : t.factors())
-      ct.factors.emplace_back(local(fac.var), fac.exp);
-    f.terms.push_back(std::move(ct));
-  }
-  return f;
+  return zmax;
 }
 
-/// Validates problem data before any numerics touch it: every coefficient
-/// must be finite and positive, every exponent finite, the box non-empty.
-/// Returns the structured reason a solve cannot proceed, or Ok.
-Status validate_problem(const GpProblem& problem) {
-  if (problem.vars().size() == 0)
-    return Status::Fail(FailureReason::kInvalidInput, "GP has no variables");
-  if (problem.objective().is_zero())
-    return Status::Fail(FailureReason::kInvalidInput, "GP objective not set");
-  for (size_t i = 0; i < problem.vars().size(); ++i) {
-    const auto& info = problem.vars().info(static_cast<posy::VarId>(i));
-    if (!(info.lower > 0.0) || !std::isfinite(info.lower) ||
-        !std::isfinite(info.upper) || info.upper < info.lower * (1 - 1e-12))
-      return Status::Fail(
-          FailureReason::kInvalidInput,
-          util::strfmt("variable %s has empty or non-positive box",
-                       info.name.c_str()));
+/// F(y); `z` is a caller-owned buffer reused across calls (the per-call
+/// vector churn dominated small-problem solve profiles).
+double value_at(const LogPosy& f, const Vec& y, std::vector<double>& z) {
+  const double zmax = exponents(f, y, z);
+  return f.offset +
+         (zmax + std::log(util::sum_exp_shifted(z.data(), zmax, z.size())));
+}
+
+/// F(y), leaving the softmax weights p_k in `p` and the gradient
+/// g = sum_k p_k a_k on the support in `g`.
+double value_grad(const LogPosy& f, const Vec& y, std::vector<double>& p,
+                  std::vector<double>& g) {
+  const double zmax = exponents(f, y, p);
+  const double denom = util::exp_shifted(p.data(), zmax, p.data(), p.size());
+  g.assign(f.support.size(), 0.0);
+  for (size_t k = 0, q = 0; k < f.logc.size(); ++k) {
+    p[k] /= denom;
+    for (; q < f.ends[k]; ++q)
+      g[f.factors[q].first] += p[k] * f.factors[q].second;
   }
-  auto check_posy = [](const posy::Posynomial& p,
-                       const std::string& where) -> Status {
-    for (const auto& t : p.terms()) {
-      if (!std::isfinite(t.coeff()))
-        return Status::Fail(FailureReason::kNumericalError,
-                            "non-finite coefficient in " + where);
-      if (!(t.coeff() > 0.0))
-        return Status::Fail(FailureReason::kInvalidInput,
-                            "non-positive coefficient in " + where);
-      for (const auto& fac : t.factors())
-        if (!std::isfinite(fac.exp))
-          return Status::Fail(FailureReason::kNumericalError,
-                              "non-finite exponent in " + where);
+  return f.offset + (zmax + std::log(denom));
+}
+
+/// hess += w * sum_k p_k a_k a_k^T + c * g g^T on the lower triangle of
+/// the support block, with p and g from value_grad. F's own Hessian is
+/// sum_k p_k a_k a_k^T - g g^T, so a barrier term folds its F''/u and
+/// F' F'^T / u^2 parts into one (w, c) pair and one rank-1 pass.
+void add_hessian(const LogPosy& f, const std::vector<double>& p,
+                 const std::vector<double>& g, double w, double c,
+                 Matrix& hess) {
+  const auto& sup = f.support;
+  for (size_t k = 0, q = 0; k < f.logc.size(); q = f.ends[k++]) {
+    const double wk = w * p[k];
+    for (size_t a = q; a < f.ends[k]; ++a) {
+      const double wa = wk * f.factors[a].second;
+      const size_t ga = sup[f.factors[a].first];
+      for (size_t b = q; b <= a; ++b)
+        hess(ga, sup[f.factors[b].first]) += wa * f.factors[b].second;
     }
-    return Status::Ok();
-  };
-  if (auto s = check_posy(problem.objective(), "objective"); !s.ok())
-    return s;
-  for (const auto& c : problem.constraints())
-    if (auto s = check_posy(c.lhs, "constraint " + c.tag); !s.ok()) return s;
-  return Status::Ok();
+  }
+  for (size_t i = 0; i < sup.size(); ++i) {
+    const double ci = c * g[i];
+    if (ci == 0.0) continue;
+    for (size_t j = 0; j <= i; ++j) hess(sup[i], sup[j]) += ci * g[j];
+  }
 }
 
 /// One barrier problem over the working set. Non-owning: the compiled
@@ -196,9 +114,9 @@ Status validate_problem(const GpProblem& problem) {
 ///   phase I:  phi = t s - sum_{j in W} log(s - F_j(y)) - box terms, where
 ///             s = y[n] is an auxiliary last coordinate (objective null)
 struct BarrierProblem {
-  const std::vector<Func>* funcs = nullptr;      ///< every constraint
+  const std::vector<LogPosy>* funcs = nullptr;   ///< every constraint
   const std::vector<size_t>* active = nullptr;   ///< working set W
-  const Func* objective = nullptr;  ///< nullptr selects phase I
+  const LogPosy* objective = nullptr;  ///< nullptr selects phase I
   const Vec* ylo = nullptr;         ///< strict box bounds in log domain
   const Vec* yhi = nullptr;
 };
@@ -241,9 +159,9 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
     else
       s.hess.fill(0.0);
   }
-  auto add_grad = [&](const Func& f, double scale) {
+  auto add_grad = [&](const LogPosy& f, double scale) {
     for (size_t i = 0; i < f.support.size(); ++i)
-      s.grad[static_cast<size_t>(f.support[i])] += scale * s.g[i];
+      s.grad[f.support[i]] += scale * s.g[i];
   };
 
   double phi = 0.0;
@@ -251,11 +169,11 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
     phi = t * y[aux];
     if (derivs) s.grad[aux] += t;
   } else if (derivs) {
-    phi = t * bp.objective->value_grad(y, s.p, s.g);
+    phi = t * value_grad(*bp.objective, y, s.p, s.g);
     add_grad(*bp.objective, t);
-    bp.objective->add_hessian(s.p, s.g, t, -t, s.hess);
+    add_hessian(*bp.objective, s.p, s.g, t, -t, s.hess);
   } else {
-    phi = t * bp.objective->value_at(y, s.p);
+    phi = t * value_at(*bp.objective, y, s.p);
   }
 
   const auto& active = *bp.active;
@@ -264,8 +182,9 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
   const bool ratio = !derivs && s.slack.size() == m;
   s.min_slack_ratio = 1.0;
   for (size_t w = 0; w < m; ++w) {
-    const Func& fj = (*bp.funcs)[active[w]];
-    const double v = derivs ? fj.value_grad(y, s.p, s.g) : fj.value_at(y, s.p);
+    const LogPosy& fj = (*bp.funcs)[active[w]];
+    const double v =
+        derivs ? value_grad(fj, y, s.p, s.g) : value_at(fj, y, s.p);
     const double u = (phase1 ? y[aux] : 0.0) - v;  // slack, must stay > 0
     if (u <= 0.0 || !std::isfinite(u))
       return std::numeric_limits<double>::infinity();
@@ -280,11 +199,11 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
     const double inv_u = 1.0 / u;
     const double inv_u2 = inv_u * inv_u;
     add_grad(fj, inv_u);
-    fj.add_hessian(s.p, s.g, inv_u, inv_u2 - inv_u, s.hess);
+    add_hessian(fj, s.p, s.g, inv_u, inv_u2 - inv_u, s.hess);
     if (phase1) {
       s.grad[aux] -= inv_u;
       for (size_t i = 0; i < fj.support.size(); ++i)
-        s.hess(aux, static_cast<size_t>(fj.support[i])) -= inv_u2 * s.g[i];
+        s.hess(aux, fj.support[i]) -= inv_u2 * s.g[i];
       s.hess(aux, aux) += inv_u2;
     }
   }
@@ -427,8 +346,8 @@ FailureReason reason_of(SolveStatus s) {
 
 /// The fixed data of one solve, shared by its working-set rounds.
 struct CompiledGp {
-  std::vector<Func> constraints;
-  Func objective;
+  const std::vector<LogPosy>& constraints;
+  const LogPosy& objective;
   Vec ylo, yhi;  ///< log-domain box
 };
 
@@ -454,7 +373,7 @@ struct RoundOutcome {
 double max_constraint(const CompiledGp& gp, const std::vector<size_t>& set,
                       const Vec& yy, std::vector<double>& z) {
   double m = -std::numeric_limits<double>::infinity();
-  for (size_t j : set) m = std::max(m, gp.constraints[j].value_at(yy, z));
+  for (size_t j : set) m = std::max(m, value_at(gp.constraints[j], yy, z));
   return m;
 }
 
@@ -586,7 +505,7 @@ std::vector<size_t> seed_working_set(const CompiledGp& gp, const Vec& y0,
   if (m <= kWholeSolveRatio * n) return ws;
   std::vector<double> value(m);
   for (size_t j = 0; j < m; ++j) {
-    value[j] = gp.constraints[j].value_at(y0, z);
+    value[j] = value_at(gp.constraints[j], y0, z);
     // A NaN value orders as most violated (and keeps the order strict).
     if (std::isnan(value[j]))
       value[j] = std::numeric_limits<double>::infinity();
@@ -614,7 +533,7 @@ size_t grow_working_set(const CompiledGp& gp, const Vec& y,
       ++next;
       continue;
     }
-    if (!(gp.constraints[j].value_at(y, z) <= add_above)) ws.push_back(j);
+    if (!(value_at(gp.constraints[j], y, z) <= add_above)) ws.push_back(j);
   }
   std::inplace_merge(ws.begin(), ws.begin() + static_cast<long>(before),
                      ws.end());
@@ -691,13 +610,12 @@ GpResult finish(const GpProblem& problem, const CompiledGp& gp,
   double viol = 0.0;
   size_t next = 0;  // cursor into the ascending working set
   for (size_t j = 0; j < problem.constraints().size(); ++j) {
-    const auto& c = problem.constraints()[j];
     const bool in_ws = next < ws.size() && ws[next] == j;
     if (in_ws) ++next;
-    const double v = c.lhs.eval(out.x);
+    const double v = problem.constraints()[j].lhs.eval(out.x) *
+                     problem.scale(j);
     viol = std::max(viol, v - 1.0);
     ConstraintDiagnostics cd;
-    cd.tag = c.tag;
     cd.lhs = v;
     cd.slack = 1.0 - v;
     cd.log_slack =
@@ -705,11 +623,7 @@ GpResult finish(const GpProblem& problem, const CompiledGp& gp,
     if (optimal && in_ws && st.t_final > 0.0 && cd.log_slack > 0.0 &&
         std::isfinite(cd.log_slack))
       cd.dual = 1.0 / (st.t_final * cd.log_slack);
-    if (optimal && v >= 1.0 - kBindingTol) {
-      cd.binding = true;
-      out.diag.binding_set.push_back(j);
-      out.binding.push_back(c.tag);
-    }
+    if (optimal && v >= 1.0 - kBindingTol) out.diag.binding_set.push_back(j);
     out.diag.constraints.push_back(std::move(cd));
   }
   out.max_violation = viol;
@@ -777,39 +691,32 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
 
   // Reject malformed data up front; the fallback point is finite by
   // construction so downstream consumers never see NaN widths.
-  if (Status v = validate_problem(problem); !v.ok()) {
-    GpResult rejected =
-        failed_result(problem,
-                      v.reason == FailureReason::kNumericalError
-                          ? SolveStatus::kNumericalError
-                          : SolveStatus::kInvalidInput,
-                      v.detail);
-    record_solve(solve_span, rejected, 0);
-    return rejected;
-  }
-
-  CompiledGp gp;
-  gp.ylo.resize(n);
-  gp.yhi.resize(n);
-  for (size_t i = 0; i < n; ++i) {
+  Status why =
+      n == 0 ? Status::Fail(FailureReason::kInvalidInput, "GP has no variables")
+      : problem.objective().is_zero()
+          ? Status::Fail(FailureReason::kInvalidInput, "GP objective not set")
+          : problem.status();
+  CompiledGp gp{problem.compiled(), problem.compiled_objective(), Vec(n),
+                Vec(n)};
+  for (size_t i = 0; i < n && why.ok(); ++i) {
     const auto& info = vars.info(static_cast<posy::VarId>(i));
+    if (!(info.lower > 0.0) || !std::isfinite(info.lower) ||
+        !std::isfinite(info.upper) || info.upper < info.lower * (1 - 1e-12))
+      why = Status::Fail(FailureReason::kInvalidInput,
+                         "variable " + info.name +
+                             " has empty or non-positive box");
     gp.ylo[i] = std::log(info.lower);
     gp.yhi[i] = std::log(std::max(info.upper, info.lower));
   }
-  gp.constraints.reserve(problem.constraints().size());
-  for (const auto& c : problem.constraints())
-    gp.constraints.push_back(compile(c.lhs));
-  gp.objective = compile(problem.objective());
-  // Conditioning guardrail: shift the objective's log-coefficients so its
-  // largest term has logc 0 (equivalent to scaling the objective by a
-  // positive constant, which moves no argmin). Keeps t * f0 tame when cost
-  // coefficients are huge (e.g. power objectives in fF*V^2 units).
-  if (!gp.objective.terms.empty()) {
-    double logc_max = -std::numeric_limits<double>::infinity();
-    for (const auto& t : gp.objective.terms)
-      logc_max = std::max(logc_max, t.logc);
-    if (std::fabs(logc_max) > 30.0)
-      for (auto& t : gp.objective.terms) t.logc -= logc_max;
+  if (!why.ok()) {
+    GpResult rejected =
+        failed_result(problem,
+                      why.reason == FailureReason::kNumericalError
+                          ? SolveStatus::kNumericalError
+                          : SolveStatus::kInvalidInput,
+                      why.detail);
+    record_solve(solve_span, rejected, 0);
+    return rejected;
   }
 
   const Deadline deadline = Deadline::from_ms(options_.deadline_ms);

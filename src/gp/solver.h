@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file solver.h
-/// Interior-point solver for geometric programs. The GP is transformed to a
-/// convex program via y = log x (posynomials become log-sum-exp functions,
-/// paper refs [3][6][7]) and solved with a two-phase barrier Newton method:
+/// Interior-point solver for geometric programs. In y = log x the GP is a
+/// convex program (a GpProblem compiles each row to a log-sum-exp function
+/// when it is added, paper refs [3][6][7]; a solve reads the compiled rows
+/// at their current offsets) solved with a two-phase barrier Newton method:
 ///   phase I  — minimize a smoothed max of constraint functions until a
 ///              strictly feasible point is found;
 ///   phase II — standard log-barrier path following with damped Newton.
@@ -62,7 +63,8 @@ enum class SolveStatus {
 
 const char* to_string(SolveStatus status);
 
-/// Post-solve view of one constraint, evaluated at the returned point.
+/// Post-solve view of one constraint, evaluated at the returned point; its
+/// tag is the GpProblem's (constraints()[j].tag).
 /// `dual` is the log-barrier dual estimate lambda_j = 1 / (t_final * u_j)
 /// with u_j = -log lhs_j(x) the log-domain slack; by barrier
 /// complementarity lambda_j * u_j = 1/t_final, so at convergence the dual
@@ -70,12 +72,10 @@ const char* to_string(SolveStatus status);
 /// for kOptimal solves (phase II finished) and only on the working set;
 /// elsewhere they stay 0.
 struct ConstraintDiagnostics {
-  std::string tag;        ///< constraint tag from the GpProblem
   double lhs = 0.0;       ///< lhs(x), feasible iff <= 1
   double slack = 0.0;     ///< 1 - lhs(x)
   double log_slack = 0.0; ///< u_j = -log lhs(x)
   double dual = 0.0;      ///< barrier dual estimate (kOptimal only)
-  bool binding = false;   ///< lhs within 2% of 1 at an optimum
 };
 
 /// One barrier stage of the convergence trace. Phase I stages minimize the
@@ -96,7 +96,9 @@ struct StageTrace {
 struct SolveDiagnostics {
   /// Per-constraint view in GpProblem constraint order.
   std::vector<ConstraintDiagnostics> constraints;
-  /// Indices into `constraints` of the binding set (kOptimal solves).
+  /// Indices into `constraints` of the binding set (kOptimal solves): the
+  /// rows with lhs within 2% of 1 at the solution — the designer's answer
+  /// to "what is limiting this design".
   std::vector<size_t> binding_set;
   /// Barrier-stage convergence trace, across every working-set round.
   std::vector<StageTrace> trace;
@@ -128,9 +130,6 @@ struct GpResult {
   std::string message;
   /// Structured failure reason mirroring `status` (ok() iff kOptimal).
   util::Status diagnostics;
-  /// Tags of constraints active at the solution (lhs within 2% of 1) —
-  /// the designer's answer to "what is limiting this design".
-  std::vector<std::string> binding;
   /// Full introspection record (slacks, duals, convergence trace).
   SolveDiagnostics diag;
 
@@ -147,8 +146,8 @@ class GpSolver {
 
   /// Solves warm-started from `x0` (clipped into the variable box). When
   /// x0 is already strictly feasible — the common case in the sizer's
-  /// re-specification loop, where consecutive problems differ only in
-  /// their constraint scaling — phase I is skipped entirely. Never throws.
+  /// re-specification loop, where consecutive solves differ only in their
+  /// row offsets — phase I is skipped entirely. Never throws.
   GpResult solve_from(const GpProblem& problem, const util::Vec& x0) const;
 
  private:

@@ -154,7 +154,7 @@ lint::Report verify_problem(const GpProblem& problem,
     for (size_t c = 0; c < problem.constraints().size(); ++c) {
       if (!con_finite[c]) continue;
       const auto& con = problem.constraints()[c];
-      const double lo = interval_min(con.lhs, vars);
+      const double lo = interval_min(con.lhs, vars) * problem.scale(c);
       if (lo > 1.0 + 1e-9) {
         rep.add("GPV104", Severity::kError, name, "constraint " + con.tag,
                 strfmt("lhs >= %.4g everywhere in the variable box", lo) +

@@ -14,8 +14,8 @@
 ///              objective+constraint exponent matrix is negative)
 ///   * GPV103 — unused variables
 ///   * GPV104 — constraints infeasible everywhere in the variable box
-///              (interval lower bound of the lhs exceeds 1; subsumes
-///              trivially infeasible constant constraints)
+///              (interval lower bound of the row at its offset exceeds
+///              1; subsumes constant rows above 1)
 ///   * GPV105 — empty or non-positive variable boxes
 ///
 /// Used by the sizer as a cheap pre-solve gate; also reachable through

@@ -95,33 +95,35 @@ std::string edge_name(const netlist::Netlist& nl, netlist::NetId net,
 }
 
 /// Dual-weighted log-domain sensitivities: for binding constraint j with
-/// normalized lhs g_j and dual estimate lambda_j, the score of variable v
-/// is lambda_j * dlog g_j / dlog x_v (the softmax-weighted exponent of v
-/// in g_j). Positive => growing the device pushes g_j toward violation.
+/// lhs g_j (its posynomial at the row's scale) and dual estimate lambda_j,
+/// the score of variable v is lambda_j * dlog g_j / dlog x_v (the
+/// softmax-weighted exponent of v in g_j). Positive => growing the device
+/// pushes g_j toward violation.
 std::vector<LabelSensitivity> sensitivities(const netlist::Netlist& nl,
                                             const SolveSnapshot& snap) {
   const auto& gen = snap.gen;
   const auto& diag = snap.gp.diag;
   const auto& x = snap.gp.x;
-  const auto& constraints = gen.problem->constraints();
+  const gp::GpProblem& problem = *gen.problem;
+  const auto& constraints = problem.constraints();
 
   // Per-variable driver lists over the loose binding set (the solver's
   // designer-facing cut); dual weighting already discounts marginal members.
   std::unordered_map<int, std::vector<SensitivityDriver>> by_var;
-  const size_t nc = std::min(constraints.size(), diag.constraints.size());
-  for (size_t j = 0; j < nc; ++j) {
+  for (const size_t j : diag.binding_set) {
     const auto& cd = diag.constraints[j];
-    if (!cd.binding || cd.lhs <= 0.0) continue;
+    if (cd.lhs <= 0.0) continue;
+    const double scale = problem.scale(j);
     std::unordered_map<int, double> exps;
     for (const auto& term : constraints[j].lhs.terms()) {
-      const double val = term.eval(x);
+      const double val = term.eval(x) * scale;
       for (const auto& fac : term.factors())
         exps[fac.var] += val * fac.exp;
     }
     for (const auto& [var, weighted] : exps) {
       const double score = cd.dual * weighted / cd.lhs;
       if (score == 0.0) continue;
-      by_var[var].push_back({cd.tag, score});
+      by_var[var].push_back({constraints[j].tag, score});
     }
   }
 
@@ -210,8 +212,9 @@ ScopeReport build_report(const netlist::Netlist& nl,
       pr.model_delay_ps = core::path_model_delay(gen, pi, snap.gp.x);
       pr.model_slack_ps = pr.spec_ps - pr.model_delay_ps;
       if (gen.path_constraint[pi] < diag.constraints.size()) {
-        const auto& cd = diag.constraints[gen.path_constraint[pi]];
-        pr.constraint = cd.tag;
+        const size_t j = gen.path_constraint[pi];
+        const auto& cd = diag.constraints[j];
+        pr.constraint = gen.problem->constraints()[j].tag;
         pr.gp_slack = cd.slack;
         pr.gp_dual = cd.dual;
         pr.binding = std::fabs(cd.slack) <= kBindingSlackTol;
@@ -245,7 +248,8 @@ ScopeReport build_report(const netlist::Netlist& nl,
     for (size_t j = 0; j < diag.constraints.size(); ++j) {
       const auto& cd = diag.constraints[j];
       if (!(std::fabs(cd.slack) <= kBindingSlackTol)) continue;
-      report.binding.push_back({cd.tag, core::constraint_members(gen, j),
+      report.binding.push_back({gen.problem->constraints()[j].tag,
+                                core::constraint_members(gen, j),
                                 cd.lhs, cd.slack, cd.dual});
     }
     std::stable_sort(report.binding.begin(), report.binding.end(),

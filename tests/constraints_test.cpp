@@ -13,6 +13,7 @@
 
 #include "core/constraints.h"
 #include "gp/solver.h"
+#include "gp/verify.h"
 #include "helpers.h"
 #include "models/fitter.h"
 #include "obs/obs.h"
@@ -343,7 +344,8 @@ TEST_F(ConstraintsTest, CanonicalTimingConstraintsMatchPerPathConstraints) {
       double canonical = 0.0;
       for (size_t j = 0; j < cons.size(); ++j)
         if (gen.origins[j].kind == ConstraintOrigin::Kind::kPath)
-          canonical = std::max(canonical, cons[j].lhs.eval(x));
+          canonical = std::max(
+              canonical, cons[j].lhs.eval(x) * gen.problem->scale(j));
       EXPECT_NEAR(canonical, per_path, 1e-12 * per_path)
           << nl.name() << " trial " << trial;
     }
@@ -508,8 +510,10 @@ TEST_F(ConstraintsTest, MergedClassesKeepTheSmallestMemberSpec) {
   util::Vec at(gen.vars->size(), 2.0);
   const auto delays = path_delays(nl, gen, opt.slope_budget_ps);
   for (size_t pi = 0; pi < gen.paths.size(); ++pi) {
-    const auto& lhs = gen.problem->constraints()[gen.path_constraint[pi]].lhs;
-    EXPECT_NEAR(lhs.eval(at), delays[pi].eval(at) / 200.0, 1e-12);
+    const size_t j = gen.path_constraint[pi];
+    EXPECT_NEAR(gen.problem->constraints()[j].lhs.eval(at) *
+                    gen.problem->scale(j),
+                delays[pi].eval(at) / 200.0, 1e-12);
   }
 }
 
@@ -563,8 +567,46 @@ TEST_F(ConstraintsTest, PowerObjectiveMatchesCostPosyTermForTerm) {
   }
 }
 
+TEST_F(ConstraintsTest, OffsetMovedProblemIsBitIdenticalToAFreshBuild) {
+  // assemble_problem writes one offset per timing and stage row, so a
+  // problem moved through any sequence of specs is, bit for bit, the
+  // problem a build at the last of them gives, and a round trip back to
+  // the first spec restores it exactly. With OTB off the adder carries
+  // stage rows too.
+  core::MacroSpec inc;
+  inc.type = "incrementor";
+  inc.n = 27;
+  core::MacroSpec mux;
+  mux.type = "mux";
+  mux.n = 4;
+  const netlist::Netlist cases[] = {
+      adder64(), test::generate("incrementor", "ks_prefix", inc),
+      test::generate("mux", "strong_pass", mux)};
+  size_t stage_rows = 0;
+  for (const auto& nl : cases) {
+    for (const bool otb : {true, false}) {
+      ConstraintOptions opt = options(600.0);
+      opt.otb = otb;
+      opt.precharge_spec_ps = 450.0;
+      auto gen = generate_problem(nl, opt, lib_, tech_);
+      for (const auto& [spec, pre] :
+           {std::pair{517.3, 301.9}, std::pair{433.1, -1.0},
+            std::pair{600.0, 450.0}}) {
+        assemble_problem(gen, spec, pre, {}, nl);
+        opt.delay_spec_ps = spec;
+        opt.precharge_spec_ps = pre;
+        SCOPED_TRACE(nl.name() + util::strfmt(" otb=%d at %.1f ps", otb,
+                                              spec));
+        test::expect_same_problem(gen, generate_problem(nl, opt, lib_, tech_));
+      }
+      stage_rows += gen.stage_constraints;
+    }
+  }
+  EXPECT_GT(stage_rows, 0u);
+}
+
 TEST_F(ConstraintsTest, RescaledProblemEqualsAFreshBuildAtTheNewSpecs) {
-  // assemble_problem rescales the built constraints in place; the result
+  // assemble_problem moves the built rows' offsets in place; the result
   // is the problem a fresh build at the new specs gives, stage deadlines
   // (no OTB) and per-output required times included.
   core::MacroSpec cmp;
@@ -603,8 +645,9 @@ TEST_F(ConstraintsTest, RescaledProblemEqualsAFreshBuildAtTheNewSpecs) {
 
 TEST_F(ConstraintsTest, ConstantBoundsLeaveTheMemberMapAligned) {
   // Two independent chains: a -> b -> c with both labels fixed, whose
-  // delays and slopes are constants the GP drops, and d -> e free. No
-  // constraint may stand for a dropped class's members.
+  // delays are constant rows and whose slopes are constants the GP drops,
+  // and d -> e free. No constraint may stand for a dropped class's
+  // members.
   netlist::Netlist nl("fixed_and_free");
   const auto a = nl.add_net("a"), b = nl.add_net("b"), c = nl.add_net("c");
   const auto d = nl.add_net("d"), e = nl.add_net("e");
@@ -631,14 +674,12 @@ TEST_F(ConstraintsTest, ConstantBoundsLeaveTheMemberMapAligned) {
   for (size_t pi = 0; pi < gen.paths.size(); ++pi) {
     const std::string tag = util::strfmt("eval_path%zu", pi);
     if (gen.paths[pi].start == a) {
-      // The fixed chain: no constraint, and its constant delay.
-      EXPECT_EQ(gen.path_constraint[pi], kNoConstraint) << tag;
+      // The fixed chain: a row on its constant delay.
       ASSERT_TRUE(delays[pi].is_constant()) << tag;
       EXPECT_NEAR(path_model_delay(gen, pi, x1), delays[pi].constant_value(),
                   1e-12 * delays[pi].constant_value())
           << tag;
       ++fixed;
-      continue;
     }
     const size_t j = gen.path_constraint[pi];
     ASSERT_LT(j, cons.size()) << tag;
@@ -657,8 +698,11 @@ TEST_F(ConstraintsTest, ConstantBoundsLeaveTheMemberMapAligned) {
         << cons[j].tag << " stands for " << members.front();
   }
   // A constant bound is checked again at every new spec.
-  EXPECT_NO_THROW(assemble_problem(gen, 400.0, -1.0, {}, nl));
-  EXPECT_THROW(assemble_problem(gen, 1.0, -1.0, {}, nl), util::Error);
+  assemble_problem(gen, 400.0, -1.0, {}, nl);
+  EXPECT_TRUE(gp::verify_status(verify_generated(gen, {}, "fixed")).ok());
+  assemble_problem(gen, 1.0, -1.0, {}, nl);
+  EXPECT_EQ(gp::verify_status(verify_generated(gen, {}, "fixed")).reason,
+            util::FailureReason::kInfeasible);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <cmath>
 
 #include "gp/solver.h"
+#include "gp/verify.h"
+#include "obs/obs.h"
 #include "helpers.h"
 #include "util/rng.h"
 #include "util/strfmt.h"
@@ -21,11 +23,46 @@ using posy::VarTable;
 
 TEST(GpProblemTest, DropsTrivialAndRejectsImpossibleConstants) {
   VarTable vars;
-  vars.add("x");
+  const VarId x = vars.add("x");
   GpProblem p(vars);
+  p.set_objective(Posynomial::variable(x));
   p.add_constraint(Posynomial(0.5), "ok");
   EXPECT_TRUE(p.constraints().empty());
-  EXPECT_THROW(p.add_constraint(Posynomial(2.0), "bad"), util::Error);
+  // An impossible constant is a row, which GPV104 and the solve both
+  // report infeasible.
+  p.add_constraint(Posynomial(2.0), "bad");
+  ASSERT_EQ(p.constraints().size(), 1u);
+  EXPECT_EQ(verify_status(verify_problem(p)).reason,
+            util::FailureReason::kInfeasible);
+  EXPECT_EQ(GpSolver().solve(p).status, SolveStatus::kInfeasible);
+}
+
+TEST(GpProblemTest, RowsAreCompiledOncePerAddNotPerSolve) {
+  VarTable vars;
+  const VarId x = vars.add("x", 1e-3, 1e3);
+  const VarId y = vars.add("y", 1e-3, 1e3);
+  auto& tel = obs::Telemetry::instance();
+  tel.reset();
+  tel.enable(true);
+  GpProblem p(vars);
+  p.set_objective(Posynomial::variable(x) + Posynomial::variable(y));
+  p.add_constraint(
+      Posynomial(Monomial::variable(x, -1) * Monomial::variable(y, -1)),
+      "xy>=1");
+  p.add_row(Posynomial(Monomial(3.0) * Monomial::variable(x, -1)), "x>=3",
+            -std::log(2.0));
+  const double compiled = tel.counter("gp.compile.rows");
+  // Two solves and an offset write compile nothing more.
+  const GpResult a = GpSolver().solve(p);
+  p.set_offset(1, -std::log(3.0));
+  const GpResult b = GpSolver().solve_from(p, a.x);
+  tel.enable(false);
+  EXPECT_EQ(compiled, 3.0);  // the objective and two rows
+  EXPECT_EQ(tel.counter("gp.compile.rows"), compiled);
+  ASSERT_TRUE(a.ok()) << a.message;
+  ASSERT_TRUE(b.ok()) << b.message;
+  EXPECT_NEAR(a.x[0], 1.5, 1e-3);
+  EXPECT_NEAR(b.x[0], 1.0, 1e-3);
 }
 
 TEST(GpSolverTest, AnalyticOptimum) {
@@ -217,6 +254,57 @@ TEST(GpSolverProperty, RandomFeasibleProblems) {
   }
 }
 
+TEST(GpSolverTest, OffsetMovedSolveEqualsANormalizedBuild) {
+  // Rows kept raw, as a timing row keeps its delay in ps, and moved to
+  // their limits by an offset write solve like the same GP built with
+  // every row divided by its limit. 40 rows over 6 variables take the
+  // working-set path.
+  constexpr int kVars = 6;
+  constexpr int kRows = 40;
+  util::Rng rng(77);
+  for (int trial = 0; trial < 4; ++trial) {
+    VarTable vars;
+    for (int i = 0; i < kVars; ++i)
+      vars.add(util::strfmt("v%d", i), 1e-3, 1e3);
+    util::Vec feasible(kVars);
+    for (auto& v : feasible) v = rng.uniform(0.5, 5.0);
+    GpProblem moved(vars), normalized(vars);
+    Posynomial obj;
+    for (int i = 0; i < kVars; ++i)
+      obj += Monomial(rng.uniform(0.5, 2.0)) * Monomial::variable(i);
+    moved.set_objective(obj);
+    normalized.set_objective(obj);
+    for (int c = 0; c < kRows; ++c) {
+      Posynomial lhs;
+      for (int t = rng.uniform_int(1, 3); t > 0; --t) {
+        Monomial mono(rng.uniform(10.0, 200.0));
+        for (int i = 0; i < kVars; ++i)
+          mono.mul_var(i, static_cast<double>(rng.uniform_int(-2, 1)));
+        lhs += mono;
+      }
+      if (lhs.is_zero() || lhs.is_constant()) continue;
+      const double limit = lhs.eval(feasible) / rng.uniform(0.1, 1.0);
+      const std::string tag = util::strfmt("c%d", c);
+      // Built at twice the limit, then moved to it.
+      moved.set_offset(moved.add_row(lhs, tag, -std::log(2.0 * limit)),
+                       -std::log(limit));
+      normalized.add_constraint(lhs * (1.0 / limit), tag);
+    }
+    ASSERT_EQ(moved.constraints().size(), normalized.constraints().size());
+    ASSERT_GT(moved.constraints().size(), 4u * kVars);
+    const GpResult a = GpSolver().solve(moved);
+    const GpResult b = GpSolver().solve(normalized);
+    ASSERT_TRUE(b.ok()) << "trial " << trial << ": " << b.message;
+    ASSERT_EQ(a.status, b.status) << "trial " << trial << ": " << a.message;
+    EXPECT_EQ(a.newton_iterations, b.newton_iterations) << "trial " << trial;
+    EXPECT_EQ(a.diag.working_set, b.diag.working_set) << "trial " << trial;
+    EXPECT_EQ(a.diag.binding_set, b.diag.binding_set) << "trial " << trial;
+    for (size_t i = 0; i < a.x.size(); ++i)
+      EXPECT_NEAR(a.x[i], b.x[i], 1e-9 * b.x[i]) << "trial " << trial;
+    EXPECT_NEAR(a.objective, b.objective, 1e-9 * b.objective);
+  }
+}
+
 TEST(GpSolverTest, WarmStartFromOptimumIsCheap) {
   VarTable vars;
   const VarId x = vars.add("x", 1e-3, 1e3);
@@ -304,8 +392,8 @@ TEST(GpWorkingSetTest, ResolvesWithAConstraintTheSeedOmitted) {
   EXPECT_EQ(r.diag.ws_rounds, 2);
   EXPECT_EQ(r.diag.working_set.size(), 9u);
   EXPECT_EQ(r.diag.working_set.back(), 12u);  // x>=2
-  ASSERT_EQ(r.binding.size(), 1u);
-  EXPECT_EQ(r.binding[0], "x>=2");
+  ASSERT_EQ(r.diag.binding_set.size(), 1u);
+  EXPECT_EQ(p.constraints()[r.diag.binding_set[0]].tag, "x>=2");
   test::expect_working_set_certificate(r);
   // The duality gap counts the working set's barrier terms only.
   EXPECT_NEAR(r.diag.duality_gap, (9.0 + 2.0) / r.diag.final_t,
@@ -321,7 +409,8 @@ TEST(GpWorkingSetTest, InfeasibleRelaxationMeansInfeasibleGp) {
   const GpResult r = GpSolver().solve(p);
   EXPECT_EQ(r.status, SolveStatus::kInfeasible);
   EXPECT_EQ(r.diag.ws_rounds, 2);
-  for (const auto& c : r.diag.constraints) EXPECT_EQ(c.dual, 0.0) << c.tag;
+  for (size_t j = 0; j < r.diag.constraints.size(); ++j)
+    EXPECT_EQ(r.diag.constraints[j].dual, 0.0) << p.constraints()[j].tag;
 }
 
 TEST(GpWorkingSetTest, SmallProblemsSolveWholeInOneRound) {

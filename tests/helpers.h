@@ -86,16 +86,16 @@ inline void expect_working_set_certificate(const gp::GpResult& r) {
   for (size_t j = 0; j < in_ws.size(); ++j) {
     if (in_ws[j]) continue;
     const auto& c = r.diag.constraints[j];
-    EXPECT_LE(c.lhs, 0.95) << c.tag;
-    EXPECT_EQ(c.dual, 0.0) << c.tag;
+    EXPECT_LE(c.lhs, 0.95) << "constraint " << j;
+    EXPECT_EQ(c.dual, 0.0) << "constraint " << j;
   }
   for (size_t j : r.diag.binding_set)
-    EXPECT_TRUE(in_ws.at(j)) << r.diag.constraints[j].tag;
+    EXPECT_TRUE(in_ws.at(j)) << "constraint " << j;
 }
 
-/// `got` is `want` constraint by constraint: the same tags, origins and
-/// term structure, coefficients within 1e-12 relative, and the same
-/// classes, path map and objective.
+/// `got` is `want` constraint by constraint, bit for bit: the same tags,
+/// origins, terms and row offsets, and the same classes, path map and
+/// objective.
 inline void expect_same_problem(const core::GeneratedProblem& got,
                                 const core::GeneratedProblem& want) {
   const auto& gc = got.problem->constraints();
@@ -113,9 +113,9 @@ inline void expect_same_problem(const core::GeneratedProblem& got,
       const auto& a = gc[j].lhs.terms()[k];
       const auto& b = wc[j].lhs.terms()[k];
       EXPECT_TRUE(a.factors() == b.factors()) << gc[j].tag << " term " << k;
-      EXPECT_NEAR(a.coeff(), b.coeff(), 1e-12 * b.coeff())
-          << gc[j].tag << " term " << k;
+      EXPECT_EQ(a.coeff(), b.coeff()) << gc[j].tag << " term " << k;
     }
+    EXPECT_EQ(got.problem->offset(j), want.problem->offset(j)) << gc[j].tag;
   }
   EXPECT_EQ(got.path_constraint, want.path_constraint);
   EXPECT_EQ(got.path_specs, want.path_specs);

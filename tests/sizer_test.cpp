@@ -339,6 +339,52 @@ TEST_F(SizerTest, RequiredTimesOfTheWrongLengthAreInvalidInput) {
   EXPECT_EQ(r.gp_newton_iterations, 0);
 }
 
+TEST_F(SizerTest, ConstantBoundAboveItsLimitIsInfeasibleNotANumericalError) {
+  // A fixed two-inverter chain a -> b -> c (N = 1, P = 2) beside a free
+  // inverter d -> e, both into 10 fF. Its modeled delay is a constant about
+  // 1.1x of 40 ps: at 40 ps the build is rejected as infeasible (GPV104)
+  // and relaxed, and later respecs below that delay are certified
+  // infeasible by the solve. Either way the loop relaxes and the GP rung
+  // answers; at 60 ps it converges.
+  netlist::Netlist nl("fixed_chain");
+  const auto a = nl.add_net("a"), b = nl.add_net("b"), c = nl.add_net("c");
+  const auto d = nl.add_net("d"), e = nl.add_net("e");
+  const auto n1 = nl.add_label("N1"), p1 = nl.add_label("P1");
+  const auto n2 = nl.add_label("N2"), p2 = nl.add_label("P2");
+  nl.fix_label(n1, 1.0);
+  nl.fix_label(p1, 2.0);
+  nl.add_inverter("i0", a, b, n1, p1);
+  nl.add_inverter("i1", b, c, n1, p1);
+  nl.add_inverter("i2", d, e, n2, p2);
+  nl.add_input(a);
+  nl.add_input(d);
+  nl.add_output(c, 10.0);
+  nl.add_output(e, 10.0);
+  nl.finalize();
+  SizerOptions opt;
+  opt.delay_spec_ps = 40.0;
+  const auto tight = sizer_.size(nl, opt);
+  ASSERT_TRUE(tight.ok) << tight.message;
+  EXPECT_EQ(tight.rung, SizingRung::kGp) << tight.message;
+  EXPECT_NE(tight.status.reason, util::FailureReason::kNumericalError)
+      << tight.message;
+  bool infeasible = false;
+  for (const auto& it : tight.respec_trace) {
+    EXPECT_NE(it.gp_status, gp::SolveStatus::kNumericalError)
+        << "iter " << it.iter;
+    if (it.gp_status == gp::SolveStatus::kInfeasible) infeasible = true;
+  }
+  EXPECT_TRUE(infeasible);
+  ASSERT_FALSE(tight.respec_trace.empty());
+  EXPECT_TRUE(tight.respec_trace.front().rejected_pre_solve);
+
+  opt.delay_spec_ps = 60.0;
+  const auto loose = sizer_.size(nl, opt);
+  ASSERT_TRUE(loose.ok) << loose.message;
+  EXPECT_EQ(loose.rung, SizingRung::kGp);
+  EXPECT_TRUE(loose.converged()) << loose.message;
+}
+
 TEST_F(SizerTest, SnapshotAlignsWithSolveDiagnostics) {
   const auto nl = test::inverter_chain(3, 30.0);
   SizerOptions opt;
@@ -349,13 +395,18 @@ TEST_F(SizerTest, SnapshotAlignsWithSolveDiagnostics) {
   ASSERT_NE(r.snapshot, nullptr);
   const auto& snap = *r.snapshot;
 
-  // The regenerated problem matches the accepted solve's diagnostics
-  // constraint-for-constraint — the invariant scope's tag mapping rests on.
+  // The snapshot's problem matches the accepted solve's diagnostics
+  // constraint-for-constraint — the invariant scope's tag mapping rests on:
+  // the result's binding tags are the problem's tags at the binding set.
   ASSERT_NE(snap.gen.problem, nullptr);
   const auto& cons = snap.gen.problem->constraints();
   ASSERT_EQ(cons.size(), snap.gp.diag.constraints.size());
-  for (size_t j = 0; j < cons.size(); ++j)
-    EXPECT_EQ(cons[j].tag, snap.gp.diag.constraints[j].tag) << j;
+  ASSERT_EQ(r.binding_constraints.size(), snap.gp.diag.binding_set.size());
+  ASSERT_FALSE(r.binding_constraints.empty());
+  for (size_t i = 0; i < r.binding_constraints.size(); ++i)
+    EXPECT_EQ(r.binding_constraints[i],
+              cons.at(snap.gp.diag.binding_set[i]).tag)
+        << i;
 
   // Paths and specs ride along: every path in exactly one class, with its
   // own spec.
