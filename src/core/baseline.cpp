@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <ranges>
 
 #include "refsim/rc_timer.h"
 #include "util/check.h"
@@ -43,20 +43,8 @@ Sizing BaselineSizer::size(const Netlist& nl) const {
 
   // Reverse topological order of nets: sinks first, so every reader's gate
   // width is already set when its driver is sized from the measured load.
-  std::vector<int> indeg(nl.net_count(), 0);
-  for (const auto& a : nl.arcs()) indeg[static_cast<size_t>(a.to)]++;
-  std::vector<NetId> topo;
-  std::queue<NetId> ready;
-  for (size_t n = 0; n < nl.net_count(); ++n)
-    if (indeg[n] == 0) ready.push(static_cast<NetId>(n));
-  while (!ready.empty()) {
-    const NetId n = ready.front();
-    ready.pop();
-    topo.push_back(n);
-    for (const auto& a : nl.arcs_from(n))
-      if (--indeg[static_cast<size_t>(a.to)] == 0) ready.push(a.to);
-  }
-  std::reverse(topo.begin(), topo.end());
+  const netlist::LoadView& view = nl.load_view();
+  const auto sinks_first = std::views::reverse(view.topo_order());
 
   const refsim::RcTimer timer(t);
   const double tau = opt_.stage_delay_ps;
@@ -71,16 +59,14 @@ Sizing BaselineSizer::size(const Netlist& nl) const {
                              : std::max(label.w_min, w_floor);
     }
   const auto caps = timer.all_net_caps(nl, sizing);
-  for (const NetId n : topo) {
+  for (const NetId n : sinks_first) {
     for (const netlist::CompId c : nl.drivers_of(n)) {
       const auto& comp = nl.comp(c);
       const double load = caps[static_cast<size_t>(n)];
       if (const auto* g = comp.as_static()) {
-        const double d_pd = g->pulldown.max_depth();
-        const double d_pu = g->pulldown.dual().max_depth();
-        std::vector<std::pair<NetId, LabelId>> leaves;
-        g->pulldown.collect_leaves(leaves);
-        for (const auto& [in, label] : leaves)
+        const double d_pd = view.pulldown_depth(c);
+        const double d_pu = view.pullup_depth(c);
+        for (const LabelId label : view.leaves_of(c))
           bump(label, d_pd * t.r_nmos * load / tau * m);
         bump(g->pmos_label, d_pu * t.r_pmos * load / tau * m);
       } else if (const auto* tg = comp.as_transgate()) {
@@ -92,12 +78,9 @@ Sizing BaselineSizer::size(const Netlist& nl) const {
         bump(t3->pmos_label, 2.0 * t.r_pmos * load / tau * m);
       } else if (const auto* d = comp.as_domino()) {
         const bool footed = d->evaluate_label >= 0;
-        const double depth =
-            d->pulldown.max_depth() + (footed ? 1.0 : 0.0);
-        std::vector<std::pair<NetId, LabelId>> leaves;
-        d->pulldown.collect_leaves(leaves);
+        const double depth = view.pulldown_depth(c) + (footed ? 1.0 : 0.0);
         double w_leaf_max = 0.0;
-        for (const auto& [in, label] : leaves) {
+        for (const LabelId label : view.leaves_of(c)) {
           const double w_req = depth * t.r_nmos * load / tau * m;
           bump(label, w_req);
           w_leaf_max = std::max(

@@ -313,7 +313,7 @@ posy::Posynomial cost_posy(const Netlist& nl, CostMetric cost,
     case CostMetric::kTotalWidth: {
       for (size_t c = 0; c < nl.comp_count(); ++c) {
         for (const auto& ref :
-             nl.all_device_widths(static_cast<netlist::CompId>(c))) {
+             nl.load_view().devices_of(static_cast<netlist::CompId>(c))) {
           Monomial m = labels.at(static_cast<size_t>(ref.label));
           m *= ref.scale;
           obj.add(m);
@@ -329,10 +329,10 @@ posy::Posynomial cost_posy(const Netlist& nl, CostMetric cost,
         if (nl.net(static_cast<netlist::NetId>(n)).kind !=
             netlist::NetKind::kClock)
           continue;
-        for (size_t c = 0; c < nl.comp_count(); ++c) {
-          for (const auto& ref : nl.gate_width_on_net(
-                   static_cast<netlist::CompId>(c),
-                   static_cast<netlist::NetId>(n))) {
+        const netlist::LoadView& view = nl.load_view();
+        for (const auto& load :
+             view.loads_on(static_cast<netlist::NetId>(n))) {
+          for (const auto& ref : view.gate_refs(load)) {
             Monomial m = labels.at(static_cast<size_t>(ref.label));
             m *= ref.scale;
             obj.add(m);

@@ -35,7 +35,7 @@ std::string describe_solution(const netlist::Netlist& nl,
     std::map<netlist::LabelId, int> devices_per_label;
     for (size_t c = 0; c < nl.comp_count(); ++c)
       for (const auto& ref :
-           nl.all_device_widths(static_cast<netlist::CompId>(c)))
+           nl.load_view().devices_of(static_cast<netlist::CompId>(c)))
         devices_per_label[ref.label]++;
 
     util::Table table({"label", "width (um)", "devices", "fixed"});

@@ -91,37 +91,11 @@ SizerResult Sizer::measure(const netlist::Netlist& nl,
 
 std::vector<double> Sizer::input_caps(const netlist::Netlist& nl,
                                       const netlist::Sizing& sizing) const {
-  // One pass over the components, summing each input net's terms in
-  // RcTimer::net_cap's order (components ascending, gate before diffusion,
-  // then the fixed wire and port loads). Components that do not touch a
-  // net only add zeros there, so skipping them keeps the sums
-  // bit-identical to net_cap's.
-  const auto& t = *tech_;
-  std::vector<double> net_caps(nl.net_count(), 0.0);
-  std::vector<char> is_input(nl.net_count(), 0);
-  for (const auto& p : nl.inputs()) is_input[static_cast<size_t>(p.net)] = 1;
-  for (size_t c = 0; c < nl.comp_count(); ++c) {
-    const auto id = static_cast<netlist::CompId>(c);
-    for (const netlist::NetId n : nl.touched_nets(id)) {
-      const auto i = static_cast<size_t>(n);
-      if (!is_input[i]) continue;
-      net_caps[i] +=
-          t.c_gate * nl.resolve_width(nl.gate_width_on_net(id, n), sizing);
-      net_caps[i] +=
-          t.c_diff * nl.resolve_width(nl.diffusion_width_on_net(id, n), sizing);
-    }
-  }
+  const refsim::RcTimer timer(*tech_);
   std::vector<double> caps;
   caps.reserve(nl.inputs().size());
-  for (const auto& p : nl.inputs()) {
-    double cap = net_caps[static_cast<size_t>(p.net)];
-    cap += t.c_wire + nl.net(p.net).extra_wire_ff +
-           t.c_wire_per_fanout *
-               static_cast<double>(nl.arcs_from(p.net).size());
-    for (const auto& port : nl.outputs())
-      if (port.net == p.net) cap += port.load_ff;
-    caps.push_back(cap);
-  }
+  for (const auto& p : nl.inputs())
+    caps.push_back(timer.net_cap(nl, sizing, p.net));
   return caps;
 }
 

@@ -207,7 +207,8 @@ class Sizer {
 
   /// Capacitance presented at each input port under a sizing (fF), in
   /// Netlist::inputs() order — used to carry a baseline design's pin loads
-  /// into the SMART run as load constraints (drop-in replacement).
+  /// into the SMART run as load constraints (drop-in replacement). Each is
+  /// the reference timer's net_cap of the input net.
   std::vector<double> input_caps(const netlist::Netlist& nl,
                                  const netlist::Sizing& sizing) const;
 

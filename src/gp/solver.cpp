@@ -131,6 +131,12 @@ struct BarrierScratch {
   /// evaluation's slacks to them (the line search's trial point).
   std::vector<double> slack;
   double min_slack_ratio = 1.0;
+  /// Largest working-set row value F_j(y) at the last value-only
+  /// evaluation that stayed in the domain (the line search's trial point).
+  double max_row = -std::numeric_limits<double>::infinity();
+  /// Every barrier log argument of one evaluation: the slacks, then both
+  /// box sides of each coordinate.
+  std::vector<double> log_args;
   Vec grad;
   Matrix hess;  ///< lower triangle only; cholesky_solve reads no more
   Matrix chol;  ///< Cholesky factor of hess
@@ -146,7 +152,8 @@ using Deadline = util::Deadline;
 /// scratch.grad and the lower triangle of scratch.hess, straight from each
 /// function's terms, and records the constraint slacks; a value-only
 /// evaluation records in scratch.min_slack_ratio how far its slacks shrank
-/// relative to them.
+/// relative to them, and in scratch.max_row its largest row value. The
+/// barrier's logs are summed in one batched util::sum_log.
 double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
                     bool derivs, BarrierScratch& s) {
   const size_t n = y.size();
@@ -181,6 +188,8 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
   if (derivs) s.slack.resize(m);
   const bool ratio = !derivs && s.slack.size() == m;
   s.min_slack_ratio = 1.0;
+  s.log_args.resize(m + 2 * n);
+  double max_row = -std::numeric_limits<double>::infinity();
   for (size_t w = 0; w < m; ++w) {
     const LogPosy& fj = (*bp.funcs)[active[w]];
     const double v =
@@ -188,12 +197,15 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
     const double u = (phase1 ? y[aux] : 0.0) - v;  // slack, must stay > 0
     if (u <= 0.0 || !std::isfinite(u))
       return std::numeric_limits<double>::infinity();
+    s.log_args[w] = u;
     if (derivs)
       s.slack[w] = u;
     else if (ratio)
       s.min_slack_ratio = std::min(s.min_slack_ratio, u / s.slack[w]);
-    phi += -std::log(u);
-    if (!derivs) continue;
+    if (!derivs) {
+      max_row = std::max(max_row, v);
+      continue;
+    }
     // d(-log u) = F'/u ; d2 = F''/u + F' F'^T / u^2, where phase I's F'
     // carries an extra -1 on s.
     const double inv_u = 1.0 / u;
@@ -211,14 +223,18 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
   for (size_t i = 0; i < n; ++i) {
     const double a = y[i] - (*bp.ylo)[i];
     const double b = (*bp.yhi)[i] - y[i];
-    if (a <= 0.0 || b <= 0.0) return std::numeric_limits<double>::infinity();
-    phi += -std::log(a) - std::log(b);
+    // sum_log (built with -ffast-math) needs positive, finite arguments.
+    if (!(a > 0.0 && b > 0.0 && std::isfinite(a) && std::isfinite(b)))
+      return std::numeric_limits<double>::infinity();
+    s.log_args[m + 2 * i] = a;
+    s.log_args[m + 2 * i + 1] = b;
     if (derivs) {
       s.grad[i] += -1.0 / a + 1.0 / b;
       s.hess(i, i) += 1.0 / (a * a) + 1.0 / (b * b);
     }
   }
-  return phi;
+  if (!derivs) s.max_row = max_row;
+  return phi - util::sum_log(s.log_args.data(), s.log_args.size());
 }
 
 /// How a Newton minimization ended. kNonFinite covers both NaN/Inf in the
@@ -228,19 +244,22 @@ enum class NewtonFailure { kNone, kNonFinite, kTimeout };
 struct NewtonOutcome {
   int iterations = 0;
   bool converged = false;
+  bool exited_early = false;  ///< early_exit returned true
   NewtonFailure failure = NewtonFailure::kNone;
 };
 
 /// Damped Newton minimization of the barrier objective for fixed t.
-/// early_exit, when set, is checked after every accepted step and stops the
-/// minimization as soon as it returns true (used by phase I). `y` only ever
-/// moves to finite accepted points: a failed iteration leaves it at the
-/// last good iterate, so callers can always report a usable point.
+/// early_exit, when set, is checked after every accepted step with the
+/// largest working-set row value at the new point (which the line search
+/// has just evaluated) and stops the minimization as soon as it returns
+/// true (used by phase I). `y` only ever moves to finite accepted points: a
+/// failed iteration leaves it at the last good iterate, so callers can
+/// always report a usable point.
 NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
                               double tolerance, const Deadline& deadline,
                               BarrierScratch& scratch,
-                              const std::function<bool(const Vec&)>&
-                                  early_exit = {}) {
+                              const std::function<bool(double)>& early_exit =
+                                  {}) {
   const size_t n = y.size();
   NewtonOutcome out;
   if (util::fault_fires(util::FaultClass::kSolverExhaustIters, "gp.newton")) {
@@ -317,8 +336,9 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
       out.converged = true;  // cannot make progress; treat as stationary
       return out;
     }
-    if (early_exit && early_exit(y)) {
+    if (early_exit && early_exit(scratch.max_row)) {
       out.converged = true;
+      out.exited_early = true;
       return out;
     }
   }
@@ -407,15 +427,13 @@ RoundOutcome barrier_solve(const CompiledGp& gp,
     ys.push_back(s0);
     const double want = -2.0 * kFeasMargin;
     const double m1 = static_cast<double>(ws.size() + 2 * (n + 1));
-    auto feasible_now = [&](const Vec& yy) {
-      return max_constraint(gp, ws, yy, scratch.p) < want;
-    };
+    auto feasible = [&](double worst_row) { return worst_row < want; };
     double t = 1.0;
     NewtonFailure p1_failure = NewtonFailure::kNone;
     for (int stage = 0; stage < kMaxBarrierStages; ++stage) {
       ++st.stages;
       auto outcome = newton_minimize(p1, t, ys, options.tolerance, deadline,
-                                     scratch, feasible_now);
+                                     scratch, feasible);
       st.newton += outcome.iterations;
       st.trace.push_back({static_cast<int>(st.trace.size()), true, t,
                           outcome.iterations, outcome.converged, -1.0});
@@ -423,7 +441,9 @@ RoundOutcome barrier_solve(const CompiledGp& gp,
         p1_failure = outcome.failure;
         break;
       }
-      if (feasible_now(ys)) break;
+      if (outcome.exited_early ||
+          feasible(max_constraint(gp, ws, ys, scratch.p)))
+        break;
       // A centered phase-I point is within m/t of the least reachable s,
       // m counting every barrier term (the working set and both box sides
       // of y and s). Once s exceeds twice that gap, the least s is

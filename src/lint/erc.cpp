@@ -302,11 +302,9 @@ void component_rules(const Netlist& nl, Report& rep) {
   std::vector<char> used(nl.net_count(), 0);
   for (const auto& p : nl.inputs()) used[static_cast<size_t>(p.net)] = 1;
   for (const auto& p : nl.outputs()) used[static_cast<size_t>(p.net)] = 1;
-  for (size_t ci = 0; ci < nl.comp_count(); ++ci)
-    for (NetId n : nl.touched_nets(static_cast<CompId>(ci)))
-      used[static_cast<size_t>(n)] = 1;
   for (size_t n = 0; n < nl.net_count(); ++n) {
-    if (used[n]) continue;
+    if (used[n] || !nl.load_view().loads_on(static_cast<NetId>(n)).empty())
+      continue;
     rep.add("ERC012", Severity::kInfo, macro,
             nl.net(static_cast<NetId>(n)).name,
             "net is connected to nothing");

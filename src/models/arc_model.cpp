@@ -1,7 +1,8 @@
 #include "models/arc_model.h"
 
-#include <algorithm>
+#include <span>
 
+#include "refsim/rc_timer.h"
 #include "util/check.h"
 #include "util/fault.h"
 #include "util/strfmt.h"
@@ -10,7 +11,6 @@ namespace smart::models {
 
 using netlist::Arc;
 using netlist::ArcKind;
-using netlist::Component;
 using netlist::LabelId;
 using netlist::NetId;
 using netlist::Netlist;
@@ -66,8 +66,11 @@ LabelVarMap make_label_vars(const Netlist& nl, posy::VarTable& vars) {
 
 Posynomial net_cap_posy(const Netlist& nl, NetId n, const LabelVarMap& labels,
                         const tech::Tech& tech) {
+  // Each component's gate then diffusion references in component order,
+  // then the wire and port constant.
+  const netlist::LoadView& view = nl.load_view();
   Posynomial cap;
-  auto add_refs = [&](const std::vector<netlist::WidthRef>& refs,
+  auto add_refs = [&](std::span<const netlist::WidthRef> refs,
                       double per_um) {
     for (const auto& r : refs) {
       Monomial m = labels.at(static_cast<size_t>(r.label));
@@ -75,10 +78,9 @@ Posynomial net_cap_posy(const Netlist& nl, NetId n, const LabelVarMap& labels,
       cap += m;
     }
   };
-  for (size_t c = 0; c < nl.comp_count(); ++c) {
-    const auto id = static_cast<netlist::CompId>(c);
-    add_refs(nl.gate_width_on_net(id, n), tech.c_gate);
-    add_refs(nl.diffusion_width_on_net(id, n), tech.c_diff);
+  for (const auto& load : view.loads_on(n)) {
+    add_refs(view.gate_refs(load), tech.c_gate);
+    add_refs(view.diffusion_refs(load), tech.c_diff);
   }
   double fixed = tech.c_wire + nl.net(n).extra_wire_ff +
                  tech.c_wire_per_fanout *
@@ -92,139 +94,18 @@ Posynomial net_cap_posy(const Netlist& nl, NetId n, const LabelVarMap& labels,
 std::vector<Posynomial> net_cap_posy_all(const Netlist& nl,
                                          const LabelVarMap& labels,
                                          const tech::Tech& tech) {
-  const size_t n_nets = nl.net_count();
-  // Scatter pass: for each component (ascending, gate refs before diffusion
-  // refs — the same visit order net_cap_posy uses within one net), append
-  // its width refs to the nets it actually touches.
-  struct CapRef {
-    netlist::WidthRef ref;
-    double per_um;
-  };
-  std::vector<std::vector<CapRef>> refs(n_nets);
-  std::vector<NetId> gate_nets, diff_nets;
-  std::vector<std::pair<NetId, LabelId>> leaves;
-  auto push_unique = [](std::vector<NetId>& v, NetId n) {
-    if (n >= 0 && std::find(v.begin(), v.end(), n) == v.end())
-      v.push_back(n);
-  };
-  for (size_t c = 0; c < nl.comp_count(); ++c) {
-    const auto id = static_cast<netlist::CompId>(c);
-    const Component& comp = nl.comp(id);
-    gate_nets.clear();
-    diff_nets.clear();
-    if (const auto* g = comp.as_static()) {
-      leaves.clear();
-      g->pulldown.collect_leaves(leaves);
-      for (const auto& [in, label] : leaves) push_unique(gate_nets, in);
-      push_unique(diff_nets, comp.out);
-    } else if (const auto* t = comp.as_transgate()) {
-      push_unique(gate_nets, t->sel);
-      push_unique(diff_nets, comp.out);
-      push_unique(diff_nets, t->data);
-    } else if (const auto* t3 = comp.as_tristate()) {
-      push_unique(gate_nets, t3->data);
-      push_unique(gate_nets, t3->en);
-      push_unique(diff_nets, comp.out);
-    } else if (const auto* d = comp.as_domino()) {
-      leaves.clear();
-      d->pulldown.collect_leaves(leaves);
-      for (const auto& [in, label] : leaves) push_unique(gate_nets, in);
-      push_unique(gate_nets, d->clk);
-      push_unique(diff_nets, comp.out);
-    }
-    for (const NetId n : gate_nets)
-      for (const auto& r : nl.gate_width_on_net(id, n))
-        refs[static_cast<size_t>(n)].push_back(CapRef{r, tech.c_gate});
-    for (const NetId n : diff_nets)
-      for (const auto& r : nl.diffusion_width_on_net(id, n))
-        refs[static_cast<size_t>(n)].push_back(CapRef{r, tech.c_diff});
-  }
-  std::vector<Posynomial> caps(n_nets);
-  for (size_t n = 0; n < n_nets; ++n) {
-    Posynomial cap;
-    for (const auto& [r, per_um] : refs[n]) {
-      Monomial m = labels.at(static_cast<size_t>(r.label));
-      m *= r.scale * per_um;
-      cap += m;
-    }
-    const auto net = static_cast<NetId>(n);
-    double fixed = tech.c_wire + nl.net(net).extra_wire_ff +
-                   tech.c_wire_per_fanout *
-                       static_cast<double>(nl.arcs_from(net).size());
-    for (const auto& port : nl.outputs())
-      if (port.net == net) fixed += port.load_ff;
-    cap += Monomial(fixed);
-    caps[n] = std::move(cap);
-  }
+  std::vector<Posynomial> caps(nl.net_count());
+  for (size_t n = 0; n < caps.size(); ++n)
+    caps[n] = net_cap_posy(nl, static_cast<NetId>(n), labels, tech);
   return caps;
 }
 
 void arc_rc_path(const Netlist& nl, const Arc& arc, bool out_rising,
                  const tech::Tech& tech, std::vector<RcDevice>& out,
                  netlist::Phase phase) {
-  const Component& comp = nl.comp(arc.comp);
   out.clear();
-  // Reused per-thread scratch: paths are derived for every arc transition
-  // of the netlist, and the per-call vector churn showed up in
-  // constraint-generation profiles.
-  static thread_local std::vector<std::pair<NetId, LabelId>> stack_path;
-  stack_path.clear();
-
-  if (const auto* g = comp.as_static()) {
-    if (out_rising) {
-      // Every pull-up device shares one resistance and label, so only the
-      // worst dual-path length matters — computed without copying the tree.
-      const int len = g->pulldown.dual_worst_len_through(arc.from);
-      SMART_CHECK(len >= 0, "static arc input not in pull-up network");
-      out.assign(static_cast<size_t>(len), {tech.r_pmos, g->pmos_label});
-    } else {
-      const bool found = g->pulldown.worst_path_through(arc.from, stack_path);
-      SMART_CHECK(found, "static arc input not in pull-down network");
-      for (const auto& [net, label] : stack_path)
-        out.push_back({tech.r_nmos, label});
-    }
-    return;
-  }
-
-  if (const auto* tg = comp.as_transgate()) {
-    const double r_eff =
-        (tech.r_nmos * tech.r_pmos) / (tech.r_nmos + tech.r_pmos);
-    // Data and control arcs share the conduction RC; the control arc's
-    // local-inverter delay is near width-independent and is absorbed into
-    // the class's fitted intrinsic term.
-    out.push_back({r_eff, tg->label});
-    return;
-  }
-
-  if (const auto* t3 = comp.as_tristate()) {
-    const double r = out_rising ? tech.r_pmos : tech.r_nmos;
-    const LabelId w = out_rising ? t3->pmos_label : t3->nmos_label;
-    out.assign(2, {r, w});
-    return;
-  }
-
-  const auto* d = comp.as_domino();
-  SMART_CHECK(d != nullptr, "unknown component kind");
-
-  if (arc.kind == ArcKind::kDominoPrecharge ||
-      (phase == netlist::Phase::kPrecharge &&
-       arc.kind == ArcKind::kDominoEval)) {
-    // Precharge through P1 — including the unfooted reset ripple, where
-    // the gating event is the input falling but the RC is the precharge
-    // device charging the dynamic node.
-    out.push_back({tech.r_pmos, d->precharge_label});
-    return;
-  }
-
-  if (arc.kind == ArcKind::kDominoClkEval) {
-    stack_path = d->pulldown.worst_path();
-  } else {
-    const bool found = d->pulldown.worst_path_through(arc.from, stack_path);
-    SMART_CHECK(found, "domino arc input not in pull-down network");
-  }
-  for (const auto& [net, label] : stack_path)
-    out.push_back({tech.r_nmos, label});
-  if (d->evaluate_label >= 0) out.push_back({tech.r_nmos, d->evaluate_label});
+  for (const auto& d : nl.load_view().arc_path(arc, out_rising, phase))
+    out.push_back({refsim::device_r(tech, d.kind), d.label});
 }
 
 Posynomial rc_path_posy(const std::vector<RcDevice>& path,

@@ -87,11 +87,8 @@ posy::Posynomial net_cap_posy(const netlist::Netlist& nl, netlist::NetId n,
                               const LabelVarMap& labels,
                               const tech::Tech& tech);
 
-/// Capacitance posynomials of every net at once, bit-identical to calling
-/// net_cap_posy per net. One scatter pass over the components collects each
-/// net's width refs (instead of every net scanning every component), then
-/// the per-net posynomials build — O(total pins) rather than
-/// O(nets * components).
+/// net_cap_posy of every net. Both read each net's width refs from the
+/// netlist's load view, so a net costs O(its pins), not O(components).
 std::vector<posy::Posynomial> net_cap_posy_all(const netlist::Netlist& nl,
                                                const LabelVarMap& labels,
                                                const tech::Tech& tech);

@@ -1,7 +1,7 @@
 #include "netlist/netlist.h"
 
 #include <algorithm>
-#include <set>
+#include <type_traits>
 
 #include "util/check.h"
 #include "util/strfmt.h"
@@ -9,24 +9,6 @@
 namespace smart::netlist {
 
 namespace {
-
-/// Devices of a stack adjacent to the output node: for a series chain only
-/// the first (output-side) device touches the node, for parallel branches
-/// each branch's top devices do. Series children are ordered output-first.
-void collect_top_devices(const Stack& s,
-                         std::vector<std::pair<NetId, LabelId>>& out) {
-  switch (s.op()) {
-    case Stack::Op::kLeaf:
-      out.emplace_back(s.input(), s.label());
-      return;
-    case Stack::Op::kSeries:
-      collect_top_devices(s.children().front(), out);
-      return;
-    case Stack::Op::kParallel:
-      for (const auto& c : s.children()) collect_top_devices(c, out);
-      return;
-  }
-}
 
 std::vector<NetId> distinct_inputs(const Stack& s) {
   std::vector<std::pair<NetId, LabelId>> leaves;
@@ -212,6 +194,8 @@ void Netlist::build_arcs() {
   }
   arcs_into_.assign(nets_.size(), {});
   arcs_from_.assign(nets_.size(), {});
+  for (size_t i = 0; i < arcs_.size(); ++i)
+    arcs_[i].index = static_cast<int>(i);
   for (const Arc& a : arcs_) {
     arcs_into_[static_cast<size_t>(a.to)].push_back(a);
     arcs_from_[static_cast<size_t>(a.from)].push_back(a);
@@ -279,150 +263,13 @@ void Netlist::validate() const {
   }
 }
 
-std::vector<WidthRef> Netlist::gate_width_on_net(CompId c, NetId n) const {
-  std::vector<WidthRef> refs;
-  const Component& comp = comps_.at(static_cast<size_t>(c));
-  if (const auto* g = comp.as_static()) {
-    std::vector<std::pair<NetId, LabelId>> leaves;
-    g->pulldown.collect_leaves(leaves);
-    for (const auto& [in, label] : leaves) {
-      if (in != n) continue;
-      refs.push_back(WidthRef{label, 1.0, false});
-      refs.push_back(WidthRef{g->pmos_label, 1.0, true});  // dual PMOS
-    }
-  } else if (const auto* t = comp.as_transgate()) {
-    if (t->sel == n) {
-      refs.push_back(WidthRef{t->label, 1.0, false});  // NMOS pass gate
-      // Local select inverter input (N + P at the fixed ratio).
-      refs.push_back(WidthRef{t->label, TransGate::kLocalInvRatio, false});
-      refs.push_back(WidthRef{t->label, TransGate::kLocalInvRatio, true});
-    }
-    // data is a channel terminal: no gate capacitance.
-  } else if (const auto* t3 = comp.as_tristate()) {
-    if (t3->data == n) {
-      refs.push_back(WidthRef{t3->nmos_label, 1.0, false});
-      refs.push_back(WidthRef{t3->pmos_label, 1.0, true});
-    }
-    if (t3->en == n) {
-      refs.push_back(WidthRef{t3->nmos_label, 1.0, false});  // outer NMOS
-      refs.push_back(WidthRef{t3->nmos_label, Tristate::kLocalInvRatio, false});
-      refs.push_back(WidthRef{t3->pmos_label, Tristate::kLocalInvRatio, true});
-    }
-  } else if (const auto* d = comp.as_domino()) {
-    std::vector<std::pair<NetId, LabelId>> leaves;
-    d->pulldown.collect_leaves(leaves);
-    for (const auto& [in, label] : leaves)
-      if (in == n) refs.push_back(WidthRef{label, 1.0, false});
-    if (d->clk == n) {
-      refs.push_back(WidthRef{d->precharge_label, 1.0, true});
-      if (d->evaluate_label >= 0)
-        refs.push_back(WidthRef{d->evaluate_label, 1.0, false});
-    }
-  }
-  return refs;
-}
-
-std::vector<WidthRef> Netlist::diffusion_width_on_net(CompId c,
-                                                      NetId n) const {
-  std::vector<WidthRef> refs;
-  const Component& comp = comps_.at(static_cast<size_t>(c));
-  if (const auto* g = comp.as_static()) {
-    if (comp.out == n) {
-      std::vector<std::pair<NetId, LabelId>> tops;
-      collect_top_devices(g->pulldown, tops);
-      for (const auto& [in, label] : tops)
-        refs.push_back(WidthRef{label, 1.0, false});
-      std::vector<std::pair<NetId, LabelId>> dual_tops;
-      collect_top_devices(g->pulldown.dual(), dual_tops);
-      for (size_t k = 0; k < dual_tops.size(); ++k)
-        refs.push_back(WidthRef{g->pmos_label, 1.0, true});
-    }
-  } else if (const auto* t = comp.as_transgate()) {
-    if (comp.out == n || t->data == n) {
-      refs.push_back(WidthRef{t->label, 1.0, false});
-      refs.push_back(WidthRef{t->label, 1.0, true});
-    }
-  } else if (const auto* t3 = comp.as_tristate()) {
-    if (comp.out == n) {
-      refs.push_back(WidthRef{t3->nmos_label, 1.0, false});
-      refs.push_back(WidthRef{t3->pmos_label, 1.0, true});
-    }
-  } else if (const auto* d = comp.as_domino()) {
-    if (comp.out == n) {
-      refs.push_back(
-          WidthRef{d->precharge_label, 1.0 + d->keeper_ratio, true});
-      std::vector<std::pair<NetId, LabelId>> tops;
-      collect_top_devices(d->pulldown, tops);
-      for (const auto& [in, label] : tops)
-        refs.push_back(WidthRef{label, 1.0, false});
-    }
-  }
-  return refs;
-}
-
-std::vector<WidthRef> Netlist::all_device_widths(CompId c) const {
-  std::vector<WidthRef> refs;
-  const Component& comp = comps_.at(static_cast<size_t>(c));
-  if (const auto* g = comp.as_static()) {
-    std::vector<std::pair<NetId, LabelId>> leaves;
-    g->pulldown.collect_leaves(leaves);
-    for (const auto& [in, label] : leaves) {
-      refs.push_back(WidthRef{label, 1.0, false});
-      refs.push_back(WidthRef{g->pmos_label, 1.0, true});
-    }
-  } else if (const auto* t = comp.as_transgate()) {
-    refs.push_back(WidthRef{t->label, 1.0, false});
-    refs.push_back(WidthRef{t->label, 1.0, true});
-    refs.push_back(WidthRef{t->label, TransGate::kLocalInvRatio, false});
-    refs.push_back(WidthRef{t->label, TransGate::kLocalInvRatio, true});
-  } else if (const auto* t3 = comp.as_tristate()) {
-    refs.push_back(WidthRef{t3->nmos_label, 1.0, false});
-    refs.push_back(WidthRef{t3->nmos_label, 1.0, false});
-    refs.push_back(WidthRef{t3->pmos_label, 1.0, true});
-    refs.push_back(WidthRef{t3->pmos_label, 1.0, true});
-    refs.push_back(WidthRef{t3->nmos_label, Tristate::kLocalInvRatio, false});
-    refs.push_back(WidthRef{t3->pmos_label, Tristate::kLocalInvRatio, true});
-  } else if (const auto* d = comp.as_domino()) {
-    std::vector<std::pair<NetId, LabelId>> leaves;
-    d->pulldown.collect_leaves(leaves);
-    for (const auto& [in, label] : leaves)
-      refs.push_back(WidthRef{label, 1.0, false});
-    refs.push_back(WidthRef{d->precharge_label, 1.0, true});
-    refs.push_back(WidthRef{d->precharge_label, d->keeper_ratio, true});
-    if (d->evaluate_label >= 0)
-      refs.push_back(WidthRef{d->evaluate_label, 1.0, false});
-  }
-  return refs;
-}
-
-std::vector<NetId> Netlist::touched_nets(CompId c) const {
-  const Component& comp = comps_.at(static_cast<size_t>(c));
-  std::vector<NetId> nets;
-  nets.push_back(comp.out);
-  if (const auto* g = comp.as_static()) {
-    for (NetId n : distinct_inputs(g->pulldown)) nets.push_back(n);
-  } else if (const auto* t = comp.as_transgate()) {
-    nets.push_back(t->data);
-    nets.push_back(t->sel);
-  } else if (const auto* t3 = comp.as_tristate()) {
-    nets.push_back(t3->data);
-    nets.push_back(t3->en);
-  } else if (const auto* d = comp.as_domino()) {
-    for (NetId n : distinct_inputs(d->pulldown)) nets.push_back(n);
-    nets.push_back(d->clk);
-  }
-  std::sort(nets.begin(), nets.end());
-  nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-  return nets;
-}
-
 double Netlist::label_width(LabelId id, const Sizing& sizing) const {
   const auto& l = labels_.at(static_cast<size_t>(id));
   if (l.fixed) return l.fixed_width;
   return sizing.at(static_cast<size_t>(id));
 }
 
-double Netlist::resolve_width(const std::vector<WidthRef>& refs,
+double Netlist::resolve_width(std::span<const WidthRef> refs,
                               const Sizing& sizing) const {
   double w = 0.0;
   for (const auto& r : refs) w += r.scale * label_width(r.label, sizing);
@@ -430,21 +277,60 @@ double Netlist::resolve_width(const std::vector<WidthRef>& refs,
 }
 
 DeviceStats Netlist::device_stats(const Sizing& sizing) const {
+  const LoadView& view = load_view();
   DeviceStats stats;
   for (size_t c = 0; c < comps_.size(); ++c) {
-    const auto refs = all_device_widths(static_cast<CompId>(c));
+    const auto refs = view.devices_of(static_cast<CompId>(c));
     stats.device_count += static_cast<int>(refs.size());
     stats.total_width += resolve_width(refs, sizing);
   }
   for (size_t n = 0; n < nets_.size(); ++n) {
     if (nets_[n].kind != NetKind::kClock) continue;
-    for (size_t c = 0; c < comps_.size(); ++c) {
-      const auto refs =
-          gate_width_on_net(static_cast<CompId>(c), static_cast<NetId>(n));
-      stats.clock_gate_width += resolve_width(refs, sizing);
-    }
+    for (const auto& load : view.loads_on(static_cast<NetId>(n)))
+      stats.clock_gate_width += resolve_width(view.gate_refs(load), sizing);
   }
   return stats;
+}
+
+// Containers of netlists (macro pools, composed blocks) must move them when
+// they grow, not copy every component.
+static_assert(std::is_nothrow_move_constructible_v<Netlist>);
+
+const LoadView& Netlist::load_view() const {
+  SMART_CHECK(finalized_, "netlist not finalized");
+  return view_.get(*this);
+}
+
+Netlist::ViewSlot& Netlist::ViewSlot::operator=(const ViewSlot& other) {
+  if (this == &other) return *this;
+  auto view = other.shared();
+  const std::lock_guard<std::mutex> lock(mu_);
+  view_ = std::move(view);
+  ready_.store(view_.get());
+  return *this;
+}
+
+Netlist::ViewSlot& Netlist::ViewSlot::operator=(ViewSlot&& other) noexcept {
+  if (this == &other) return *this;
+  view_ = std::move(other.view_);
+  ready_.store(view_.get());
+  other.ready_.store(nullptr);
+  return *this;
+}
+
+std::shared_ptr<const LoadView> Netlist::ViewSlot::shared() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return view_;
+}
+
+const LoadView& Netlist::ViewSlot::get(const Netlist& nl) const {
+  if (const LoadView* v = ready_.load()) return *v;
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (!view_) {
+    view_ = std::make_shared<const LoadView>(nl);
+    ready_.store(view_.get());
+  }
+  return *view_;
 }
 
 Sizing Netlist::min_sizing() const {

@@ -7,11 +7,22 @@
 /// layout regularity a designer plans into the schematic. Supports the
 /// circuit families the paper's macros use: static CMOS, pass-gate,
 /// tri-state, and domino (footed D1 / unfooted D2).
+///
+/// A netlist is built, then finalize()d, after which its structure is
+/// fixed. Readers that need its load structure (which widths load which
+/// net, the device path of an arc) read the compiled LoadView of
+/// load_view.h, which the netlist builds once on first use; label widths,
+/// route capacitance and port loads stay editable and are read live.
 
+#include <atomic>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "netlist/load_view.h"
 #include "netlist/stack.h"
 
 namespace smart::netlist {
@@ -132,6 +143,7 @@ struct Arc {
   NetId to = -1;
   CompId comp = -1;
   ArcKind kind = ArcKind::kStaticData;
+  int index = -1;  ///< position in Netlist::arcs()
 };
 
 /// Operating phase of the circuit: normal evaluation vs domino precharge.
@@ -149,13 +161,6 @@ struct EdgeMap {
 /// the precharge phase, unfooted (D2) stages wait for their inputs to reset.
 void arc_edge_maps(ArcKind kind, Phase phase, bool domino_footed,
                    std::vector<EdgeMap>& out);
-
-/// Scaled reference to a size label: width = scale * sizing[label].
-struct WidthRef {
-  LabelId label = -1;
-  double scale = 1.0;
-  bool is_pmos = false;
-};
 
 // ---------- the netlist ----------
 
@@ -231,22 +236,18 @@ class Netlist {
   const std::vector<Arc>& arcs_from(NetId net) const;
 
   // --- accounting ---
-  /// Gate-capacitance width contributions of component `c` on net `n`
-  /// (which devices' gates hang on n, as label references).
-  std::vector<WidthRef> gate_width_on_net(CompId c, NetId n) const;
-  /// Diffusion (channel) width contributions of component `c` on net `n`.
-  std::vector<WidthRef> diffusion_width_on_net(CompId c, NetId n) const;
-  /// All devices of component `c` as width references (for area/power).
-  std::vector<WidthRef> all_device_widths(CompId c) const;
-
-  /// The distinct nets a component touches (inputs, output, clock) — the
-  /// only nets on which its gate/diffusion accounting can be nonzero.
-  std::vector<NetId> touched_nets(CompId c) const;
+  /// The compiled load structure (load_view.h): which labels load which
+  /// net, every arc transition's device path, the topological order. Built
+  /// on the first call after finalize(), once even when threads race to
+  /// it, and shared by copies of this netlist (its structure cannot change
+  /// after finalize()).
+  const LoadView& load_view() const;
 
   DeviceStats device_stats(const Sizing& sizing) const;
 
-  /// Resolves a width reference list to a numeric width (um).
-  double resolve_width(const std::vector<WidthRef>& refs,
+  /// Resolves a width reference list to a numeric width (um), summing the
+  /// references in order from 0.0.
+  double resolve_width(std::span<const WidthRef> refs,
                        const Sizing& sizing) const;
   /// Width of one label under a sizing, honoring fixed labels.
   double label_width(LabelId id, const Sizing& sizing) const;
@@ -270,6 +271,32 @@ class Netlist {
   std::vector<Arc> arcs_;
   std::vector<std::vector<Arc>> arcs_into_;    // by net
   std::vector<std::vector<Arc>> arcs_from_;    // by net
+
+  /// Holder of the lazily built load view. Copying it shares the built
+  /// view (never the lock); readers after the first take no lock. Moves
+  /// are noexcept so that containers move netlists instead of copying.
+  class ViewSlot {
+   public:
+    ViewSlot() = default;
+    ViewSlot(const ViewSlot& other) : view_(other.shared()) {
+      ready_.store(view_.get());
+    }
+    ViewSlot(ViewSlot&& other) noexcept : view_(std::move(other.view_)) {
+      ready_.store(view_.get());
+      other.ready_.store(nullptr);
+    }
+    ViewSlot& operator=(const ViewSlot& other);
+    ViewSlot& operator=(ViewSlot&& other) noexcept;
+    const LoadView& get(const Netlist& nl) const;
+
+   private:
+    std::shared_ptr<const LoadView> shared() const;
+
+    mutable std::mutex mu_;
+    mutable std::shared_ptr<const LoadView> view_;
+    mutable std::atomic<const LoadView*> ready_{nullptr};
+  };
+  ViewSlot view_;
 };
 
 /// arc_edge_maps for an arc of `nl`: a domino arc is footed iff its gate

@@ -1,7 +1,5 @@
 #include "power/power.h"
 
-#include <queue>
-
 #include "refsim/rc_timer.h"
 #include "util/check.h"
 
@@ -23,19 +21,15 @@ std::vector<double> net_activities(const Netlist& nl,
       domino_domain[static_cast<size_t>(comp.out)] = true;
   }
   // Forward closure: a net driven by a component reading a domino-domain
-  // net toggles at the domino rate too (e.g. the output inverter).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& arc : nl.arcs()) {
+  // net toggles at the domino rate too (e.g. the output inverter). In
+  // topological order every source is final before its readers.
+  for (const NetId n : nl.load_view().topo_order()) {
+    for (const auto& arc : nl.arcs_into(n)) {
       if (arc.kind == netlist::ArcKind::kDominoPrecharge ||
           arc.kind == netlist::ArcKind::kDominoClkEval)
         continue;
-      if (domino_domain[static_cast<size_t>(arc.from)] &&
-          !domino_domain[static_cast<size_t>(arc.to)]) {
-        domino_domain[static_cast<size_t>(arc.to)] = true;
-        changed = true;
-      }
+      if (domino_domain[static_cast<size_t>(arc.from)])
+        domino_domain[static_cast<size_t>(n)] = true;
     }
   }
   for (size_t n = 0; n < nl.net_count(); ++n) {

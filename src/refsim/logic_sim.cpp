@@ -1,7 +1,5 @@
 #include "refsim/logic_sim.h"
 
-#include <queue>
-
 #include "util/check.h"
 
 namespace smart::refsim {
@@ -51,19 +49,6 @@ Logic resolve(Logic a, Logic b) {
 
 LogicSim::LogicSim(const Netlist& nl) : nl_(&nl) {
   SMART_CHECK(nl.finalized(), "netlist must be finalized");
-  std::vector<int> indeg(nl.net_count(), 0);
-  for (const auto& a : nl.arcs()) indeg[static_cast<size_t>(a.to)]++;
-  std::queue<NetId> ready;
-  for (size_t n = 0; n < nl.net_count(); ++n)
-    if (indeg[n] == 0) ready.push(static_cast<NetId>(n));
-  while (!ready.empty()) {
-    const NetId n = ready.front();
-    ready.pop();
-    topo_.push_back(n);
-    for (const auto& a : nl.arcs_from(n))
-      if (--indeg[static_cast<size_t>(a.to)] == 0) ready.push(a.to);
-  }
-  SMART_CHECK(topo_.size() == nl.net_count(), "netlist contains a cycle");
 }
 
 std::vector<Logic> LogicSim::evaluate(
@@ -77,7 +62,7 @@ std::vector<Logic> LogicSim::evaluate(
   for (const auto& [net, value] : inputs)
     state.at(static_cast<size_t>(net)) = from_bool(value);
 
-  for (const NetId n : topo_) {
+  for (const NetId n : nl.load_view().topo_order()) {
     const auto& drivers = nl.drivers_of(n);
     if (drivers.empty()) continue;  // primary input or clock
     Logic out = Logic::kZ;

@@ -45,7 +45,6 @@ class LogicSim {
 
  private:
   const netlist::Netlist* nl_;
-  std::vector<netlist::NetId> topo_;  ///< nets in topological order
 };
 
 }  // namespace smart::refsim

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "util/check.h"
 #include "util/fault.h"
@@ -32,7 +31,7 @@ double NetTiming::worst_arrival() const {
 }
 
 EdgeDelay RcTimer::elmore(
-    const std::vector<std::pair<double, double>>& r_and_w_from_out,
+    std::span<const std::pair<double, double>> r_and_w_from_out,
     double c_out, double in_slope) const {
   const auto& t = *tech_;
   const size_t depth = r_and_w_from_out.size();
@@ -71,12 +70,11 @@ EdgeDelay RcTimer::elmore(
 double RcTimer::net_cap(const Netlist& nl, const Sizing& sizing,
                         NetId n) const {
   const auto& t = *tech_;
+  const netlist::LoadView& view = nl.load_view();
   double cap = 0.0;
-  for (size_t c = 0; c < nl.comp_count(); ++c) {
-    const auto id = static_cast<netlist::CompId>(c);
-    cap += t.c_gate * nl.resolve_width(nl.gate_width_on_net(id, n), sizing);
-    cap += t.c_diff *
-           nl.resolve_width(nl.diffusion_width_on_net(id, n), sizing);
+  for (const auto& load : view.loads_on(n)) {
+    cap += t.c_gate * nl.resolve_width(view.gate_refs(load), sizing);
+    cap += t.c_diff * nl.resolve_width(view.diffusion_refs(load), sizing);
   }
   cap += t.c_wire + nl.net(n).extra_wire_ff +
          t.c_wire_per_fanout * static_cast<double>(nl.arcs_from(n).size());
@@ -88,6 +86,7 @@ double RcTimer::net_cap(const Netlist& nl, const Sizing& sizing,
 std::vector<double> RcTimer::all_net_caps(const Netlist& nl,
                                            const Sizing& sizing) const {
   const auto& t = *tech_;
+  const netlist::LoadView& view = nl.load_view();
   std::vector<double> caps(nl.net_count(), 0.0);
   for (size_t n = 0; n < nl.net_count(); ++n) {
     caps[n] = t.c_wire + nl.net(static_cast<NetId>(n)).extra_wire_ff +
@@ -97,13 +96,11 @@ std::vector<double> RcTimer::all_net_caps(const Netlist& nl,
   }
   for (const auto& port : nl.outputs())
     caps[static_cast<size_t>(port.net)] += port.load_ff;
-  for (size_t c = 0; c < nl.comp_count(); ++c) {
-    const auto id = static_cast<netlist::CompId>(c);
-    for (const NetId n : nl.touched_nets(id)) {
-      caps[static_cast<size_t>(n)] +=
-          t.c_gate * nl.resolve_width(nl.gate_width_on_net(id, n), sizing) +
-          t.c_diff *
-              nl.resolve_width(nl.diffusion_width_on_net(id, n), sizing);
+  for (size_t n = 0; n < nl.net_count(); ++n) {
+    for (const auto& load : view.loads_on(static_cast<NetId>(n))) {
+      caps[n] +=
+          t.c_gate * nl.resolve_width(view.gate_refs(load), sizing) +
+          t.c_diff * nl.resolve_width(view.diffusion_refs(load), sizing);
     }
   }
   return caps;
@@ -122,101 +119,62 @@ EdgeDelay RcTimer::arc_delay_with_cap(const Netlist& nl, const Sizing& sizing,
                                       double c_out) const {
   const auto& t = *tech_;
   const Component& comp = nl.comp(arc.comp);
-
   auto label_w = [&](netlist::LabelId l) { return nl.label_width(l, sizing); };
 
-  if (const auto* g = comp.as_static()) {
-    std::vector<std::pair<NetId, netlist::LabelId>> path;
-    std::vector<std::pair<double, double>> rw;
-    if (out_rising) {
-      const bool found = g->pulldown.dual().worst_path_through(arc.from, path);
-      SMART_CHECK(found, "static arc input not in pull-up network");
-      for (size_t k = 0; k < path.size(); ++k)
-        rw.emplace_back(t.r_pmos, label_w(g->pmos_label));
-    } else {
-      const bool found = g->pulldown.worst_path_through(arc.from, path);
-      SMART_CHECK(found, "static arc input not in pull-down network");
-      for (const auto& [net, label] : path)
-        rw.emplace_back(t.r_nmos, label_w(label));
-    }
-    return elmore(rw, c_out, in_slope);
-  }
+  // The conducting path, as (resistance, width) pairs from the output.
+  // Reused per-thread scratch: analyze() evaluates every arc transition.
+  static thread_local std::vector<std::pair<double, double>> rw;
+  rw.clear();
+  for (const auto& d : nl.load_view().arc_path(arc, out_rising, phase))
+    rw.emplace_back(device_r(t, d.kind), label_w(d.label));
 
-  if (const auto* tg = comp.as_transgate()) {
-    const double w = label_w(tg->label);
-    const double r_eff = (t.r_nmos * t.r_pmos) / (t.r_nmos + t.r_pmos);
-    if (arc.kind == ArcKind::kPassData) {
-      return elmore({{r_eff, w}}, c_out, in_slope);
-    }
+  if (arc.kind == ArcKind::kPassControl) {
     // Control path: the local inverter generates the PMOS select, then the
     // opened gate conducts the (already present) data value to the output.
+    const double w = label_w(comp.as_transgate()->label);
     const double w_inv = netlist::TransGate::kLocalInvRatio * w;
     const double c_inv_load =
         t.c_gate * w + 2.0 * t.c_diff * w_inv;  // P pass gate + self
-    const EdgeDelay inv =
-        elmore({{t.r_nmos, w_inv}}, c_inv_load, in_slope);
-    EdgeDelay pass = elmore({{r_eff, w}}, c_out, inv.out_slope_ps);
+    const std::pair<double, double> inv_rw[] = {{t.r_nmos, w_inv}};
+    const EdgeDelay inv = elmore(inv_rw, c_inv_load, in_slope);
+    EdgeDelay pass = elmore(rw, c_out, inv.out_slope_ps);
     pass.delay_ps += inv.delay_ps;
     return pass;
   }
-
-  if (const auto* t3 = comp.as_tristate()) {
-    const double wn = label_w(t3->nmos_label);
-    const double wp = label_w(t3->pmos_label);
-    auto stack2 = [&](bool rising) {
-      return std::vector<std::pair<double, double>>{
-          {rising ? t.r_pmos : t.r_nmos, rising ? wp : wn},
-          {rising ? t.r_pmos : t.r_nmos, rising ? wp : wn}};
-    };
-    if (arc.kind == ArcKind::kTristateData) {
-      return elmore(stack2(out_rising), c_out, in_slope);
-    }
+  if (arc.kind == ArcKind::kTristateEnable) {
     // Enable path: internal complement inverter, then the 2-stack conducts.
-    const double w_inv = netlist::Tristate::kLocalInvRatio * wn;
-    const double c_inv_load = t.c_gate * wp + 2.0 * t.c_diff * w_inv;
-    const EdgeDelay inv = elmore({{t.r_nmos, w_inv}}, c_inv_load, in_slope);
-    EdgeDelay cond = elmore(stack2(out_rising), c_out, inv.out_slope_ps);
+    const auto* t3 = comp.as_tristate();
+    const double w_inv =
+        netlist::Tristate::kLocalInvRatio * label_w(t3->nmos_label);
+    const double c_inv_load =
+        t.c_gate * label_w(t3->pmos_label) + 2.0 * t.c_diff * w_inv;
+    const std::pair<double, double> inv_rw[] = {{t.r_nmos, w_inv}};
+    const EdgeDelay inv = elmore(inv_rw, c_inv_load, in_slope);
+    EdgeDelay cond = elmore(rw, c_out, inv.out_slope_ps);
     cond.delay_ps += inv.delay_ps;
     return cond;
   }
 
-  const auto* d = comp.as_domino();
-  SMART_CHECK(d != nullptr, "unknown component kind");
-  const double w_pre = label_w(d->precharge_label);
-
-  if (arc.kind == ArcKind::kDominoPrecharge ||
-      (phase == Phase::kPrecharge && arc.kind == ArcKind::kDominoEval)) {
-    // Precharge through P1. For unfooted stages, callers gate this on the
-    // inputs having fallen; the RC is the same either way.
-    return elmore({{t.r_pmos, w_pre}}, c_out, in_slope);
-  }
-
-  // Evaluate: pull-down path through the causing input (or the worst path
-  // for the clock-to-output arc of a footed stage), plus the foot device.
-  std::vector<std::pair<NetId, netlist::LabelId>> path;
-  if (arc.kind == ArcKind::kDominoClkEval) {
-    path = d->pulldown.worst_path();
-  } else {
-    const bool found = d->pulldown.worst_path_through(arc.from, path);
-    SMART_CHECK(found, "domino arc input not in pull-down network");
-  }
-  std::vector<std::pair<double, double>> rw;
-  for (const auto& [net, label] : path)
-    rw.emplace_back(t.r_nmos, label_w(label));
-  if (d->evaluate_label >= 0)
-    rw.emplace_back(t.r_nmos, label_w(d->evaluate_label));
-
+  // Static gates, pass and tri-state data arcs and domino precharge
+  // (through P1; for unfooted stages callers gate it on the inputs having
+  // fallen, and the RC is the same either way) are the path's RC alone.
   EdgeDelay ed = elmore(rw, c_out, in_slope);
-  // Keeper contention: the keeper PMOS fights the pull-down until the node
-  // crosses; effective slowdown G/(G - G_keeper). Nonlinear in widths, so
-  // invisible to the posynomial models — handled by the sizing loop.
+  const auto* d = comp.as_domino();
+  if (d == nullptr || arc.kind == ArcKind::kDominoPrecharge ||
+      (phase == Phase::kPrecharge && arc.kind == ArcKind::kDominoEval))
+    return ed;
+  // Domino evaluate. Keeper contention: the keeper PMOS fights the
+  // pull-down until the node crosses; effective slowdown
+  // G/(G - G_keeper). Nonlinear in widths, so invisible to the posynomial
+  // models — handled by the sizing loop.
   double g_path = 0.0;
   {
     double r_sum = 0.0;
     for (const auto& [r, w] : rw) r_sum += r / w;
     g_path = 1.0 / r_sum;
   }
-  const double g_keeper = d->keeper_ratio * w_pre / t.r_pmos;
+  const double g_keeper =
+      d->keeper_ratio * label_w(d->precharge_label) / t.r_pmos;
   const double factor =
       (g_path > g_keeper * 1.02) ? g_path / (g_path - g_keeper) : 50.0;
   ed.delay_ps *= factor;
@@ -229,23 +187,8 @@ TimingReport RcTimer::analyze(const Netlist& nl,
   SMART_CHECK(nl.finalized(), "netlist must be finalized before timing");
   const auto& t = *tech_;
 
-  // Topological order of nets over arcs (Kahn).
   const size_t n_nets = nl.net_count();
-  std::vector<int> indeg(n_nets, 0);
-  for (const Arc& a : nl.arcs()) indeg[static_cast<size_t>(a.to)]++;
-  std::vector<NetId> topo;
-  topo.reserve(n_nets);
-  std::queue<NetId> ready;
-  for (size_t n = 0; n < n_nets; ++n)
-    if (indeg[n] == 0) ready.push(static_cast<NetId>(n));
-  while (!ready.empty()) {
-    const NetId n = ready.front();
-    ready.pop();
-    topo.push_back(n);
-    for (const Arc& a : nl.arcs_from(n))
-      if (--indeg[static_cast<size_t>(a.to)] == 0) ready.push(a.to);
-  }
-  SMART_CHECK(topo.size() == n_nets, "netlist contains a cycle");
+  const netlist::LoadView& view = nl.load_view();
 
   // Net capacitances are sizing-dependent but phase-independent; compute
   // them once for the whole analysis.
@@ -279,7 +222,7 @@ TimingReport RcTimer::analyze(const Netlist& nl,
     }
 
     std::vector<netlist::EdgeMap> maps;
-    for (const NetId n : topo) {
+    for (const NetId n : view.topo_order()) {
       for (const Arc& a : nl.arcs_into(n)) {
         netlist::arc_edge_maps(nl, a, phase, maps);
         const auto& src = nets[static_cast<size_t>(a.from)];
@@ -338,10 +281,7 @@ TimingReport RcTimer::analyze(const Netlist& nl,
   }
 
   // Precharge settle: only meaningful when the macro contains domino logic.
-  bool has_domino = false;
-  for (const auto& c : nl.comps())
-    if (c.as_domino() != nullptr) has_domino = true;
-  if (has_domino) {
+  if (view.has_domino()) {
     const auto pre = run_phase(Phase::kPrecharge);
     for (const auto& nt : pre) {
       const double w = nt.worst_arrival();

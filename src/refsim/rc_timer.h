@@ -15,6 +15,7 @@
 /// component models, the SMART sizing loop's model-vs-STA mismatch iteration
 /// (paper Fig 4) is exercised for real.
 
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -59,7 +60,24 @@ struct EdgeDelay {
   double out_slope_ps = 0.0;
 };
 
+/// Drive resistance * width of one conduction-path device (kOhm * um); a
+/// pass gate's N and P devices conduct in parallel.
+inline double device_r(const tech::Tech& t, netlist::DeviceKind kind) {
+  switch (kind) {
+    case netlist::DeviceKind::kNmos:
+      return t.r_nmos;
+    case netlist::DeviceKind::kPmos:
+      return t.r_pmos;
+    case netlist::DeviceKind::kPass:
+      break;
+  }
+  return (t.r_nmos * t.r_pmos) / (t.r_nmos + t.r_pmos);
+}
+
 /// Reference RC timer. Stateless w.r.t. netlists; one instance per tech.
+/// Every query reads the netlist's compiled load view (netlist/load_view.h)
+/// for which devices load a net and which path an arc conducts through,
+/// and reads widths, route capacitance and port loads live.
 class RcTimer {
  public:
   explicit RcTimer(const tech::Tech& tech) : tech_(&tech) {}
@@ -72,8 +90,8 @@ class RcTimer {
   double net_cap(const netlist::Netlist& nl, const netlist::Sizing& sizing,
                  netlist::NetId n) const;
 
-  /// Capacitance of every net in one component sweep (much faster than
-  /// calling net_cap per net on large macros).
+  /// Capacitance of every net: wire and port constants first, then each
+  /// net's loads in component order (net_cap adds the constants last).
   std::vector<double> all_net_caps(const netlist::Netlist& nl,
                                    const netlist::Sizing& sizing) const;
 
@@ -87,8 +105,7 @@ class RcTimer {
                       Phase phase = Phase::kEvaluate) const;
 
   /// Same, with the destination net capacitance supplied by the caller
-  /// (lets analyze() cache all net caps instead of rescanning the netlist
-  /// for every arc).
+  /// (analyze() computes all net caps once per sizing).
   EdgeDelay arc_delay_with_cap(const netlist::Netlist& nl,
                                const netlist::Sizing& sizing,
                                const netlist::Arc& arc, bool out_rising,
@@ -99,8 +116,7 @@ class RcTimer {
   /// Elmore delay/slope through a series device path. `path[0]` is adjacent
   /// to the output node; each entry is (resistance-ohms-um / width-um).
   /// Internal nodes carry the diffusion of their adjacent devices.
-  EdgeDelay elmore(const std::vector<std::pair<double, double>>&
-                       r_and_w_from_out,
+  EdgeDelay elmore(std::span<const std::pair<double, double>> r_and_w_from_out,
                    double c_out, double in_slope) const;
 
   const tech::Tech* tech_;

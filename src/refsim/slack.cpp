@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
+#include <ranges>
 
 #include "util/check.h"
 
@@ -37,24 +37,9 @@ SlackReport compute_slack(const Netlist& nl, const Sizing& sizing,
     req_fall[net] = std::min(req_fall[net], deadline);
   }
 
-  // Reverse topological order of nets.
-  std::vector<int> indeg(n_nets, 0);
-  for (const Arc& a : nl.arcs()) indeg[static_cast<size_t>(a.to)]++;
-  std::vector<NetId> topo;
-  std::queue<NetId> ready;
-  for (size_t n = 0; n < n_nets; ++n)
-    if (indeg[n] == 0) ready.push(static_cast<NetId>(n));
-  while (!ready.empty()) {
-    const NetId n = ready.front();
-    ready.pop();
-    topo.push_back(n);
-    for (const Arc& a : nl.arcs_from(n))
-      if (--indeg[static_cast<size_t>(a.to)] == 0) ready.push(a.to);
-  }
-
   std::vector<EdgeMap> maps;
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NetId n = *it;
+  // Reverse topological order of nets.
+  for (const NetId n : std::views::reverse(nl.load_view().topo_order())) {
     for (const Arc& a : nl.arcs_from(n)) {
       netlist::arc_edge_maps(nl, a, netlist::Phase::kEvaluate, maps);
       for (const EdgeMap& em : maps) {

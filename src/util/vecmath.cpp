@@ -4,7 +4,7 @@
 
 // On GNU/x86-64 this translation unit is compiled with
 // -ffast-math -fopenmp-simd (scoped to this file only — see
-// src/util/CMakeLists.txt) so the exp calls below vectorize against
+// src/util/CMakeLists.txt) so the exp and log calls below vectorize against
 // libmvec. SMART_VECMATH_CLONES additionally emits an AVX2 clone next to
 // the baseline SSE one, dispatched once at load time via ifunc.
 
@@ -31,6 +31,13 @@ SMART_VECMATH_TARGETS
 double sum_exp_shifted(const double* z, double shift, size_t n) {
   double acc = 0.0;
   for (size_t k = 0; k < n; ++k) acc += std::exp(z[k] - shift);
+  return acc;
+}
+
+SMART_VECMATH_TARGETS
+double sum_log(const double* x, size_t n) {
+  double acc = 0.0;
+  for (size_t k = 0; k < n; ++k) acc += std::log(x[k]);
   return acc;
 }
 

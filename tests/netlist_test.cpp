@@ -101,7 +101,11 @@ TEST_F(SmallNetlist, ArcsAndDrivers) {
 
 TEST_F(SmallNetlist, GateWidthAccounting) {
   // Inverter i2's input pin on mid: one NMOS + one PMOS device.
-  const auto refs = nl_.gate_width_on_net(1, mid_);
+  const LoadView& view = nl_.load_view();
+  const auto loads = view.loads_on(mid_);
+  ASSERT_EQ(loads.size(), 2u);
+  EXPECT_EQ(loads[1].comp, 1);
+  const auto refs = view.gate_refs(loads[1]);
   ASSERT_EQ(refs.size(), 2u);
   Sizing s = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(nl_.resolve_width(refs, s), 3.0 + 4.0);
@@ -109,11 +113,15 @@ TEST_F(SmallNetlist, GateWidthAccounting) {
 
 TEST_F(SmallNetlist, DiffusionWidthAccounting) {
   // Driver i1's diffusion on mid: its N and P devices.
-  const auto refs = nl_.diffusion_width_on_net(0, mid_);
+  const LoadView& view = nl_.load_view();
+  const auto loads = view.loads_on(mid_);
+  ASSERT_EQ(loads.size(), 2u);
+  EXPECT_EQ(loads[0].comp, 0);
   Sizing s = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(nl_.resolve_width(refs, s), 1.0 + 2.0);
+  EXPECT_DOUBLE_EQ(nl_.resolve_width(view.diffusion_refs(loads[0]), s),
+                   1.0 + 2.0);
   // i2 has no diffusion on its own input.
-  EXPECT_TRUE(nl_.diffusion_width_on_net(1, mid_).empty());
+  EXPECT_TRUE(view.diffusion_refs(loads[1]).empty());
 }
 
 TEST_F(SmallNetlist, DeviceStats) {
